@@ -250,9 +250,16 @@ class Workspace:
         if isinstance(spec, list):
             spec = {"coeffs": spec}
         coeffs = [self.algebra_elem(e) for e in _get(spec, "coeffs", list)]
-        ord_ = spec.get("ord", 0)
-        end = spec.get("end", ord_ + len(coeffs))
-        return TruncLaurent.from_elements(self.ctx, ord_, coeffs, end)
+        ord_ = _get(spec, "ord", int) if "ord" in spec else 0
+        end = ord_ + len(coeffs)
+        if "end" in spec:
+            end = None if spec["end"] is None else _get(spec, "end", int)
+        try:
+            return TruncLaurent.from_elements(self.ctx, ord_, coeffs, end)
+        except RingUnavailableError:
+            raise
+        except ValueError as e:
+            raise InputError(f"bad laurent payload: {e}") from e
 
     def vecpoly(self, spec) -> VecPoly:
         mod = self.module

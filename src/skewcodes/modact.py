@@ -22,13 +22,14 @@ import numpy as np
 
 from . import _gflinalg as la
 from .algebra import Algebra, AlgebraElement
-from .errors import MixedStructureError, PrecisionError
+from .errors import MixedStructureError
 from .fields import DTYPE
-from .skewlaurent import (TruncLaurent, _composition_maps, _min_end,
-                          require_laurent_ring, xnegn_times)
+from .skewlaurent import (CoeffLaurent, TruncLaurent, _composition_maps,
+                          _min_end, laurent_mul, xn_floor, xnegn_times)
 from .skewmap import SkewDerivation
-from .skewpoly import SkewPoly, _pad, _trim, xn_arrays
-from .skewseries import TruncSeries, require_series_ring
+from .skewpoly import CoeffPoly, SkewPoly, mul_arrays, poly_mul
+from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
+                         series_mul, series_times_scalar)
 
 
 # ---- the action spec ----
@@ -44,7 +45,8 @@ class ModuleReport:
 
 class RightModuleSpec:
     """F^n as a right A-module: one n x n matrix per algebra basis element,
-    acting on row vectors as v -> v R(a_j)."""
+    acting on row vectors as v -> v R(a_j).  Also the coefficient space of
+    VecPoly, VecSeries and VecLaurent (protocol: skewpoly.RegularCoeffs)."""
 
     __slots__ = ("algebra", "n", "action", "_flat", "name")
 
@@ -89,6 +91,22 @@ class RightModuleSpec:
         """Matrix with row l equal to v R(a_l); the action linearized in a."""
         flat = la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :], self._flat)
         return flat.reshape(self.algebra.dim, self.n)
+
+    def format_rows(self, rows: np.ndarray, offset: int) -> str:
+        """Row i printed as the coefficient vector of X^(offset + i)."""
+        fs = self.field
+        terms = []
+        for e, row in enumerate(rows, offset):
+            if not row.any():
+                continue
+            body = "(" + ", ".join(fs.format_index(int(c)) for c in row) + ")"
+            if e == 0:
+                terms.append(body)
+            elif e == 1:
+                terms.append(f"{body}X")
+            else:
+                terms.append(f"{body}X^{e}")
+        return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RightModuleSpec) and self.algebra == other.algebra
@@ -186,37 +204,37 @@ def natural_module(res) -> RightModuleSpec:
 
 # ---- coefficient containers ----
 
-def _format_vec_terms(spec: RightModuleSpec, rows: np.ndarray, exps) -> str:
-    fs = spec.field
-    terms = []
-    for row, e in zip(rows, exps):
-        if not row.any():
-            continue
-        body = "(" + ", ".join(fs.format_index(int(c)) for c in row) + ")"
-        if e == 0:
-            terms.append(body)
-        elif e == 1:
-            terms.append(f"{body}X")
-        else:
-            terms.append(f"{body}X^{e}")
-    return " + ".join(terms) if terms else "0"
+class _OverModule:
+    """Coefficient rows in F^n under a right module spec, not in A."""
+
+    __slots__ = ()
+
+    @property
+    def space(self) -> RightModuleSpec:
+        return self.spec
+
+    def _structure(self) -> tuple:
+        return (self.spec, self.ctx)
+
+    def _element(self, row: np.ndarray) -> np.ndarray:
+        return row
 
 
-class VecPoly:
+def _module_over(spec: RightModuleSpec, ctx: SkewDerivation) -> RightModuleSpec:
+    if spec.algebra != ctx.algebra:
+        raise MixedStructureError("module and context algebras differ")
+    return spec
+
+
+class VecPoly(_OverModule, CoeffPoly):
     """Polynomial with coefficient rows in F^n."""
 
-    __slots__ = ("spec", "ctx", "coeffs")
+    __slots__ = ("spec",)
+    _tag = "vecpoly"
 
     def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation, coeffs: np.ndarray):
-        if spec.algebra != ctx.algebra:
-            raise MixedStructureError("module and context algebras differ")
-        coeffs = _trim(np.asarray(coeffs, dtype=DTYPE))
-        if coeffs.ndim != 2 or coeffs.shape[1] != spec.n:
-            raise ValueError(f"coefficient block must be L x {spec.n}")
-        self.spec = spec
-        self.ctx = ctx
-        self.coeffs = coeffs
-        self.coeffs.setflags(write=False)
+        self.spec = _module_over(spec, ctx)
+        super().__init__(ctx, coeffs)
 
     @classmethod
     def from_rows(cls, spec: RightModuleSpec, ctx: SkewDerivation,
@@ -238,49 +256,6 @@ class VecPoly:
         arr[0, i] = 1
         return cls(spec, ctx, arr)
 
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def coeff(self, i: int) -> np.ndarray:
-        if 0 <= i < self.coeffs.shape[0]:
-            return self.coeffs[i].copy()
-        return la.zeros(self.spec.n)
-
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def _check(self, other: "VecPoly") -> None:
-        if self.spec != other.spec or self.ctx != other.ctx:
-            raise MixedStructureError("operands from different modules")
-
-    def __add__(self, other: "VecPoly") -> "VecPoly":
-        self._check(other)
-        L = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        return VecPoly(self.spec, self.ctx,
-                       self.spec.field.add_arrays(_pad(self.coeffs, L),
-                                                  _pad(other.coeffs, L)))
-
-    def __sub__(self, other: "VecPoly") -> "VecPoly":
-        self._check(other)
-        L = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        return VecPoly(self.spec, self.ctx,
-                       la.mat_sub(self.spec.field, _pad(self.coeffs, L),
-                                  _pad(other.coeffs, L)))
-
-    def __neg__(self) -> "VecPoly":
-        return VecPoly(self.spec, self.ctx, self.spec.field.neg_arrays(self.coeffs))
-
-    def shift(self, n: int) -> "VecPoly":
-        """v X^n (n >= 0): plain coefficient shift."""
-        if n < 0:
-            raise ValueError("polynomial shift needs n >= 0")
-        if self.is_zero():
-            return self
-        out = la.zeros((self.coeffs.shape[0] + n, self.spec.n))
-        out[n:] = self.coeffs
-        return VecPoly(self.spec, self.ctx, out)
-
     def __mul__(self, other):
         if isinstance(other, SkewPoly):
             return vecpoly_times_ring(self, other)
@@ -288,89 +263,18 @@ class VecPoly:
             return vecpoly_times_scalar(self, other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VecPoly) and self.spec == other.spec
-                and self.ctx == other.ctx
-                and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self) -> int:
-        return hash((self.spec, self.ctx, self.coeffs.tobytes()))
-
-    def __str__(self) -> str:
-        return _format_vec_terms(self.spec, self.coeffs, range(self.coeffs.shape[0]))
-
-    def __repr__(self) -> str:
-        return f"<vecpoly {self}>"
-
-
-class VecSeries:
+class VecSeries(_OverModule, CoeffSeries):
     """Class of a vector power series modulo X^prec."""
 
-    __slots__ = ("spec", "ctx", "prec", "coeffs")
+    __slots__ = ("spec",)
+    _tag = "vecseries"
+    _poly = VecPoly
 
     def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation,
                  prec: int, coeffs: np.ndarray):
-        if spec.algebra != ctx.algebra:
-            raise MixedStructureError("module and context algebras differ")
-        if prec < 0:
-            raise ValueError("precision must be >= 0")
-        coeffs = np.asarray(coeffs, dtype=DTYPE)
-        if coeffs.ndim != 2 or coeffs.shape != (prec, spec.n):
-            raise ValueError(f"coefficient block must be {prec} x {spec.n}")
-        self.spec = spec
-        self.ctx = ctx
-        self.prec = prec
-        self.coeffs = coeffs
-        self.coeffs.setflags(write=False)
-
-    @classmethod
-    def from_poly(cls, v: VecPoly, prec: int) -> "VecSeries":
-        return cls(v.spec, v.ctx, prec, _pad(v.coeffs[:prec], prec))
-
-    def to_poly(self) -> VecPoly:
-        return VecPoly(self.spec, self.ctx, self.coeffs)
-
-    def coeff(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.prec:
-            raise PrecisionError(f"coefficient {i} outside precision {self.prec}")
-        return self.coeffs[i].copy()
-
-    def truncate(self, prec: int) -> "VecSeries":
-        if prec > self.prec:
-            raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return VecSeries(self.spec, self.ctx, prec, self.coeffs[:prec])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def _check(self, other: "VecSeries") -> None:
-        if self.spec != other.spec or self.ctx != other.ctx:
-            raise MixedStructureError("operands from different modules")
-
-    def __add__(self, other: "VecSeries") -> "VecSeries":
-        self._check(other)
-        p = min(self.prec, other.prec)
-        return VecSeries(self.spec, self.ctx, p,
-                         self.spec.field.add_arrays(self.coeffs[:p], other.coeffs[:p]))
-
-    def __sub__(self, other: "VecSeries") -> "VecSeries":
-        self._check(other)
-        p = min(self.prec, other.prec)
-        return VecSeries(self.spec, self.ctx, p,
-                         la.mat_sub(self.spec.field, self.coeffs[:p],
-                                    other.coeffs[:p]))
-
-    def __neg__(self) -> "VecSeries":
-        return VecSeries(self.spec, self.ctx, self.prec,
-                         self.spec.field.neg_arrays(self.coeffs))
-
-    def shift(self, n: int) -> "VecSeries":
-        """s X^n (n >= 0): plain shift, window grows with the shift."""
-        if n < 0:
-            raise ValueError("series shift needs n >= 0")
-        out = la.zeros((self.prec + n, self.spec.n))
-        out[n:] = self.coeffs
-        return VecSeries(self.spec, self.ctx, self.prec + n, out)
+        self.spec = _module_over(spec, ctx)
+        super().__init__(ctx, prec, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
@@ -379,128 +283,18 @@ class VecSeries:
             return vecseries_times_scalar(self, other)
         return NotImplemented
 
-    def agrees_with(self, other: "VecSeries") -> bool:
-        self._check(other)
-        p = min(self.prec, other.prec)
-        return np.array_equal(self.coeffs[:p], other.coeffs[:p])
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VecSeries) and self.spec == other.spec
-                and self.ctx == other.ctx and self.prec == other.prec
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.ctx, self.prec, self.coeffs.tobytes()))
-
-    def __str__(self) -> str:
-        body = _format_vec_terms(self.spec, self.coeffs, range(self.prec))
-        return f"{body} + O(X^{self.prec})"
-
-    def __repr__(self) -> str:
-        return f"<vecseries {self}>"
-
-
-class VecLaurent:
+class VecLaurent(_OverModule, CoeffLaurent):
     """Class of a vector Laurent series modulo X^end (end = None: exact)."""
 
-    __slots__ = ("spec", "ctx", "ord", "coeffs", "end")
+    __slots__ = ("spec",)
+    _tag = "veclaurent"
+    _series = VecSeries
 
     def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation, ord_: int,
                  coeffs: np.ndarray, end: Optional[int] = None):
-        if spec.algebra != ctx.algebra:
-            raise MixedStructureError("module and context algebras differ")
-        coeffs = np.asarray(coeffs, dtype=DTYPE)
-        if coeffs.ndim != 2 or coeffs.shape[1] != spec.n:
-            raise ValueError(f"coefficient block must be L x {spec.n}")
-        lead = 0
-        while lead < coeffs.shape[0] and not coeffs[lead].any():
-            lead += 1
-        ord_ += lead
-        coeffs = _trim(coeffs[lead:])
-        if coeffs.shape[0] == 0:
-            ord_ = end if end is not None else 0
-        elif end is not None and end < ord_ + coeffs.shape[0]:
-            raise ValueError("window end precedes the stored coefficients")
-        self.spec = spec
-        self.ctx = ctx
-        self.ord = ord_
-        self.coeffs = coeffs
-        self.coeffs.setflags(write=False)
-        self.end = end
-
-    @classmethod
-    def from_series(cls, s: VecSeries) -> "VecLaurent":
-        return cls(s.spec, s.ctx, 0, s.coeffs, s.prec)
-
-    @classmethod
-    def from_poly(cls, v: VecPoly) -> "VecLaurent":
-        return cls(v.spec, v.ctx, 0, v.coeffs, None)
-
-    @classmethod
-    def exact_zero(cls, spec: RightModuleSpec, ctx: SkewDerivation) -> "VecLaurent":
-        return cls(spec, ctx, 0, la.zeros((0, spec.n)), None)
-
-    def to_series(self, prec: Optional[int] = None) -> VecSeries:
-        if self.ord < 0:
-            raise ValueError("negative order: not a power series")
-        limit = self.end if prec is None else prec
-        if limit is None:
-            limit = self.support_end
-        if self.end is not None and limit > self.end:
-            raise PrecisionError(f"window ends at {self.end}, requested {limit}")
-        return VecSeries(self.spec, self.ctx, limit, self._window_arr(0, limit))
-
-    @property
-    def support_end(self) -> int:
-        return self.ord + self.coeffs.shape[0]
-
-    def coeff(self, e: int) -> np.ndarray:
-        if self.end is not None and e >= self.end:
-            raise PrecisionError(f"coefficient {e} outside window ending {self.end}")
-        if self.ord <= e < self.support_end:
-            return self.coeffs[e - self.ord].copy()
-        return la.zeros(self.spec.n)
-
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def shift(self, n: int) -> "VecLaurent":
-        """s X^n for any integer n: plain exponent shift."""
-        end = None if self.end is None else self.end + n
-        return VecLaurent(self.spec, self.ctx, self.ord + n, self.coeffs, end)
-
-    def _check(self, other: "VecLaurent") -> None:
-        if self.spec != other.spec or self.ctx != other.ctx:
-            raise MixedStructureError("operands from different modules")
-
-    def _window_arr(self, lo: int, hi: int) -> np.ndarray:
-        out = la.zeros((max(hi - lo, 0), self.spec.n))
-        a = max(lo, self.ord)
-        b = min(hi, self.support_end)
-        if a < b:
-            out[a - lo: b - lo] = self.coeffs[a - self.ord: b - self.ord]
-        return out
-
-    def __add__(self, other: "VecLaurent") -> "VecLaurent":
-        self._check(other)
-        end = _min_end(self.end, other.end)
-        if self.is_zero() and other.is_zero():
-            return VecLaurent(self.spec, self.ctx, 0 if end is None else end,
-                              la.zeros((0, self.spec.n)), end)
-        lo = min(x.ord for x in (self, other) if not x.is_zero())
-        hi = max(x.support_end for x in (self, other) if not x.is_zero())
-        if end is not None:
-            hi = min(hi, end)
-        arr = self.spec.field.add_arrays(self._window_arr(lo, hi),
-                                         other._window_arr(lo, hi))
-        return VecLaurent(self.spec, self.ctx, lo, arr, end)
-
-    def __sub__(self, other: "VecLaurent") -> "VecLaurent":
-        return self + (-other)
-
-    def __neg__(self) -> "VecLaurent":
-        return VecLaurent(self.spec, self.ctx, self.ord,
-                          self.spec.field.neg_arrays(self.coeffs), self.end)
+        self.spec = _module_over(spec, ctx)
+        super().__init__(ctx, ord_, coeffs, end)
 
     def __mul__(self, other):
         if isinstance(other, TruncLaurent):
@@ -509,149 +303,59 @@ class VecLaurent:
             return veclaurent_times_scalar(self, other)
         return NotImplemented
 
-    def agrees_with(self, other: "VecLaurent") -> bool:
-        self._check(other)
-        ends = [e for e in (self.end, other.end) if e is not None]
-        if not ends:
-            return (self.ord == other.ord
-                    and np.array_equal(self.coeffs, other.coeffs))
-        hi = min(ends)
-        los = [x.ord for x in (self, other) if not x.is_zero()]
-        if not los:
-            return True
-        lo = min(los)
-        return np.array_equal(self._window_arr(lo, hi), other._window_arr(lo, hi))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, VecLaurent) and self.spec == other.spec
-                and self.ctx == other.ctx and self.ord == other.ord
-                and self.end == other.end
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.ctx, self.ord, self.end,
-                     self.coeffs.tobytes()))
-
-    def __str__(self) -> str:
-        body = _format_vec_terms(self.spec, self.coeffs,
-                                 range(self.ord, self.support_end))
-        if self.end is None:
-            return body
-        return f"{body} + O(X^{self.end})"
-
-    def __repr__(self) -> str:
-        return f"<veclaurent {self}>"
-
-
-# ---- polynomial-level products ----
+# ---- products: the ring-side engines with the module as coefficient space ----
 
 def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
                    f: np.ndarray, out_limit: Optional[int] = None) -> np.ndarray:
     """Coefficient rows of (v f) for v over F^n and f over A."""
-    fs = ctx.field
-    v, f = _trim(v), _trim(f)
-    dv, df = v.shape[0] - 1, f.shape[0] - 1
-    if dv < 0 or df < 0:
-        return la.zeros((0, spec.n))
-    full = dv + df + 1
-    out_len = full if out_limit is None else min(out_limit, full)
-    out = la.zeros((out_len, spec.n))
-    wmats = {k: spec.scaled_basis_rows(v[k]) for k in range(dv + 1) if v[k].any()}
-    table = ctx.ntable
-    table.ensure(dv)
-    for i in range(min(dv, out_len - 1) + 1):
-        t_len = min(df + 1, out_len - i)
-        frows = f[:t_len]
-        acc = None
-        for k in range(i, dv + 1):
-            if k not in wmats:
-                continue
-            comp = la.mat_mul(fs, frows, table.matrix(i, k).T)
-            b = la.mat_mul(fs, comp, wmats[k])
-            acc = b if acc is None else fs.add_arrays(acc, b)
-        if acc is not None:
-            out[i: i + t_len] = fs.add_arrays(out[i: i + t_len], acc)
-    return out
+    return mul_arrays(spec, ctx, v, f, out_limit)
 
 
 def vecpoly_times_ring(v: VecPoly, f: SkewPoly) -> VecPoly:
-    if v.ctx != f.ctx:
-        raise MixedStructureError("operands built over different contexts")
-    return VecPoly(v.spec, v.ctx, vec_mul_arrays(v.spec, v.ctx, v.coeffs, f.coeffs))
+    return poly_mul(v, f)
 
 
 def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    arr = a.coords[None, :]
-    return VecPoly(v.spec, v.ctx, vec_mul_arrays(v.spec, v.ctx, v.coeffs, arr))
+    return v._new(vec_mul_arrays(v.spec, v.ctx, v.coeffs, a.coords[None, :]))
 
-
-# ---- series-level products ----
 
 def vecseries_times_ring(s: VecSeries, t: TruncSeries,
                          prec: Optional[int] = None) -> VecSeries:
     """s t truncated; needs s.prec >= prec * m_delta and t.prec >= prec."""
-    if s.ctx != t.ctx:
-        raise MixedStructureError("operands built over different contexts")
-    ctx = s.ctx
-    m = require_series_ring(ctx)
-    n_max = min(t.prec, s.prec // m)
-    if prec is None:
-        prec = n_max
-    elif prec > n_max:
-        raise PrecisionError(
-            f"requested {prec} output coefficients; operands support {n_max} "
-            f"(left has {s.prec}, needs {prec * m}; right has {t.prec})")
-    out = vec_mul_arrays(s.spec, ctx, s.coeffs[: prec * m], t.coeffs[:prec],
-                         out_limit=prec)
-    return VecSeries(s.spec, ctx, prec, _pad(out, prec))
+    return series_mul(s, t, prec)
 
 
 def vecseries_times_scalar(s: VecSeries, a: AlgebraElement,
                            prec: Optional[int] = None) -> VecSeries:
     """s a: coefficient i is sum_{j=i}^{(i+1)m-1} s_j N_i^j(a)."""
-    ctx = s.ctx
-    m = require_series_ring(ctx)
-    if a.algebra != ctx.algebra:
-        raise MixedStructureError("scalar from a different algebra")
-    n_max = s.prec // m
-    if prec is None:
-        prec = n_max
-    elif prec > n_max:
-        raise PrecisionError(
-            f"requested {prec} output coefficients; series precision {s.prec} "
-            f"supports {n_max} (needs {prec * m})")
-    fs = ctx.field
-    table = ctx.ntable
-    if prec:
-        table.ensure((prec * m) - 1)
-    out = la.zeros((prec, s.spec.n))
-    for i in range(prec):
-        acc = la.zeros(s.spec.n)
-        for j in range(i, (i + 1) * m):
-            b = la.mat_vec(fs, table.matrix(i, j), a.coords)
-            if b.any() and s.coeffs[j].any():
-                acc = fs.add_arrays(acc, s.spec.act_row(s.coeffs[j], b))
-        out[i] = acc
-    return VecSeries(s.spec, ctx, prec, out)
+    return series_times_scalar(s, a, prec)
+
+
+def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
+    """v t: decompose v = v_hat X^{o_v}, move X^{o_v} across t on the ring
+    side, multiply the series parts, and shift (module shifts are free)."""
+    return laurent_mul(v, t)
 
 
 # ---- Laurent-level products ----
 
-def _scalar_pieces(s: VecLaurent, scalars: list[np.ndarray],
-                   hat_prec_out: int) -> VecLaurent:
+def _scalar_pieces(s: VecLaurent, scalars: list[np.ndarray]) -> VecLaurent:
     """sum_k (s_hat . scalars[k]) X^{ord - k}, windows combined over the
     nonzero scalars; shared by the direct and composed negative-order paths.
 
-    hat_prec_out is the exact coefficient count of each series piece; for an
+    Each series piece has the exact coefficient count hat_prec_out; for an
     exact s it is the full product length.
     """
     spec, ctx = s.spec, s.ctx
+    hat_prec_out = s.coeffs.shape[0] if s.end is None \
+        else (s.end - s.ord) // require_series_ring(ctx)
     n0 = -s.ord
     keep = [k for k, u in enumerate(scalars) if u.any()]
     if not keep:
-        return VecLaurent.exact_zero(spec, ctx)
+        return s._zero(None)
     kmax = max(keep)
     width = hat_prec_out + kmax
     out = la.zeros((width, spec.n))
@@ -661,11 +365,11 @@ def _scalar_pieces(s: VecLaurent, scalars: list[np.ndarray],
     fs = spec.field
     for k in keep:
         if hat is not None:
-            piece = vecseries_times_scalar(hat, ctx.algebra.from_coords(scalars[k]),
-                                           prec=hat_prec_out)
+            piece = series_times_scalar(hat, ctx.algebra.from_coords(scalars[k]),
+                                        prec=hat_prec_out)
             rows = piece.coeffs
         else:
-            rows = vec_mul_arrays(spec, ctx, s.coeffs, scalars[k][None, :])
+            rows = mul_arrays(spec, ctx, s.coeffs, scalars[k][None, :])
         pos = kmax - k
         seg = min(rows.shape[0], width - pos)
         if seg > 0:
@@ -674,7 +378,7 @@ def _scalar_pieces(s: VecLaurent, scalars: list[np.ndarray],
     end = None if exact else ord_out + hat_prec_out
     if end is not None:
         out = out[: max(0, end - ord_out)]
-    return VecLaurent(spec, ctx, ord_out, out, end)
+    return s._new(ord_out, out, end)
 
 
 def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
@@ -687,31 +391,21 @@ def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
     ctx = s.ctx
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    m = require_series_ring(ctx)
+    require_series_ring(ctx)
     if s.is_zero():
-        if s.end is None:
-            return VecLaurent.exact_zero(s.spec, ctx)
-        # the unknown tail from X^end on contaminates from end//m (nonneg
-        # windows) or end*m' (windows reaching below zero) upward
-        if s.end >= 0:
-            end = s.end // m
-        else:
-            end = s.end * require_laurent_ring(ctx)
-        return VecLaurent(s.spec, ctx, end, la.zeros((0, s.spec.n)), end)
+        # the unknown tail from X^end on contaminates from xn_floor(end) upward
+        return s._zero(None if s.end is None else xn_floor(ctx, s.end))
     if s.ord >= 0:
         if s.end is None:
             v = VecPoly(s.spec, ctx, s.coeffs).shift(s.ord)
             return VecLaurent.from_poly(vecpoly_times_scalar(v, a))
-        ser = VecSeries(s.spec, ctx, s.end, s._window_arr(0, s.end))
-        return VecLaurent.from_series(vecseries_times_scalar(ser, a))
+        return VecLaurent.from_series(series_times_scalar(s.to_series(), a))
     n0 = -s.ord
     const = TruncLaurent(ctx, 0, a.coords[None, :], None)
     u = xnegn_times(const, n0)
     width = n0 * (ctx.m_delta_prime - 1)
     scalars = [u.coeff(-n0 - k).coords for k in range(width + 1)]
-    hat_prec_out = ((s.end - s.ord) // m) if s.end is not None \
-        else s.coeffs.shape[0]
-    return _scalar_pieces(s, scalars, hat_prec_out)
+    return _scalar_pieces(s, scalars)
 
 
 def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
@@ -720,65 +414,13 @@ def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaure
     ctx = s.ctx
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    m = require_series_ring(ctx)
+    require_series_ring(ctx)
     if s.is_zero() or s.ord >= 0:
         return veclaurent_times_scalar(s, a)
     n0 = -s.ord
     comps = _composition_maps(ctx, n0)
     scalars = [la.mat_vec(ctx.field, c, a.coords) for c in comps]
-    hat_prec_out = ((s.end - s.ord) // m) if s.end is not None \
-        else s.coeffs.shape[0]
-    return _scalar_pieces(s, scalars, hat_prec_out)
-
-
-def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
-    """v t: decompose v = v_hat X^{o_v}, move X^{o_v} across t on the ring
-    side, multiply the series parts, and shift (module shifts are free)."""
-    if v.ctx != t.ctx:
-        raise MixedStructureError("operands built over different contexts")
-    ctx = v.ctx
-    spec = v.spec
-    m = ctx.m_delta
-    if v.is_zero() or t.is_zero():
-        if (v.is_zero() and v.end is None) or (t.is_zero() and t.end is None):
-            return VecLaurent.exact_zero(spec, ctx)
-        cand = []
-        if v.is_zero():
-            cand.append(v.end + t.ord)
-        if t.is_zero():
-            cand.append(v.ord + t.end)
-        end = min(cand)
-        return VecLaurent(spec, ctx, end, la.zeros((0, spec.n)), end)
-    o_v, o_t = v.ord, t.ord
-    n_t = None if t.end is None else t.end - o_t
-    if o_v >= 0:
-        arr = xn_arrays(ctx, t.coeffs, o_v, out_limit=n_t)
-        w = TruncLaurent(ctx, 0, arr, n_t)
-    else:
-        w = xnegn_times(TruncLaurent(ctx, 0, t.coeffs, n_t), -o_v)
-    shift = w.ord + o_t
-    n_v = None if v.end is None else v.end - o_v
-    n_w = None if w.end is None else w.end - w.ord
-    if w.is_zero():
-        if w.end is None:
-            return VecLaurent.exact_zero(spec, ctx)
-        end = w.end + o_t
-        return VecLaurent(spec, ctx, end, la.zeros((0, spec.n)), end)
-    if n_v is None and n_w is None:
-        return VecLaurent(spec, ctx, shift,
-                          vec_mul_arrays(spec, ctx, v.coeffs, w.coeffs), None)
-    if n_v is None:
-        n_out = n_w
-    elif n_w is None:
-        n_out = n_v // m
-    else:
-        n_out = min(n_w, n_v // m)
-    w_arr = w._window_arr(w.ord, w.ord + n_out)
-    v_arr = v.coeffs if n_v is None else v.coeffs[: n_out * m]
-    prod = vec_mul_arrays(spec, ctx, v_arr, w_arr, out_limit=n_out)
-    out = la.zeros((n_out, spec.n))
-    out[: prod.shape[0]] = prod
-    return VecLaurent(spec, ctx, shift, out, shift + n_out)
+    return _scalar_pieces(s, scalars)
 
 
 # ---- the central F((X)) action ----
@@ -800,9 +442,7 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
     end = _min_end(None if s.end is None else s.end + f_ord,
                    None if f_end is None else s.ord + f_end)
     if fc.shape[0] == 0 or s.is_zero():
-        if end is None:
-            return VecLaurent.exact_zero(spec, s.ctx)
-        return VecLaurent(spec, s.ctx, end, la.zeros((0, spec.n)), end)
+        return s._zero(end)
     lo = s.ord + f_ord
     hi = s.support_end + f_ord + fc.shape[0] - 1
     if end is not None:
@@ -817,7 +457,7 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
         seg = min(rows.shape[0], out.shape[0] - pos)
         if seg > 0:
             out[pos: pos + seg] = fs.add_arrays(out[pos: pos + seg], rows[:seg])
-    return VecLaurent(spec, s.ctx, lo, out, end)
+    return s._new(lo, out, end)
 
 
 def central_laurent(ctx: SkewDerivation, f_ord: int, f_coeffs: Sequence,

@@ -26,12 +26,11 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import AlgebraElement
-from .errors import MixedStructureError, RingUnavailableError
+from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import SkewPoly, _trim, format_poly_arr, mul_arrays, xn_arrays
-from .skewseries import TruncSeries
+from .skewpoly import CoeffPoly, CoeffRows, SkewPoly, _pad, _trim, mul_arrays, xn_arrays
+from .skewseries import CoeffSeries, TruncSeries
 
 
 # ---- availability report ----
@@ -109,17 +108,20 @@ def _min_end(*ends):
     return min(finite) if finite else None
 
 
-class TruncLaurent:
-    """Class of a skew Laurent series modulo X^end (end = None: exact)."""
+class CoeffLaurent(CoeffRows):
+    """Class of a Laurent series modulo X^end (end = None: exact), coefficient
+    rows in a coefficient space."""
 
-    __slots__ = ("ctx", "ord", "coeffs", "end")
+    __slots__ = ("ord", "end")
+    _tag = "trunc laurent"
+    _series = TruncSeries
 
     def __init__(self, ctx: SkewDerivation, ord_: int, coeffs: np.ndarray,
                  end: Optional[int]):
-        require_laurent_ring(ctx)
+        self.ctx = ctx
         coeffs = np.asarray(coeffs, dtype=DTYPE)
-        if coeffs.ndim != 2 or coeffs.shape[1] != ctx.algebra.dim:
-            raise ValueError(f"coefficient block must be L x {ctx.algebra.dim}")
+        if coeffs.ndim != 2:
+            raise ValueError(f"coefficient block must be L x {self.space.n}")
         # strip leading zeros (raising ord) and trailing zeros (end unchanged)
         lead = 0
         while lead < coeffs.shape[0] and not coeffs[lead].any():
@@ -130,139 +132,117 @@ class TruncLaurent:
             ord_ = end if end is not None else 0
         elif end is not None and end < ord_ + coeffs.shape[0]:
             raise ValueError("window end precedes the stored coefficients")
-        self.ctx = ctx
         self.ord = ord_
-        self.coeffs = coeffs.copy()
-        self.coeffs.flags.writeable = False
         self.end = end
+        self._set_coeffs(coeffs.copy())
 
-    # ---- constructors and views ----
-
-    @classmethod
-    def from_series(cls, s: TruncSeries) -> "TruncLaurent":
-        return cls(s.ctx, 0, s.coeffs, s.prec)
+    def _window(self) -> tuple:
+        return (self.ord, self.end)
 
     @classmethod
-    def from_poly(cls, f: SkewPoly) -> "TruncLaurent":
-        return cls(f.ctx, 0, f.coeffs, None)
+    def from_series(cls, s: CoeffSeries):
+        return cls(*s._structure(), 0, s.coeffs, s.prec)
 
     @classmethod
-    def from_elements(cls, ctx: SkewDerivation, ord_: int, elems,
-                      end: Optional[int] = _WINDOW_DEFAULT) -> "TruncLaurent":
-        """end omitted: window covering the given coefficients; end=None: exact."""
-        elems = list(elems)
-        arr = la.zeros((len(elems), ctx.algebra.dim))
-        for i, e in enumerate(elems):
-            if e.algebra != ctx.algebra:
-                raise MixedStructureError("coefficient from a different algebra")
-            arr[i] = e.coords
-        if end is _WINDOW_DEFAULT:
-            end = ord_ + len(elems)
-        return cls(ctx, ord_, arr, end)
+    def from_poly(cls, f: CoeffPoly):
+        return cls(*f._structure(), 0, f.coeffs, None)
 
-    @classmethod
-    def exact_zero(cls, ctx: SkewDerivation) -> "TruncLaurent":
-        return cls(ctx, 0, la.zeros((0, ctx.algebra.dim)), None)
+    def _zero(self, end: Optional[int]):
+        """The zero class modulo X^end, in the same space."""
+        return self._new(0, self.coeffs[:0], end)
 
-    def to_series(self, prec: Optional[int] = None) -> TruncSeries:
+    def to_series(self, prec: Optional[int] = None) -> CoeffSeries:
         """View as a power series; needs ord >= 0 (zeros pad below ord)."""
-        if self.coeffs.shape[0] and self.ord < 0:
+        if self.ord < 0:
             raise ValueError(f"order {self.ord} < 0: not a power series")
         if prec is None:
-            prec = self.end if self.end is not None else max(self.support_end, 0)
+            prec = self.end if self.end is not None else self.support_end
         if self.end is not None and prec > self.end:
-            raise ValueError(f"requested precision {prec} beyond window end {self.end}")
-        arr = la.zeros((prec, self.ctx.algebra.dim))
-        for i in range(self.coeffs.shape[0]):
-            e = self.ord + i
-            if 0 <= e < prec:
-                arr[e] = self.coeffs[i]
-        return TruncSeries(self.ctx, prec, arr)
+            raise PrecisionError(f"requested precision {prec} beyond window end {self.end}")
+        return self._series(*self._structure(), prec, self._window_arr(0, prec))
 
     @property
     def support_end(self) -> int:
         """One past the largest stored exponent."""
         return self.ord + self.coeffs.shape[0]
 
-    def coeff(self, e: int) -> AlgebraElement:
+    def coeff(self, e: int):
         if self.end is not None and e >= self.end:
-            raise ValueError(f"coefficient {e} outside window (end {self.end})")
+            raise PrecisionError(f"coefficient {e} outside window (end {self.end})")
         if self.ord <= e < self.support_end:
-            return AlgebraElement(self.ctx.algebra, self.coeffs[e - self.ord].copy())
-        return self.ctx.algebra.zero
+            return self._element(self.coeffs[e - self.ord].copy())
+        return self._element(la.zeros(self.coeffs.shape[1]))
 
     def is_zero(self) -> bool:
         return self.coeffs.shape[0] == 0
 
-    def shift(self, n: int) -> "TruncLaurent":
+    def shift(self, n: int):
         """Right multiplication by X^n, n any integer: a plain shift."""
-        return TruncLaurent(self.ctx, self.ord + n, self.coeffs,
-                            None if self.end is None else self.end + n)
-
-    def _check(self, other: "TruncLaurent") -> None:
-        if self.ctx != other.ctx:
-            raise MixedStructureError("laurent series from different contexts")
+        return self._new(self.ord + n, self.coeffs,
+                         None if self.end is None else self.end + n)
 
     def _window_arr(self, lo: int, hi: int) -> np.ndarray:
         """Stored coefficients on exponents [lo, hi), zeros where unstored."""
-        out = la.zeros((hi - lo, self.ctx.algebra.dim))
+        out = la.zeros((max(hi - lo, 0), self.coeffs.shape[1]))
         a0 = max(lo, self.ord)
         a1 = min(hi, self.support_end)
         if a1 > a0:
             out[a0 - lo: a1 - lo] = self.coeffs[a0 - self.ord: a1 - self.ord]
         return out
 
-    def __add__(self, other: "TruncLaurent") -> "TruncLaurent":
+    def _span(self, other) -> tuple:
+        """(lo, hi, end): the common window end, and the exponents [lo, hi)
+        below it that hold a stored coefficient of either operand."""
         self._check(other)
         end = _min_end(self.end, other.end)
-        lo = min(self.ord, other.ord)
-        hi = max(self.support_end, other.support_end)
+        live = [x for x in (self, other) if not x.is_zero()]
+        lo = min((x.ord for x in live), default=0)
+        hi = max((x.support_end for x in live), default=0)
         if end is not None:
             hi = min(hi, end)
-        hi = max(hi, lo)
+        return lo, max(hi, lo), end
+
+    def __add__(self, other):
+        lo, hi, end = self._span(other)
         arr = self.ctx.field.add_arrays(self._window_arr(lo, hi),
                                         other._window_arr(lo, hi))
-        return TruncLaurent(self.ctx, lo, arr, end)
+        return self._new(lo, arr, end)
 
-    def __sub__(self, other: "TruncLaurent") -> "TruncLaurent":
-        return self + (-other)
+    def __neg__(self):
+        return self._new(self.ord, self.ctx.field.neg_arrays(self.coeffs), self.end)
 
-    def __neg__(self) -> "TruncLaurent":
-        return TruncLaurent(self.ctx, self.ord,
-                            self.ctx.field.neg_arrays(self.coeffs), self.end)
-
-    def __mul__(self, other: "TruncLaurent") -> "TruncLaurent":
-        return laurent_mul(self, other)
-
-    def agrees_with(self, other: "TruncLaurent") -> bool:
+    def agrees_with(self, other) -> bool:
         """Equality of all coefficients on the common window."""
-        self._check(other)
-        end = _min_end(self.end, other.end)
-        lo = min(self.ord, other.ord)
-        hi = max(self.support_end, other.support_end)
-        if end is not None:
-            hi = min(hi, end)
-        if hi <= lo:
-            return True
+        lo, hi, _ = self._span(other)
         return bool(np.array_equal(self._window_arr(lo, hi),
                                    other._window_arr(lo, hi)))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncLaurent) and self.ctx == other.ctx
-                and self.ord == other.ord and self.end == other.end
-                and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.ord, self.end, self.coeffs.tobytes()))
+class TruncLaurent(CoeffLaurent):
+    """Class of a skew Laurent series modulo X^end (end = None: exact)."""
 
-    def __str__(self) -> str:
-        body = format_poly_arr(self.ctx.algebra, self.coeffs, offset=self.ord)
-        if self.end is None:
-            return body
-        return f"{body} + O(X^{self.end})"
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return f"<trunc laurent {self}>"
+    def __init__(self, ctx: SkewDerivation, ord_: int, coeffs: np.ndarray,
+                 end: Optional[int]):
+        require_laurent_ring(ctx)
+        super().__init__(ctx, ord_, coeffs, end)
+
+    @classmethod
+    def from_elements(cls, ctx: SkewDerivation, ord_: int, elems,
+                      end: Optional[int] = _WINDOW_DEFAULT) -> "TruncLaurent":
+        """end omitted: window covering the given coefficients; end=None: exact."""
+        elems = list(elems)
+        if end is _WINDOW_DEFAULT:
+            end = ord_ + len(elems)
+        return cls(ctx, ord_, SkewPoly.from_elements(ctx, elems).coeffs, end)
+
+    @classmethod
+    def exact_zero(cls, ctx: SkewDerivation) -> "TruncLaurent":
+        return cls(ctx, 0, la.zeros((0, ctx.algebra.dim)), None)
+
+    def __mul__(self, other: "TruncLaurent") -> "TruncLaurent":
+        return laurent_mul(self, other)
 
 
 # ---- core operations ----
@@ -345,27 +325,38 @@ def xnegn_direct(s: TruncLaurent, n: int) -> TruncLaurent:
     return TruncLaurent(ctx, s.ord - n * mp, out, end)
 
 
-def laurent_mul(s: TruncLaurent, t: TruncLaurent) -> TruncLaurent:
-    """s t on the largest window the operands support.
+def xn_floor(ctx: SkewDerivation, n: int) -> int:
+    """Lowest exponent X^n a can reach for a scalar a: floor(n / m_delta) for
+    n >= 0 (N_k^n vanishes once n >= (k + 1) m_delta), and n * m_delta'
+    below zero (each X^{-1} reaches m_delta' further down)."""
+    if n >= 0:
+        return n // ctx.m_delta
+    return n * require_laurent_ring(ctx)
+
+
+def laurent_mul(s: CoeffLaurent, t: TruncLaurent) -> CoeffLaurent:
+    """s t on the largest window the operands support; s over any
+    coefficient space.
 
     Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
     t_hat (xn expansion for o_s >= 0, iterated X^{-1} otherwise), multiplies
     the series parts truncated, and shifts.
     """
-    s._check(t)
+    if s.ctx != t.ctx:
+        raise MixedStructureError("operands built over different contexts")
     ctx = s.ctx
     m = ctx.m_delta
-    # zero operands: s = 0 mod X^{end_s} makes s t = 0 mod X^{end_s + ord(t)}
+    # zero operands: (a X^j)(b X^i) reaches down to X^{xn_floor(j) + i}, so an
+    # unknown tail from X^end on taints the product from there up
     if s.is_zero() or t.is_zero():
         if (s.is_zero() and s.end is None) or (t.is_zero() and t.end is None):
-            return TruncLaurent.exact_zero(ctx)
+            return s._zero(None)
         cand = []
         if s.is_zero():
-            cand.append(s.end + t.ord)
+            cand.append(xn_floor(ctx, s.end) + t.ord)
         if t.is_zero():
-            cand.append(s.ord + t.end)
-        end = min(cand)
-        return TruncLaurent(ctx, end, la.zeros((0, ctx.algebra.dim)), end)
+            cand.append(xn_floor(ctx, s.ord) + t.end)
+        return s._zero(min(cand))
     # s = s_hat X^{o_s}, t = t_hat X^{o_t}; move X^{o_s} across t_hat
     o_s, o_t = s.ord, t.ord
     n_t = None if t.end is None else t.end - o_t
@@ -378,13 +369,10 @@ def laurent_mul(s: TruncLaurent, t: TruncLaurent) -> TruncLaurent:
     n_s = None if s.end is None else s.end - o_s
     n_w = None if w.end is None else w.end - w.ord
     if w.is_zero():
-        if w.end is None:
-            return TruncLaurent.exact_zero(ctx)
-        end = w.end + o_t
-        return TruncLaurent(ctx, end, la.zeros((0, ctx.algebra.dim)), end)
+        return s._zero(None if w.end is None else w.end + o_t)
     # series product of s_hat (window n_s) and w_hat (window n_w)
     if n_s is None and n_w is None:
-        return TruncLaurent(ctx, shift, mul_arrays(ctx, s.coeffs, w.coeffs), None)
+        return s._new(shift, mul_arrays(s.space, ctx, s.coeffs, w.coeffs), None)
     if n_s is None:
         n_out = n_w
     elif n_w is None:
@@ -393,7 +381,5 @@ def laurent_mul(s: TruncLaurent, t: TruncLaurent) -> TruncLaurent:
         n_out = min(n_w, n_s // m)
     w_arr = w._window_arr(w.ord, w.ord + n_out)
     s_arr = s.coeffs if n_s is None else s.coeffs[: n_out * m]
-    prod = mul_arrays(ctx, s_arr, w_arr, out_limit=n_out)
-    out = la.zeros((n_out, ctx.algebra.dim))
-    out[: prod.shape[0]] = prod
-    return TruncLaurent(ctx, shift, out, shift + n_out)
+    prod = mul_arrays(s.space, ctx, s_arr, w_arr, out_limit=n_out)
+    return s._new(shift, _pad(prod, n_out), shift + n_out)

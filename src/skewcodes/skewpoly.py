@@ -6,7 +6,9 @@ formula collects N operators:
 
     (sum_i g_i X^i) f = sum_i (sum_{k=i}^{n} g_k N_i^k(f)) X^i
 
-where N_i^k acts on f coefficientwise and X^i shifts.  An independent
+where N_i^k acts on f coefficientwise and X^i shifts.  The left factor may
+live in any coefficient space (A itself, or a right A-module in modact), so
+this one product serves the ring and module layers alike.  An independent
 rewriting path (iterate X f = sigma(f) X + delta(f)) is kept as an oracle.
 """
 
@@ -38,20 +40,48 @@ def _pad(arr: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-# ---- raw-array engines (shared with the series and Laurent layers) ----
+# ---- coefficient spaces ----
 
-def mul_arrays(ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
+class RegularCoeffs:
+    """A as the coefficient space of its own rings: the regular module.
+
+    A coefficient space gives its width n, the n-wide block of one left
+    coefficient (row l is that coefficient times a_l), the scalar action on
+    one row and a formatter.  RightModuleSpec is the other instance; here the
+    block is left_mult_matrix(g).T and the action is the algebra product.
+    """
+
+    __slots__ = ("algebra", "n")
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self.n = algebra.dim
+
+    def scaled_basis_rows(self, g: np.ndarray) -> np.ndarray:
+        return self.algebra.left_mult_matrix(g).T
+
+    def act_row(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.algebra.mul_coords(v, b)
+
+    def format_rows(self, rows: np.ndarray, offset: int) -> str:
+        return format_poly_arr(self.algebra, rows, offset=offset)
+
+
+# ---- raw-array engines (shared with the series, Laurent and module layers) ----
+
+def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
                out_limit: Optional[int] = None) -> np.ndarray:
-    """Coefficient rows of (g f), optionally truncated to out_limit rows."""
+    """Coefficient rows of (g f) for g over the coefficient space and f over
+    A, optionally truncated to out_limit rows."""
     spec = ctx.field
     g, f = _trim(g), _trim(f)
     dg, df = g.shape[0] - 1, f.shape[0] - 1
     if dg < 0 or df < 0:
-        return la.zeros((0, ctx.algebra.dim))
+        return la.zeros((0, space.n))
     full = dg + df + 1
     out_len = full if out_limit is None else min(out_limit, full)
-    out = la.zeros((out_len, ctx.algebra.dim))
-    lmats = {k: ctx.algebra.left_mult_matrix(g[k]) for k in range(dg + 1) if g[k].any()}
+    out = la.zeros((out_len, space.n))
+    blocks = {k: space.scaled_basis_rows(g[k]) for k in range(dg + 1) if g[k].any()}
     table = ctx.ntable
     table.ensure(dg)
     for i in range(min(dg, out_len - 1) + 1):
@@ -59,10 +89,14 @@ def mul_arrays(ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
         frows = f[:t_len]
         acc = None
         for k in range(i, dg + 1):
-            if k not in lmats:
+            if k not in blocks:
                 continue
-            comp = la.mat_mul(spec, lmats[k], table.matrix(i, k)).T
-            b = la.mat_mul(spec, frows, comp)
+            # frows N^T B, associated so the first product is the smaller one
+            nt = table.matrix(i, k).T
+            if t_len < space.n:
+                b = la.mat_mul(spec, la.mat_mul(spec, frows, nt), blocks[k])
+            else:
+                b = la.mat_mul(spec, frows, la.mat_mul(spec, nt, blocks[k]))
             acc = b if acc is None else spec.add_arrays(acc, b)
         if acc is not None:
             out[i: i + t_len] = spec.add_arrays(out[i: i + t_len], acc)
@@ -119,15 +153,114 @@ def apply_map_rows(ctx: SkewDerivation, m: np.ndarray, rows: np.ndarray) -> np.n
     return la.mat_mul(ctx.field, rows, m.T)
 
 
-# ---- the polynomial class ----
+# ---- the polynomial classes ----
 
-class SkewPoly:
+class CoeffRows:
+    """Coefficient rows over a context, in a coefficient space.
+
+    The space is A itself (the regular module) unless a subclass supplies
+    another one through `space` and `_structure`.  Subclasses fix the window
+    through `_window`: (lowest stored exponent, end or None for exact).
+    """
+
     __slots__ = ("ctx", "coeffs")
+
+    @property
+    def space(self):
+        return RegularCoeffs(self.ctx.algebra)
+
+    def _structure(self) -> tuple:
+        """The constructor arguments before the window and coefficients."""
+        return (self.ctx,)
+
+    def _new(self, *window):
+        return type(self)(*self._structure(), *window)
+
+    def _element(self, row: np.ndarray):
+        """What `coeff` returns for a stored row."""
+        return AlgebraElement(self.ctx.algebra, row)
+
+    def _check(self, other) -> None:
+        if self._structure() != other._structure():
+            raise MixedStructureError("operands from different contexts or modules")
+
+    def _set_coeffs(self, coeffs: np.ndarray) -> None:
+        n = self.space.n
+        if coeffs.ndim != 2 or coeffs.shape[1] != n:
+            raise ValueError(f"coefficient block must be L x {n}")
+        self.coeffs = coeffs
+        self.coeffs.flags.writeable = False
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._structure() == other._structure()
+                and self._window() == other._window()
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self) -> int:
+        return hash((*self._structure(), *self._window(), self.coeffs.tobytes()))
+
+    def __str__(self) -> str:
+        lo, end = self._window()
+        body = self.space.format_rows(self.coeffs, lo)
+        return body if end is None else f"{body} + O(X^{end})"
+
+    def __repr__(self) -> str:
+        return f"<{self._tag} {self}>"
+
+
+class CoeffPoly(CoeffRows):
+    """f = sum_i f_i X^i with coefficient rows in a coefficient space."""
+
+    __slots__ = ()
+    _tag = "skew poly"
 
     def __init__(self, ctx: SkewDerivation, coeffs: np.ndarray):
         self.ctx = ctx
-        self.coeffs = _trim(np.asarray(coeffs, dtype=DTYPE))
-        self.coeffs.flags.writeable = False
+        self._set_coeffs(_trim(np.asarray(coeffs, dtype=DTYPE)))
+
+    def _window(self) -> tuple:
+        return (0, None)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 for the zero polynomial."""
+        return self.coeffs.shape[0] - 1
+
+    def coeff(self, i: int):
+        if 0 <= i < self.coeffs.shape[0]:
+            return self._element(self.coeffs[i].copy())
+        return self._element(la.zeros(self.coeffs.shape[1]))
+
+    def is_zero(self) -> bool:
+        return self.coeffs.shape[0] == 0
+
+    def __add__(self, other):
+        self._check(other)
+        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
+        return self._new(self.ctx.field.add_arrays(_pad(self.coeffs, n),
+                                                   _pad(other.coeffs, n)))
+
+    def __neg__(self):
+        return self._new(self.ctx.field.neg_arrays(self.coeffs))
+
+    def shift(self, n: int):
+        """Right multiplication by X^n (n >= 0): a plain coefficient shift."""
+        if n < 0:
+            raise ValueError("polynomial shift needs n >= 0")
+        if self.is_zero():
+            return self
+        out = la.zeros((self.coeffs.shape[0] + n, self.coeffs.shape[1]))
+        out[n:] = self.coeffs
+        return self._new(out)
+
+
+class SkewPoly(CoeffPoly):
+    """Skew polynomial over the context's algebra."""
+
+    __slots__ = ()
 
     # ---- constructors ----
 
@@ -165,75 +298,16 @@ class SkewPoly:
     def x_power(cls, ctx: SkewDerivation, n: int = 1) -> "SkewPoly":
         return cls.monomial(ctx, ctx.algebra.one, n)
 
-    # ---- basic structure ----
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return self.coeffs.shape[0] - 1
-
-    def coeff(self, i: int) -> AlgebraElement:
-        if 0 <= i < self.coeffs.shape[0]:
-            return AlgebraElement(self.ctx.algebra, self.coeffs[i].copy())
-        return self.ctx.algebra.zero
-
     def elements(self) -> list[AlgebraElement]:
         return [self.coeff(i) for i in range(self.coeffs.shape[0])]
 
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def _check(self, other: "SkewPoly") -> None:
-        if self.ctx != other.ctx:
-            raise MixedStructureError("polynomials from different contexts")
-
-    # ---- arithmetic ----
-
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        return SkewPoly(self.ctx, self.ctx.field.add_arrays(
-            _pad(self.coeffs, n), _pad(other.coeffs, n)))
-
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        f = self.ctx.field
-        return SkewPoly(self.ctx, f.add_arrays(
-            _pad(self.coeffs, n), f.neg_arrays(_pad(other.coeffs, n))))
-
-    def __neg__(self) -> "SkewPoly":
-        return SkewPoly(self.ctx, self.ctx.field.neg_arrays(self.coeffs))
-
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        self._check(other)
-        return SkewPoly(self.ctx, mul_arrays(self.ctx, self.coeffs, other.coeffs))
-
-    def shift(self, n: int) -> "SkewPoly":
-        """Right multiplication by X^n (a plain coefficient shift)."""
-        if self.is_zero():
-            return self
-        out = la.zeros((self.coeffs.shape[0] + n, self.ctx.algebra.dim))
-        out[n:] = self.coeffs
-        return SkewPoly(self.ctx, out)
+        return poly_mul(self, other)
 
     def scale_left(self, a: AlgebraElement) -> "SkewPoly":
         """a * f, coefficientwise left multiplication."""
         lm = self.ctx.algebra.left_mult_matrix(a.coords)
         return SkewPoly(self.ctx, apply_map_rows(self.ctx, lm, self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SkewPoly) and self.ctx == other.ctx
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.coeffs.tobytes()))
-
-    def __str__(self) -> str:
-        return format_poly_arr(self.ctx.algebra, self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"<skew poly {self}>"
 
 
 def format_poly_arr(algebra, coeffs: np.ndarray, var: str = "X",
@@ -260,9 +334,11 @@ def format_poly_arr(algebra, coeffs: np.ndarray, var: str = "X",
 
 # ---- named operations ----
 
-def poly_mul(g: SkewPoly, f: SkewPoly) -> SkewPoly:
-    """Product via the closed N-operator formula."""
-    return g * f
+def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
+    """Product via the closed N-operator formula; g over any coefficient space."""
+    if g.ctx != f.ctx:
+        raise MixedStructureError("operands built over different contexts")
+    return g._new(mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs))
 
 
 def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:

@@ -28,7 +28,7 @@ from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import SkewPoly, _pad, format_poly_arr, mul_arrays, xn_arrays
+from .skewpoly import CoeffPoly, CoeffRows, SkewPoly, _pad, mul_arrays, xn_arrays
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -45,113 +45,98 @@ def q_bound(ctx: SkewDerivation, n: int) -> int:
     return (n + 1) * m - 1
 
 
-class TruncSeries:
-    """Class of a skew power series modulo X^prec."""
+class CoeffSeries(CoeffRows):
+    """Class of a power series modulo X^prec, coefficient rows in a
+    coefficient space."""
 
-    __slots__ = ("ctx", "prec", "coeffs")
+    __slots__ = ("prec",)
+    _tag = "trunc series"
+    _poly = SkewPoly
 
     def __init__(self, ctx: SkewDerivation, prec: int, coeffs: np.ndarray):
-        require_series_ring(ctx)
         if prec < 0:
             raise ValueError("precision must be >= 0")
-        coeffs = np.asarray(coeffs, dtype=DTYPE)
-        if coeffs.shape != (prec, ctx.algebra.dim):
-            raise ValueError(f"coefficient block must be {prec} x {ctx.algebra.dim}")
         self.ctx = ctx
         self.prec = prec
-        self.coeffs = coeffs
-        self.coeffs.flags.writeable = False
+        coeffs = np.array(coeffs, dtype=DTYPE)
+        if coeffs.shape[:1] != (prec,):
+            raise ValueError(f"coefficient block must be {prec} x {self.space.n}")
+        self._set_coeffs(coeffs)
+
+    def _window(self) -> tuple:
+        return (0, self.prec)
 
     @classmethod
-    def from_elements(cls, ctx: SkewDerivation, elems, prec: Optional[int] = None) -> "TruncSeries":
-        elems = list(elems)
-        if prec is None:
-            prec = len(elems)
-        arr = la.zeros((prec, ctx.algebra.dim))
-        for i, e in enumerate(elems[:prec]):
-            if e.algebra != ctx.algebra:
-                raise MixedStructureError("coefficient from a different algebra")
-            arr[i] = e.coords
-        return cls(ctx, prec, arr)
+    def from_poly(cls, f: CoeffPoly, prec: int):
+        return cls(*f._structure(), prec, _pad(f.coeffs, prec))
 
-    @classmethod
-    def from_poly(cls, f: SkewPoly, prec: int) -> "TruncSeries":
-        return cls(f.ctx, prec, _pad(f.coeffs, prec))
-
-    def to_poly(self) -> SkewPoly:
+    def to_poly(self) -> CoeffPoly:
         """Forget the O(X^prec) tail, keeping the stored coefficients."""
-        return SkewPoly(self.ctx, self.coeffs)
+        return self._poly(*self._structure(), self.coeffs)
 
-    def coeff(self, i: int) -> AlgebraElement:
+    def coeff(self, i: int):
         if not 0 <= i < self.prec:
             raise PrecisionError(f"coefficient {i} outside stored window [0, {self.prec})")
-        return AlgebraElement(self.ctx.algebra, self.coeffs[i].copy())
+        return self._element(self.coeffs[i].copy())
 
-    def truncate(self, prec: int) -> "TruncSeries":
+    def truncate(self, prec: int):
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return TruncSeries(self.ctx, prec, self.coeffs[:prec])
+        return self._new(prec, self.coeffs[:prec])
 
-    def _check(self, other: "TruncSeries") -> None:
-        if self.ctx != other.ctx:
-            raise MixedStructureError("series from different contexts")
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+    def __add__(self, other):
         self._check(other)
         n = min(self.prec, other.prec)
-        return TruncSeries(self.ctx, n,
-                           self.ctx.field.add_arrays(self.coeffs[:n], other.coeffs[:n]))
+        return self._new(n, self.ctx.field.add_arrays(self.coeffs[:n], other.coeffs[:n]))
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        n = min(self.prec, other.prec)
-        f = self.ctx.field
-        return TruncSeries(self.ctx, n,
-                           f.add_arrays(self.coeffs[:n], f.neg_arrays(other.coeffs[:n])))
+    def __neg__(self):
+        return self._new(self.prec, self.ctx.field.neg_arrays(self.coeffs))
 
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.ctx, self.prec, self.ctx.field.neg_arrays(self.coeffs))
-
-    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        return series_mul(self, other)
-
-    def shift(self, n: int) -> "TruncSeries":
-        """Right multiplication by X^n; the window end moves up with it."""
-        out = la.zeros((self.prec + n, self.ctx.algebra.dim))
+    def shift(self, n: int):
+        """Right multiplication by X^n (n >= 0); the window end moves up with it."""
+        if n < 0:
+            raise ValueError("series shift needs n >= 0")
+        out = la.zeros((self.prec + n, self.coeffs.shape[1]))
         out[n:] = self.coeffs
-        return TruncSeries(self.ctx, self.prec + n, out)
+        return self._new(self.prec + n, out)
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
-    def agrees_with(self, other: "TruncSeries") -> bool:
+    def agrees_with(self, other) -> bool:
         """Equality on the common window."""
         self._check(other)
         n = min(self.prec, other.prec)
         return bool(np.array_equal(self.coeffs[:n], other.coeffs[:n]))
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncSeries) and self.ctx == other.ctx
-                and self.prec == other.prec
-                and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.prec, self.coeffs.tobytes()))
+class TruncSeries(CoeffSeries):
+    """Class of a skew power series modulo X^prec."""
 
-    def __str__(self) -> str:
-        body = format_poly_arr(self.ctx.algebra, self.coeffs)
-        return f"{body} + O(X^{self.prec})"
+    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return f"<trunc series {self}>"
+    def __init__(self, ctx: SkewDerivation, prec: int, coeffs: np.ndarray):
+        require_series_ring(ctx)
+        super().__init__(ctx, prec, coeffs)
+
+    @classmethod
+    def from_elements(cls, ctx: SkewDerivation, elems, prec: Optional[int] = None) -> "TruncSeries":
+        elems = list(elems)
+        return cls.from_poly(SkewPoly.from_elements(ctx, elems[:prec]),
+                             len(elems) if prec is None else prec)
+
+    def __mul__(self, other: "TruncSeries") -> "TruncSeries":
+        return series_mul(self, other)
 
 
-def series_mul(s: TruncSeries, t: TruncSeries, prec: Optional[int] = None) -> TruncSeries:
-    """Product truncated to prec coefficients (largest supported by default).
+def series_mul(s: CoeffSeries, t: TruncSeries, prec: Optional[int] = None) -> CoeffSeries:
+    """Product truncated to prec coefficients (largest supported by default);
+    s over any coefficient space.
 
     Needs s.prec >= prec * m_delta and t.prec >= prec.
     """
-    s._check(t)
+    if s.ctx != t.ctx:
+        raise MixedStructureError("operands built over different contexts")
     ctx = s.ctx
     m = require_series_ring(ctx)
     n_max = min(t.prec, s.prec // m)
@@ -161,12 +146,12 @@ def series_mul(s: TruncSeries, t: TruncSeries, prec: Optional[int] = None) -> Tr
         raise PrecisionError(
             f"requested {prec} output coefficients; operands support {n_max} "
             f"(left has {s.prec}, needs {prec * m}; right has {t.prec})")
-    out = mul_arrays(ctx, s.coeffs[: prec * m], t.coeffs[:prec], out_limit=prec)
-    return TruncSeries(ctx, prec, _pad(out, prec))
+    out = mul_arrays(s.space, ctx, s.coeffs[: prec * m], t.coeffs[:prec], out_limit=prec)
+    return s._new(prec, _pad(out, prec))
 
 
-def series_times_scalar(s: TruncSeries, a: AlgebraElement,
-                        prec: Optional[int] = None) -> TruncSeries:
+def series_times_scalar(s: CoeffSeries, a: AlgebraElement,
+                        prec: Optional[int] = None) -> CoeffSeries:
     """s * a for a scalar a: coefficient i is sum_{j=i}^{(i+1)m-1} s_j N_i^j(a)."""
     ctx = s.ctx
     m = require_series_ring(ctx)
@@ -180,18 +165,19 @@ def series_times_scalar(s: TruncSeries, a: AlgebraElement,
             f"requested {prec} output coefficients; series precision {s.prec} "
             f"supports {n_max} (needs {prec * m})")
     spec = ctx.field
+    space = s.space
     table = ctx.ntable
     if prec:
         table.ensure((prec * m) - 1)
-    out = la.zeros((prec, ctx.algebra.dim))
+    out = la.zeros((prec, space.n))
     for i in range(prec):
-        acc = la.zeros(ctx.algebra.dim)
+        acc = la.zeros(space.n)
         for j in range(i, (i + 1) * m):
             b = la.mat_vec(spec, table.matrix(i, j), a.coords)
             if b.any() and s.coeffs[j].any():
-                acc = spec.add_arrays(acc, ctx.algebra.mul_coords(s.coeffs[j], b))
+                acc = spec.add_arrays(acc, space.act_row(s.coeffs[j], b))
         out[i] = acc
-    return TruncSeries(ctx, prec, out)
+    return s._new(prec, out)
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:

@@ -7,6 +7,7 @@ import pytest
 
 from skewcodes import (LinearMap, field, load_preset, natural_module,
                        regular_module, verify_skew_derivation)
+from skewcodes.presets import fyz_quotient as fyz_quotient_over
 from skewcodes.fields import DTYPE
 
 
@@ -39,6 +40,12 @@ def all_bundles(m2f4_inner, f4c5_group, m2f4_diag, fyz_quotient):
 def series_bundles(m2f4_inner, f4c5_group, fyz_quotient):
     """Contexts where the power series ring exists."""
     return [m2f4_inner, f4c5_group, fyz_quotient]
+
+
+@pytest.fixture(scope="session")
+def odd_fyz_bundles():
+    """The fyz quotient over GF(3) and GF(5): series rings in odd characteristic."""
+    return [fyz_quotient_over(3), fyz_quotient_over(5)]
 
 
 @pytest.fixture(scope="session")

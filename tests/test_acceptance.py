@@ -313,40 +313,43 @@ def test_criterion_6_code_correspondence():
     assert time.monotonic() - t_start < 60.0
 
 
+# The criterion-7 CLI surface, with workspace paths relative to the repo root.
+SURFACE = [
+    ["verify", "-w", "workspaces/m2f4_e12.json"],
+    ["verify", "-w", "workspaces/f4c5.json"],
+    ["verify", "-w", "workspaces/m2f4_diag.json"],
+    ["verify", "-w", "workspaces/fyz_quotient.json"],
+    ["mul", "-w", "workspaces/m2f4_e12.json", "-r", "poly", "x", "e21"],
+    ["mul", "-w", "workspaces/m2f4_e12.json", "-r", "laurent", "xinv", "x"],
+    ["nop", "-w", "workspaces/f4c5.json", "-i", "2", "-n", "4"],
+    ["ore", "-w", "workspaces/f4c5.json", "-f", "f1"],
+    ["code", "closure", "-w", "workspaces/m2f4_e12.json"],
+    ["code", "roundtrip", "-w", "workspaces/f4c5.json"],
+    ["code", "encode", "-w", "workspaces/f4c5.json", "-m", "m0"],
+    ["example", "m2f4-inner"],
+    ["example", "f4c5-group"],
+    ["example", "m2f4-diag"],
+    ["example", "fyz-quotient"],
+]
+
+GOLDEN = os.path.join(HERE, "tests", "golden", "criterion7.txt")
+
+
+def full_report() -> bytes:
+    """Exit codes, stdout and stderr of the surface, then the preset checks."""
+    chunks = []
+    for argv in SURFACE:
+        rc, out, err = run_cli([os.path.join(HERE, a) if a.startswith("workspaces/")
+                                else a for a in argv])
+        chunks.append(f"$ {' '.join(argv)}\nrc={rc}\n{out}{err}")
+    for name in ("m2f4-inner", "f4c5-group", "m2f4-diag", "fyz-quotient"):
+        for label, ok in load_preset(name).checks():
+            chunks.append(f"{name}: {label}: {ok}")
+    return "\n".join(chunks).encode()
+
+
 def test_criterion_7_determinism():
     with _Verdict(7, "determinism"):
-        surface = [
-            ["verify", "-w", os.path.join(W, "m2f4_e12.json")],
-            ["verify", "-w", os.path.join(W, "f4c5.json")],
-            ["verify", "-w", os.path.join(W, "m2f4_diag.json")],
-            ["verify", "-w", os.path.join(W, "fyz_quotient.json")],
-            ["mul", "-w", os.path.join(W, "m2f4_e12.json"), "-r", "poly",
-             "x", "e21"],
-            ["mul", "-w", os.path.join(W, "m2f4_e12.json"), "-r", "laurent",
-             "xinv", "x"],
-            ["nop", "-w", os.path.join(W, "f4c5.json"), "-i", "2", "-n", "4"],
-            ["ore", "-w", os.path.join(W, "f4c5.json"), "-f", "f1"],
-            ["code", "closure", "-w", os.path.join(W, "m2f4_e12.json")],
-            ["code", "roundtrip", "-w", os.path.join(W, "f4c5.json")],
-            ["code", "encode", "-w", os.path.join(W, "f4c5.json"),
-             "-m", "m0"],
-            ["example", "m2f4-inner"],
-            ["example", "f4c5-group"],
-            ["example", "m2f4-diag"],
-            ["example", "fyz-quotient"],
-        ]
-
-        def full_report():
-            chunks = []
-            for argv in surface:
-                rc, out, err = run_cli(argv)
-                chunks.append(f"$ {' '.join(argv)}\nrc={rc}\n{out}{err}")
-            for name in ("m2f4-inner", "f4c5-group", "m2f4-diag",
-                         "fyz-quotient"):
-                for label, ok in load_preset(name).checks():
-                    chunks.append(f"{name}: {label}: {ok}")
-            return "\n".join(chunks).encode()
-
         assert full_report() == full_report()
 
         script = ("import sys; from skewcodes.cli import main; "
@@ -360,3 +363,9 @@ def test_criterion_7_determinism():
             assert r.returncode == 0
             outs.append(r.stdout)
         assert outs[0] == outs[1], "hash-seed variation must not leak"
+
+
+def test_criterion_7_report_matches_golden():
+    """The surface output is byte-identical to the committed capture."""
+    with open(GOLDEN, "rb") as fh:
+        assert full_report() == fh.read()

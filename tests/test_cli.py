@@ -174,6 +174,18 @@ def test_schema_violation_is_input_error(tmp_path):
     assert "input error:" in err
 
 
+@pytest.mark.parametrize("payload", [
+    '{"ord": -1, "coeffs": [[1, 0, 0, 0, 0]], "end": -1}',
+    '{"ord": "-1", "coeffs": [[1, 0, 0, 0, 0]]}',
+    '{"ord": 0, "coeffs": [[1, 0, 0, 0, 0]], "end": 1.5}',
+])
+def test_bad_laurent_window_is_input_error(payload):
+    rc, out, err = run(["mul", "-w", ws("f4c5"), "-r", "laurent",
+                        payload, "x"])
+    assert rc == 2
+    assert err.startswith("input error:") and out == ""
+
+
 def test_prec_override():
     """--prec sets operand precision; the product window is prec // m."""
     rc, out, _ = run(["mul", "-w", ws("m2f4_e12"), "-r", "series",

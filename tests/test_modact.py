@@ -8,6 +8,8 @@ import pytest
 from skewcodes import SkewPoly, TruncLaurent, TruncSeries
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
+from skewcodes.skewlaurent import laurent_mul
+from skewcodes.skewseries import series_mul, series_times_scalar
 from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               central_laurent, check_module,
                               flsx_scalar_action, module_verify,
@@ -65,10 +67,29 @@ def test_trivial_action_valid_only_where_basis_products_stay_basis(
         check_module(RightModuleSpec(am, eyem, "trivial"))
 
 
-def test_regular_module_reproduces_ring_products(all_bundles):
-    """Acting on the regular module is multiplication in the algebra/ring."""
+def rand_laurent_class(rng, ctx, width):
+    """Rows for a random Laurent class: ord, coefficients and end, with zero
+    classes (no rows) and exact elements (end None) among them."""
+    ord_ = rng.randrange(-3, 3)
+    rows = rand_coords(rng, ctx.field.q, (rng.choice([0, 1, 3, 5]), width))
+    end = None if rng.random() < 0.2 else ord_ + rows.shape[0] + rng.randrange(3)
+    return ord_, rows, end
+
+
+def same_window(x, y):
+    if hasattr(x, "prec"):
+        return x.prec == y.prec and np.array_equal(x.coeffs, y.coeffs)
+    return ((x.ord, x.end) == (y.ord, y.end)
+            and np.array_equal(x.coeffs, y.coeffs))
+
+
+def test_regular_module_reproduces_ring_products(all_bundles, series_bundles,
+                                                 odd_fyz_bundles, laurent_bundles):
+    """Acting on the regular module is multiplication in the algebra/ring:
+    the same coefficients on the same windows, in every characteristic the
+    presets reach."""
     rng = random.Random(51)
-    for b in all_bundles:
+    for b in all_bundles + odd_fyz_bundles:
         spec = regular_module(b.algebra)
         for _ in range(10):
             u = rand_element(rng, b.algebra)
@@ -86,6 +107,86 @@ def test_regular_module_reproduces_ring_products(all_bundles):
                 else want
             assert np.array_equal(prod.coeffs[:lead.shape[0]], lead), b.name
             assert not prod.coeffs[lead.shape[0]:].any(), b.name
+    for b in series_bundles + odd_fyz_bundles:
+        spec = regular_module(b.algebra)
+        ctx = b.ctx
+        N = 3 * ctx.m_delta
+        for _ in range(4):
+            s = TruncSeries(ctx, N, rand_coords(rng, ctx.field.q, (N, spec.n)))
+            t = TruncSeries(ctx, 3, rand_coords(rng, ctx.field.q, (3, spec.n)))
+            v = VecSeries(spec, ctx, N, s.coeffs)
+            assert same_window(vecseries_times_ring(v, t), series_mul(s, t)), b.name
+            a = rand_element(rng, b.algebra)
+            assert same_window(vecseries_times_scalar(v, a),
+                               series_times_scalar(s, a)), b.name
+    for b in laurent_bundles:
+        spec = regular_module(b.algebra)
+        ctx = b.ctx
+        for _ in range(8):
+            ord_, rows, end = rand_laurent_class(rng, ctx, spec.n)
+            s = TruncLaurent(ctx, ord_, rows, end)
+            t = TruncLaurent(ctx, *rand_laurent_class(rng, ctx, spec.n))
+            v = VecLaurent(spec, ctx, ord_, rows, end)
+            assert same_window(veclaurent_times_ring(v, t), laurent_mul(s, t)), b.name
+
+
+def completion(rng, x, tail):
+    """A Laurent polynomial in the class of x: its coefficients below x.end,
+    then `tail` random coefficients from X^end on."""
+    if x.end is None:
+        return x
+    width = x.coeffs.shape[1]
+    rows = np.zeros((x.end - x.ord + tail, width), dtype=DTYPE)
+    rows[:x.coeffs.shape[0]] = x.coeffs
+    rows[x.end - x.ord:] = rand_coords(rng, x.ctx.field.q, (tail, width))
+    if isinstance(x, VecLaurent):
+        return VecLaurent(x.spec, x.ctx, x.ord, rows, None)
+    return TruncLaurent(x.ctx, x.ord, rows, None)
+
+
+def test_windows_hold_for_every_completion(laurent_bundles, module_a,
+                                           series_bundles, odd_fyz_bundles):
+    """Whatever the unknown tails hold, the exact products of two completions
+    agree with the windowed product on its whole claimed window."""
+    rng = random.Random(63)
+    for b in laurent_bundles:
+        ctx = b.ctx
+        q, r = ctx.field.q, ctx.algebra.dim
+        spec = module_a if b.name == "m2f4-inner" else regular_module(b.algebra)
+        cases = [(rand_laurent_class(rng, ctx, spec.n),
+                  rand_laurent_class(rng, ctx, r)) for _ in range(12)]
+        # zero classes on either side, with windows ending below and above 0
+        cases += [((0, rand_coords(rng, q, (0, spec.n)), e),
+                   (1, rand_coords(rng, q, (2, r)), 4)) for e in (-2, 0, 3)]
+        cases += [((-1, rand_coords(rng, q, (3, spec.n)), 2),
+                   (0, rand_coords(rng, q, (0, r)), e)) for e in (-1, 2)]
+        for (vo, vrows, ve), t_window in cases:
+            v = VecLaurent(spec, ctx, vo, vrows, ve)
+            s = TruncLaurent(ctx, vo, rand_coords(rng, q, (vrows.shape[0], r)), ve)
+            t = TruncLaurent(ctx, *t_window)
+            a = rand_element(rng, b.algebra)
+            windowed = (laurent_mul(s, t), veclaurent_times_ring(v, t),
+                        veclaurent_times_scalar(v, a))
+            for _ in range(2):
+                cs, cv, ct = (completion(rng, x, 4) for x in (s, v, t))
+                exact = (laurent_mul(cs, ct), veclaurent_times_ring(cv, ct),
+                         veclaurent_times_scalar(cv, a))
+                for w, e in zip(windowed, exact):
+                    assert e.end is None and e.agrees_with(w), (b.name, w, e)
+    for b in series_bundles + odd_fyz_bundles:
+        ctx = b.ctx
+        q, r, m = ctx.field.q, ctx.algebra.dim, ctx.m_delta
+        spec = regular_module(b.algebra)
+        for _ in range(4):
+            v = VecSeries(spec, ctx, 3 * m, rand_coords(rng, q, (3 * m, spec.n)))
+            t = TruncSeries(ctx, 3, rand_coords(rng, q, (3, r)))
+            w = vecseries_times_ring(v, t)
+            for _ in range(2):
+                cv = VecPoly(spec, ctx, np.concatenate(
+                    [v.coeffs, rand_coords(rng, q, (2 * m, spec.n))]))
+                ct = SkewPoly(ctx, np.concatenate(
+                    [t.coeffs, rand_coords(rng, q, (2, r))]))
+                assert VecSeries.from_poly(vecpoly_times_ring(cv, ct), w.prec) == w, b.name
 
 
 def test_natural_module_is_row_action_by_parent_matrices(m2f4_inner,

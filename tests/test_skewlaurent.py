@@ -5,8 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import SkewPoly, TruncLaurent, TruncSeries
-from skewcodes.errors import MixedStructureError, RingUnavailableError
+from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent,
+                       regular_module)
+from skewcodes.errors import (MixedStructureError, PrecisionError,
+                              RingUnavailableError)
+from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import (laurent_mul, laurent_ring_exists,
                                    require_laurent_ring, xinv_times,
                                    xnegn_direct, xnegn_times)
@@ -193,3 +196,27 @@ def test_window_end_before_support_rejected(m2f4_inner):
     arr[2, 0] = 1
     with pytest.raises(ValueError):
         TruncLaurent(ctx, 0, arr, 2)
+
+
+def test_reading_past_the_window_raises_precision_error(m2f4_inner):
+    """Ring and module classes refuse the same reads with the same error."""
+    ctx = m2f4_inner.ctx
+    spec = regular_module(m2f4_inner.algebra)
+    arr = rand_coords(random.Random(47), ctx.field.q, (3, ctx.algebra.dim))
+    for x in (TruncLaurent(ctx, 0, arr, 3), VecLaurent(spec, ctx, 0, arr, 3)):
+        x.coeff(2)
+        with pytest.raises(PrecisionError):
+            x.coeff(3)
+        assert x.to_series(3).prec == 3
+        with pytest.raises(PrecisionError):
+            x.to_series(4)
+
+
+def test_zero_class_below_zero_is_not_a_power_series(m2f4_inner):
+    ctx = m2f4_inner.ctx
+    spec = regular_module(m2f4_inner.algebra)
+    empty = np.zeros((0, ctx.algebra.dim), dtype=DTYPE)
+    for x in (TruncLaurent(ctx, 0, empty, -2), VecLaurent(spec, ctx, 0, empty, -2)):
+        assert x.is_zero() and x.end == -2
+        with pytest.raises(ValueError, match="not a power series"):
+            x.to_series()

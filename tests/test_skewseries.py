@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import SkewPoly, TruncSeries
+from skewcodes import SkewPoly, TruncSeries, VecSeries, regular_module
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
 from skewcodes.skewseries import (kernel_left_x, ore_left, q_bound,
@@ -206,3 +206,17 @@ def test_x_has_no_left_kernel_on_series(series_bundles):
     for b in series_bundles:
         for n in range(1, 5):
             assert kernel_left_x(b.ctx, n) == [], b.name
+
+
+def test_construction_leaves_the_callers_array_alone(m2f4_inner):
+    """Series own a copy: the caller's array stays writable, and writing to
+    it does not change the series."""
+    ctx = m2f4_inner.ctx
+    spec = regular_module(m2f4_inner.algebra)
+    for make in (lambda arr: TruncSeries(ctx, 3, arr),
+                 lambda arr: VecSeries(spec, ctx, 3, arr)):
+        arr = rand_coords(random.Random(33), ctx.field.q, (3, ctx.algebra.dim))
+        s = make(arr)
+        assert arr.flags.writeable and not s.coeffs.flags.writeable
+        arr[0, 0] ^= 1
+        assert s.coeffs[0, 0] != arr[0, 0]
