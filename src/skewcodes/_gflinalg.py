@@ -3,6 +3,12 @@
 Matrices are numpy arrays of field indices (see fields.DTYPE); every routine
 takes the owning FieldSpec first.  Column convention for maps (M @ x), row
 convention helpers for module actions (v @ M).
+
+Every matrix product is one exact float64 product over GF(p), in the spirit
+of M4RI/M4RIE (Albrecht, Bard & Hart, ACM TOMS 37(1), 2010; Albrecht, ISSAC
+2012): an element of GF(p^k) acts on the base-p digit vectors of the others
+through its k x k regular-representation block, so the product of index
+matrices is the product of a digit matrix with a block matrix, reduced mod p.
 """
 
 from __future__ import annotations
@@ -24,14 +30,38 @@ def eye(n: int) -> np.ndarray:
     return m
 
 
+# float64 holds every integer below 2**53 exactly, so a product whose digit
+# sums stay below it is exact in any summation order
+_EXACT = 2**53
+# float64 digit entries one pass of the product may hold (128 KiB)
+_SCRATCH = 2**14
+
+
 def mat_mul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(m, n) @ (n, l) over GF(q)."""
+    """(m, n) @ (n, l) over GF(q), as one exact float64 product."""
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if a.shape[1] == 0:
-        return zeros((a.shape[0], b.shape[1]))
-    prod = spec.MUL[a[:, :, None], b[None, :, :]]
-    return spec.sum_axis(prod, axis=1)
+    if a.shape[1] * spec.k * (spec.p - 1) ** 2 >= _EXACT:
+        raise ValueError(f"inner dimension {a.shape[1]} too large for an exact product")
+    if a.size < b.size:
+        # the field is commutative: expand the smaller operand into blocks
+        return _digit_product(spec, b.T, a.T).T
+    return _digit_product(spec, a, b)
+
+
+def _digit_product(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """digits(a) @ blocks(b), reduced.  Rows of a go in chunks so the float64
+    digit scratch stays near _SCRATCH entries."""
+    (m, n), l, k = a.shape, b.shape[1], spec.k
+    blocks = spec.digit_blocks(b)
+
+    def reduced(rows: np.ndarray) -> np.ndarray:
+        return spec.from_digits((spec.digit_rows(rows) @ blocks).reshape(rows.shape[0], l, k))
+
+    step = max(1, _SCRATCH // max(1, n * k))
+    if m <= step:
+        return reduced(a)
+    return np.concatenate([reduced(a[lo:lo + step]) for lo in range(0, m, step)])
 
 
 def mat_vec(spec: FieldSpec, m: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -38,19 +38,30 @@ class Algebra:
     # ---- raw coordinate ops ----
 
     def mul_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w = self.field.mul_arrays(x[:, None], y[None, :])
-        t = self.field.mul_arrays(w[:, :, None], self.tensor)
-        return self.field.sum_axis(self.field.sum_axis(t, 0), 0)
+        w = self.field.mul_arrays(x[:, None], y[None, :]).reshape(1, -1)
+        return la.mat_mul(self.field, w, self.tensor.reshape(-1, self.dim))[0]
+
+    def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Every product x_i y_j of coordinate rows, shape (len(x), len(y), r)."""
+        r = self.dim
+        # [i, (v, l)]: coordinate l of x_i a_v
+        left = la.mat_mul(self.field, x, self.tensor.reshape(r, r * r))
+        left = left.reshape(-1, r, r).transpose(0, 2, 1).reshape(-1, r)
+        prod = la.mat_mul(self.field, left, np.ascontiguousarray(y.T))
+        return prod.reshape(x.shape[0], r, y.shape[0]).transpose(0, 2, 1)
 
     def left_mult_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of y -> x * y in column convention."""
-        t = self.field.mul_arrays(x[:, None, None], self.tensor)
-        return self.field.sum_axis(t, 0).T.copy()
+        r = self.dim
+        rows = la.mat_mul(self.field, x[None, :], self.tensor.reshape(r, r * r))
+        return rows.reshape(r, r).T.copy()
 
     def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrix of x -> x * y in column convention."""
-        t = self.field.mul_arrays(y[None, :, None], self.tensor)
-        return self.field.sum_axis(t, 1).T.copy()
+        r = self.dim
+        rows = la.mat_mul(self.field, y[None, :],
+                          self.tensor.transpose(1, 0, 2).reshape(r, r * r))
+        return rows.reshape(r, r).T.copy()
 
     # ---- element constructors ----
 
@@ -280,23 +291,24 @@ def verify_algebra(a: Algebra) -> AlgebraReport:
     failures: list[str] = []
     spec, r, c = a.field, a.dim, a.tensor
     flat = c.reshape(r * r, r)
+    # lhs[i, j, u] = (a_i a_j) a_u and rhs[i, j, u] = a_i (a_j a_u), as coordinate rows
     lhs = la.mat_mul(spec, flat, flat.reshape(r, r * r)).reshape(r, r, r, r)
-    rhs = np.empty_like(lhs)
-    for i in range(r):
-        rhs[i] = la.mat_mul(spec, flat, c[i]).reshape(r, r, r)
+    rhs = la.mat_mul(spec, flat, c.transpose(1, 0, 2).reshape(r, r * r))
+    rhs = rhs.reshape(r, r, r, r).transpose(2, 0, 1, 3)
     if not np.array_equal(lhs, rhs):
         bad = np.argwhere(np.any(lhs != rhs, axis=-1))[0]
         i, j, l = (int(v) for v in bad)
         failures.append(
             f"associativity fails at ({a.labels[i]}, {a.labels[j]}, {a.labels[l]})")
-    for j in range(r):
-        bj = la.eye(r)[j]
-        if not np.array_equal(a.mul_coords(a.unit, bj), bj):
+    eye, unit = la.eye(r), a.unit[None, :]
+    left_bad = np.any(a.mul_rows(unit, eye)[0] != eye, axis=1)
+    right_bad = np.any(a.mul_rows(eye, unit)[:, 0] != eye, axis=1)
+    if (left_bad | right_bad).any():
+        j = int(np.argmax(left_bad | right_bad))
+        if left_bad[j]:
             failures.append(f"unit * {a.labels[j]} != {a.labels[j]}")
-            break
-        if not np.array_equal(a.mul_coords(bj, a.unit), bj):
+        else:
             failures.append(f"{a.labels[j]} * unit != {a.labels[j]}")
-            break
     return AlgebraReport(failures)
 
 

@@ -84,9 +84,13 @@ class Workspace:
         sigma = self._build_sigma(_get(raw, "sigma", dict))
         delta = self._build_delta(_get(raw, "delta", dict), sigma)
         self.ctx = verify_skew_derivation(self.algebra, sigma, delta)
+        # sizes that drive the N-table are refused before it is built
+        self.max_n = self.ctx.ntable.max_n
+        self.max_prec = (self.max_n + 1) // (self.ctx.m_delta or 1)
         self.prec = raw.get("prec", 8)
         if not isinstance(self.prec, int) or self.prec < 1:
             raise InputError("prec must be a positive integer")
+        self.check_prec(self.prec)
         self._module: Optional[RightModuleSpec] = None
 
     # -- structure builders --
@@ -192,6 +196,11 @@ class Workspace:
                 raise InputError(f"unknown module kind {kind!r}")
         return self._module
 
+    def check_prec(self, prec: int) -> None:
+        if prec > self.max_prec:
+            raise InputError(f"precision {prec} exceeds the limit {self.max_prec} "
+                             f"for this context")
+
     # -- element parsing --
 
     def _field_elem(self, fs: FieldSpec, spec) -> int:
@@ -244,6 +253,9 @@ class Workspace:
             spec = {"coeffs": spec}
         coeffs = [self.algebra_elem(e) for e in _get(spec, "coeffs", list)]
         n = prec if prec is not None else spec.get("prec", max(len(coeffs), self.prec))
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise InputError("series prec must be a nonnegative integer")
+        self.check_prec(n)
         return TruncSeries.from_elements(self.ctx, coeffs, n)
 
     def laurent(self, spec) -> TruncLaurent:
@@ -254,6 +266,9 @@ class Workspace:
         end = ord_ + len(coeffs)
         if "end" in spec:
             end = None if spec["end"] is None else _get(spec, "end", int)
+        if abs(ord_) > self.max_n or (end is not None and end - ord_ > self.max_n + 1):
+            raise InputError(f"laurent window [{ord_}, {end}) exceeds the limit "
+                             f"{self.max_n} for this context")
         try:
             return TruncLaurent.from_elements(self.ctx, ord_, coeffs, end)
         except RingUnavailableError:
@@ -363,6 +378,8 @@ def cmd_nop(args) -> int:
     i, n = args.i, args.n
     if not 0 <= i <= n:
         raise InputError(f"need 0 <= i <= n, got i={i}, n={n}")
+    if n > ws.max_n:
+        raise InputError(f"n = {n} exceeds the N-table limit {ws.max_n} for this context")
     ws.ctx.ntable.ensure(n)
     mat = ws.ctx.ntable.matrix(i, n)
     a = ws.algebra

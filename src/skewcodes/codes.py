@@ -27,8 +27,8 @@ from .errors import MixedStructureError
 from .fields import DTYPE
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
                        hermite_pivots, is_direct_summand, rank_rational)
-from .modact import (RightModuleSpec, VecPoly, vecpoly_times_ring,
-                     vecpoly_times_scalar)
+from .modact import (RightModuleSpec, VecPoly, vecpoly_times_basis,
+                     vecpoly_times_ring)
 from .skewmap import SkewDerivation
 
 
@@ -135,8 +135,7 @@ def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
     solver = EchelonSolver(g)
     rows = matrix_to_vecpolys(module, context, g)
     for v in rows:
-        for a in module.algebra.basis():
-            w = vecpoly_times_scalar(v, a)
+        for w in vecpoly_times_basis(v):
             if not solver.contains(vecpoly_to_polyrow(w)):
                 return False
     return True
@@ -179,12 +178,11 @@ def cyclic_closure(b, module: RightModuleSpec,
                              True, True)
     g = _canonical(module, vecpolys_to_matrix(module, b))
     n = module.n
-    basis = module.algebra.basis()
     for _ in range(n + 2):
         if g.shape[0] == 0:
             break
         rows = matrix_to_vecpolys(module, context, g)
-        products = [vecpoly_times_scalar(v, a) for v in rows for a in basis]
+        products = [w for v in rows for w in vecpoly_times_basis(v)]
         stacked = g.stack(vecpolys_to_matrix(module, products))
         g2 = _canonical(module, stacked)
         if g2 == g:

@@ -3,8 +3,10 @@
 An element with coefficient vector (c_0, ..., c_{k-1}) against the power
 basis 1, a, ..., a^{k-1} of F_p[a]/(modulus) is stored as the integer index
 sum(c_i * p**i).  A FieldSpec owns the full q x q multiplication table plus
-addition, negation, inversion and Frobenius tables, so both scalar and bulk
-numpy arithmetic are table lookups.  Everything is exact.
+addition, negation, inversion and Frobenius tables, so scalar and
+elementwise numpy arithmetic are table lookups.  Sums and matrix products go
+through base-p digits instead (digit and regular-representation tables, see
+_gflinalg.mat_mul): digit sums reduced mod p.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -179,6 +181,12 @@ class FieldSpec:
         self.INV[1:] = exp[((q - 1) - log[nz]) % (q - 1)]
         self.FROB = np.zeros(q, dtype=DTYPE)
         self.FROB[1:] = exp[(log[nz] * p) % (q - 1)]
+        # base-p digits of every index, and the regular representation:
+        # REG[y, s] holds the digits of a^s * y, so digits(x * y) = digits(x) @ REG[y]
+        # over GF(p).  Float64 so one BLAS product sums them exactly.
+        self.DIGITS = coeffs.astype(np.float64)
+        self.REG = self.DIGITS[self.MUL[:, powers]]
+        self.POWERS = powers.astype(np.float64)
 
     # ---- scalar index ops ----
 
@@ -228,17 +236,33 @@ class FieldSpec:
         return self.MUL[a, b]
 
     def sum_axis(self, a: np.ndarray, axis: int) -> np.ndarray:
-        if a.shape[axis] == 0:
-            shape = list(a.shape)
-            del shape[axis]
-            return np.zeros(shape, dtype=DTYPE)
-        if self.p == 2:
-            return np.bitwise_xor.reduce(a, axis=axis)
-        a = np.moveaxis(a, axis, 0)
-        acc = a[0]
-        for t in range(1, a.shape[0]):
-            acc = self.ADD[acc, a[t]]
-        return acc
+        """Field sum along one axis: digit sums reduced mod p."""
+        return self.from_digits(np.take(self.DIGITS, a, axis=0).sum(axis=axis % a.ndim))
+
+    # ---- the digit representation behind sums and matrix products ----
+    # (np.take gathers table rows about ten times faster than fancy indexing)
+
+    def digit_rows(self, a: np.ndarray) -> np.ndarray:
+        """(m, n) indices -> (m, n k) base-p digits, float64."""
+        if self.k == 1:  # a prime-field index is its own digit
+            return a.astype(np.float64)
+        return np.take(self.DIGITS, a, axis=0).reshape(a.shape[0], a.shape[1] * self.k)
+
+    def digit_blocks(self, b: np.ndarray) -> np.ndarray:
+        """(n, l) indices -> (n k, l k) float64 regular-representation blocks:
+        row (j, s) holds the digits of a^s * b[j, c] in columns (c, t), so
+        digit_rows(x) @ digit_blocks(b) holds the unreduced digits of x @ b."""
+        if self.k == 1:  # and its own 1 x 1 block
+            return b.astype(np.float64)
+        (n, l), k = b.shape, self.k
+        return np.take(self.REG, b, axis=0).transpose(0, 2, 1, 3).reshape(n * k, l * k)
+
+    def from_digits(self, digits: np.ndarray) -> np.ndarray:
+        """Indices from unreduced base-p digit sums on the last axis (exact
+        nonnegative integers held as float64)."""
+        if self.k == 1:
+            return np.fmod(digits[..., 0], self.p).astype(DTYPE)
+        return (np.fmod(digits, self.p) @ self.POWERS).astype(DTYPE)
 
     # ---- element helpers ----
 

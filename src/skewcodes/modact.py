@@ -27,7 +27,8 @@ from .fields import DTYPE
 from .skewlaurent import (CoeffLaurent, TruncLaurent, _composition_maps,
                           _min_end, laurent_mul, xn_floor, xnegn_times)
 from .skewmap import SkewDerivation
-from .skewpoly import CoeffPoly, SkewPoly, mul_arrays, poly_mul
+from .skewpoly import (CoeffPoly, SkewPoly, _trim, coefficient_maps, mul_arrays,
+                       poly_mul)
 from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
                          series_mul, series_times_scalar)
 
@@ -48,7 +49,7 @@ class RightModuleSpec:
     acting on row vectors as v -> v R(a_j).  Also the coefficient space of
     VecPoly, VecSeries and VecLaurent (protocol: skewpoly.RegularCoeffs)."""
 
-    __slots__ = ("algebra", "n", "action", "_flat", "name")
+    __slots__ = ("algebra", "n", "action", "flat", "name")
 
     def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "module"):
         action = np.asarray(action, dtype=DTYPE)
@@ -60,8 +61,8 @@ class RightModuleSpec:
         self.n = int(action.shape[1])
         self.action = action
         self.action.setflags(write=False)
-        # rows of (v @ R_l) for all l at once: v @ _flat, reshaped (r, n)
-        self._flat = np.ascontiguousarray(
+        # the flat block matrix: v @ flat, reshaped (r, n), has rows v R(a_l)
+        self.flat = np.ascontiguousarray(
             action.transpose(1, 0, 2).reshape(self.n, algebra.dim * self.n))
         self.name = name
 
@@ -72,13 +73,8 @@ class RightModuleSpec:
     def action_matrix(self, a) -> np.ndarray:
         """R(a) = sum_l a_l R(a_l) for an element or coordinate vector a."""
         coords = a.coords if isinstance(a, AlgebraElement) else np.asarray(a, dtype=DTYPE)
-        spec = self.field
-        out = la.zeros((self.n, self.n))
-        for l in range(self.algebra.dim):
-            c = int(coords[l])
-            if c:
-                out = spec.add_arrays(out, la.scale(spec, self.action[l], c))
-        return out
+        flat = self.action.reshape(self.algebra.dim, self.n * self.n)
+        return la.mat_mul(self.field, coords.reshape(1, -1), flat).reshape(self.n, self.n)
 
     def act_row(self, v: np.ndarray, a) -> np.ndarray:
         return la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :],
@@ -86,11 +82,6 @@ class RightModuleSpec:
 
     def act_rows(self, rows: np.ndarray, a) -> np.ndarray:
         return la.mat_mul(self.field, rows, self.action_matrix(a))
-
-    def scaled_basis_rows(self, v: np.ndarray) -> np.ndarray:
-        """Matrix with row l equal to v R(a_l); the action linearized in a."""
-        flat = la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :], self._flat)
-        return flat.reshape(self.algebra.dim, self.n)
 
     def format_rows(self, rows: np.ndarray, offset: int) -> str:
         """Row i printed as the coefficient vector of X^(offset + i)."""
@@ -121,20 +112,20 @@ class RightModuleSpec:
 
 def module_verify(spec: RightModuleSpec) -> ModuleReport:
     """Check R(1) = I and R(a_i a_j) = R(a_i) R(a_j) on all basis pairs."""
-    a = spec.algebra
+    a, n = spec.algebra, spec.n
     fs = a.field
     failures = []
-    if not np.array_equal(spec.action_matrix(a.unit), la.eye(spec.n)):
+    if not np.array_equal(spec.action_matrix(a.unit), la.eye(n)):
         failures.append("R(1) is not the identity")
     r = a.dim
-    for i in range(r):
-        ri = spec.action[i]
-        for j in range(r):
-            lhs = spec.action_matrix(a.tensor[i, j])
-            rhs = la.mat_mul(fs, ri, spec.action[j])
-            if not np.array_equal(lhs, rhs):
-                failures.append(
-                    f"R({a.labels[i]} {a.labels[j]}) != R({a.labels[i]}) R({a.labels[j]})")
+    # lhs[i, j] = R(a_i a_j); block (i, j) of the stacked product is R(a_i) R(a_j)
+    lhs = la.mat_mul(fs, a.tensor.reshape(r * r, r), spec.action.reshape(r, n * n))
+    rhs = la.mat_mul(fs, spec.action.reshape(r * n, n), spec.flat)
+    rhs = rhs.reshape(r, n, r, n).transpose(0, 2, 1, 3)
+    bad = np.any((lhs.reshape(r, r, n, n) != rhs).reshape(r, r, -1), axis=2)
+    for i, j in np.argwhere(bad):
+        failures.append(
+            f"R({a.labels[i]} {a.labels[j]}) != R({a.labels[i]}) R({a.labels[j]})")
     return ModuleReport(failures)
 
 
@@ -147,10 +138,8 @@ def check_module(spec: RightModuleSpec) -> RightModuleSpec:
 
 def regular_module(algebra: Algebra) -> RightModuleSpec:
     """A itself as a right A-module (n = dim A, rows are coordinate vectors)."""
-    r = algebra.dim
-    action = la.zeros((r, r, r))
-    for j in range(r):
-        action[j] = algebra.right_mult_matrix(la.eye(r)[j]).T
+    # R(a_j) maps the row a_i to a_i a_j
+    action = np.ascontiguousarray(algebra.tensor.transpose(1, 0, 2))
     return check_module(RightModuleSpec(algebra, action, name="regular"))
 
 
@@ -320,6 +309,15 @@ def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
     return v._new(vec_mul_arrays(v.spec, v.ctx, v.coeffs, a.coords[None, :]))
+
+
+def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
+    """v a_l for every basis element a_l of A, in basis order, from one set
+    of coefficient maps: row l of W_i is the X^i coefficient of v a_l."""
+    g = _trim(v.coeffs)
+    w = coefficient_maps(v.spec, v.ctx, g, g.shape[0])
+    w = w.reshape(g.shape[0], v.ctx.algebra.dim, v.spec.n)
+    return [v._new(w[:, l]) for l in range(v.ctx.algebra.dim)]
 
 
 def vecseries_times_ring(s: VecSeries, t: TruncSeries,

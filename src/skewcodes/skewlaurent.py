@@ -29,7 +29,8 @@ from . import _gflinalg as la
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import CoeffPoly, CoeffRows, SkewPoly, _pad, _trim, mul_arrays, xn_arrays
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, _trim, mul_arrays,
+                       toeplitz_mul, xn_arrays)
 from .skewseries import CoeffSeries, TruncSeries
 
 
@@ -256,12 +257,9 @@ def xinv_times(s: TruncLaurent) -> TruncLaurent:
     end = None if s.end is None else s.end - mp
     if L == 0:
         return TruncLaurent(ctx, 0, s.coeffs, end)
-    maps = ctx.xinv_maps()
-    out = la.zeros((L + mp - 1, ctx.algebra.dim))
-    for k in range(mp):
-        rows = la.mat_mul(spec, s.coeffs, maps[k].T)
-        pos = mp - 1 - k
-        out[pos: pos + L] = spec.add_arrays(out[pos: pos + L], rows)
+    # out_l = sum_i s_{l-i} W_i with W_i = (sigma' delta'^{m'-1-i})^T
+    w = np.stack(ctx.xinv_maps()[::-1]).transpose(0, 2, 1).reshape(-1, ctx.algebra.dim)
+    out = toeplitz_mul(spec, s.coeffs, w, L + mp - 1)
     if end is not None:
         out = out[: max(0, end - (s.ord - mp))]
     return TruncLaurent(ctx, s.ord - mp, out, end)

@@ -11,6 +11,7 @@ N_{n+1}^n = 0.  In particular N_0^n = delta^n and N_n^n = sigma^n.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Optional
 
@@ -100,60 +101,103 @@ def verify_skew_derivation(algebra: Algebra, sigma: LinearMap,
     one = a.one
     if sigma(one) != one:
         raise AxiomError(f"sigma(1) = {sigma(one)} != 1")
-    basis = a.basis()
-    for i, bi in enumerate(basis):
-        si, di = sigma(bi), delta(bi)
-        for j, bj in enumerate(basis):
-            prod = bi * bj
-            if sigma(prod) != si * sigma(bj):
-                raise AxiomError(
-                    f"sigma not multiplicative at ({a.labels[i]}, {a.labels[j]})")
-            if delta(prod) != si * delta(bj) + di * bj:
-                raise AxiomError(
-                    f"delta fails the sigma-derivation rule at "
-                    f"({a.labels[i]}, {a.labels[j]})")
+    # all basis pairs at once; rows of the image matrices are sigma(a_i), delta(a_i)
+    r, spec = a.dim, a.field
+    s_img, d_img = sigma.matrix.T, delta.matrix.T
+    prods = a.tensor.reshape(r * r, r)
+    sigma_lhs = la.mat_mul(spec, prods, s_img).reshape(r, r, r)
+    delta_lhs = la.mat_mul(spec, prods, d_img).reshape(r, r, r)
+    delta_rhs = spec.add_arrays(a.mul_rows(s_img, d_img), a.mul_rows(d_img, la.eye(r)))
+    bad_sigma = np.any(sigma_lhs != a.mul_rows(s_img, s_img), axis=2)
+    bad = bad_sigma | np.any(delta_lhs != delta_rhs, axis=2)
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
+        pair = f"({a.labels[i]}, {a.labels[j]})"
+        if bad_sigma[i, j]:
+            raise AxiomError(f"sigma not multiplicative at {pair}")
+        raise AxiomError(f"delta fails the sigma-derivation rule at {pair}")
     return SkewDerivation(algebra, sigma, delta, _token=_CONSTRUCT)
 
 
-class NOperatorTable:
-    """Memoized table of the N_i^n maps as index matrices.
+# entry budget of the stacked N-table: (n + 1)^2 r^2 int16 entries (64 MiB)
+MAX_TABLE_ENTRIES = 2**25
 
-    Rows are filled on demand up to the largest n requested; extension holds a
-    lock so concurrent readers of already-built rows stay consistent.
+
+class NOperatorTable:
+    """The N_i^n maps as one stacked read-only array: entry [n, i] = N_i^n.
+
+    Entries with i > n are zero.  ensure(n) builds the missing rows, one
+    whole row per kernel call: row n+1 = sigma (row n shifted by one) +
+    delta (row n).  Storage grows geometrically up to the entry budget and
+    is writable only inside ensure, under the lock; readers index a
+    read-only view of it, published before n_max advances, so a reader
+    that sees n_max >= n finds row n built.
     """
 
     def __init__(self, ctx: SkewDerivation):
         self.ctx = ctx
-        self._rows: list[list[np.ndarray]] = [[la.eye(ctx.algebra.dim)]]
+        buf = la.zeros((1, 1, ctx.algebra.dim, ctx.algebra.dim))
+        buf[0, 0] = la.eye(ctx.algebra.dim)
+        self._publish(buf)
+        self._n_max = 0
         self._lock = threading.Lock()
+
+    def _publish(self, buf: np.ndarray) -> None:
+        buf.flags.writeable = False
+        self._buf = buf
+        self._stack = buf.view()
 
     @property
     def n_max(self) -> int:
-        return len(self._rows) - 1
+        """Largest n whose row is built."""
+        return self._n_max
+
+    @property
+    def max_n(self) -> int:
+        """Largest n the entry budget admits."""
+        r = self.ctx.algebra.dim
+        return math.isqrt(MAX_TABLE_ENTRIES // (r * r)) - 1
 
     def ensure(self, n: int) -> None:
-        if n <= self.n_max:
+        if n <= self._n_max:
             return
+        if n > self.max_n:
+            raise ValueError(f"N-table up to n = {n} exceeds the limit {self.max_n} "
+                             f"for an algebra of dimension {self.ctx.algebra.dim}")
         with self._lock:
+            top = self._n_max
+            if n <= top:
+                return
+            r, buf = self.ctx.algebra.dim, self._buf
+            cap = buf.shape[0] - 1
+            if n > cap:
+                cap = min(max(n, 2 * cap), self.max_n)
+                buf = la.zeros((cap + 1, cap + 1, r, r))
+                buf[:top + 1, :top + 1] = self._buf[:top + 1, :top + 1]
+            else:
+                buf.flags.writeable = True
             spec = self.ctx.field
-            s, d = self.ctx.sigma.matrix, self.ctx.delta.matrix
-            zero = la.zeros((self.ctx.algebra.dim, self.ctx.algebra.dim))
-            while self.n_max < n:
-                prev = self._rows[-1]
-                m = len(self._rows)
-                row = []
-                for i in range(m + 1):
-                    left = prev[i - 1] if i >= 1 else zero
-                    right = prev[i] if i <= m - 1 else zero
-                    row.append(spec.add_arrays(la.mat_mul(spec, s, left),
-                                               la.mat_mul(spec, d, right)))
-                self._rows.append(row)
+            maps = np.concatenate([self.ctx.sigma.matrix, self.ctx.delta.matrix])
+            for m in range(top, n):
+                # [sigma N_i^m, delta N_i^m] for every i at once
+                flat = buf[m, :m + 1].transpose(1, 0, 2).reshape(r, (m + 1) * r)
+                prod = la.mat_mul(spec, maps, flat).reshape(2, r, m + 1, r)
+                row = buf[m + 1]
+                row[1:m + 2] = prod[0].transpose(1, 0, 2)
+                row[:m + 1] = spec.add_arrays(row[:m + 1], prod[1].transpose(1, 0, 2))
+            self._publish(buf)
+            self._n_max = n
+
+    def rows(self, n: int) -> np.ndarray:
+        """Read-only (n+1, n+1, r, r) view: entry [k, i] = N_i^k, zero for i > k."""
+        self.ensure(n)
+        return self._stack[:n + 1, :n + 1]
 
     def matrix(self, i: int, n: int) -> np.ndarray:
         if not (0 <= i <= n):
             raise IndexError(f"N_{i}^{n} undefined: need 0 <= i <= n")
         self.ensure(n)
-        return self._rows[n][i]
+        return self._stack[n, i]
 
     def map(self, i: int, n: int) -> LinearMap:
         return LinearMap(self.ctx.algebra, self.matrix(i, n))

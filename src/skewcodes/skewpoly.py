@@ -45,23 +45,18 @@ def _pad(arr: np.ndarray, length: int) -> np.ndarray:
 class RegularCoeffs:
     """A as the coefficient space of its own rings: the regular module.
 
-    A coefficient space gives its width n, the n-wide block of one left
-    coefficient (row l is that coefficient times a_l), the scalar action on
-    one row and a formatter.  RightModuleSpec is the other instance; here the
-    block is left_mult_matrix(g).T and the action is the algebra product.
+    A coefficient space gives its width n, its flat block matrix (n, r n):
+    a coefficient row v times it, reshaped (r, n), is the block whose row l
+    is v times a_l, and a formatter.  RightModuleSpec is the other instance;
+    here the flat block matrix is the structure tensor reshaped to (r, r r).
     """
 
-    __slots__ = ("algebra", "n")
+    __slots__ = ("algebra", "n", "flat")
 
     def __init__(self, algebra):
         self.algebra = algebra
         self.n = algebra.dim
-
-    def scaled_basis_rows(self, g: np.ndarray) -> np.ndarray:
-        return self.algebra.left_mult_matrix(g).T
-
-    def act_row(self, v: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.algebra.mul_coords(v, b)
+        self.flat = algebra.tensor.reshape(self.n, self.n * self.n)
 
     def format_rows(self, rows: np.ndarray, offset: int) -> str:
         return format_poly_arr(self.algebra, rows, offset=offset)
@@ -69,38 +64,50 @@ class RegularCoeffs:
 
 # ---- raw-array engines (shared with the series, Laurent and module layers) ----
 
+def toeplitz_mul(spec, f: np.ndarray, w: np.ndarray, out_len: int) -> np.ndarray:
+    """out_l = sum_i f_{l-i} W_i for l < out_len, f_j = 0 outside the rows of
+    f; the W_i are stacked as w, shape (I r, n).  One kernel call."""
+    (rows, r), taps = f.shape, w.shape[0] // f.shape[1]
+    # zero rows past f: lags beyond f, and negative lags from the end, read them
+    padded = la.zeros((rows + out_len + taps, r))
+    padded[:rows] = f
+    lag = np.subtract.outer(np.arange(out_len), np.arange(taps))
+    return la.mat_mul(spec, padded[lag].reshape(out_len, taps * r), w)
+
+
+def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np.ndarray:
+    """W_i = sum_k (N_i^k)^T B_k for i < taps, stacked as (taps r, n): the X^i
+    coefficient of g a is the row a W_i for every scalar a.
+
+    Every block B_k of g comes from one product with the space's flat block
+    matrix, and every W_i from one contraction against the stacked N-table
+    (none for a constant g, whose W_0 = B_0 as N_0^0 = id).
+    """
+    spec, r, K = ctx.field, ctx.algebra.dim, g.shape[0]
+    w = la.mat_mul(spec, g, space.flat).reshape(K * r, space.n)  # rows (k, b): B_k
+    if K > 1:
+        # rows (i, a), columns (k, b): N_i^k[b, a]; N_i^k = 0 for i > k
+        nt = ctx.ntable.rows(K - 1)[:, :taps].transpose(1, 3, 0, 2).reshape(taps * r, K * r)
+        w = la.mat_mul(spec, nt, w)
+    return w
+
+
 def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
                out_limit: Optional[int] = None) -> np.ndarray:
     """Coefficient rows of (g f) for g over the coefficient space and f over
-    A, optionally truncated to out_limit rows."""
-    spec = ctx.field
+    A, optionally truncated to out_limit rows.
+
+    At most three kernel calls whatever the degrees: the coefficient maps
+    W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz product.
+    """
     g, f = _trim(g), _trim(f)
-    dg, df = g.shape[0] - 1, f.shape[0] - 1
-    if dg < 0 or df < 0:
-        return la.zeros((0, space.n))
-    full = dg + df + 1
+    full = g.shape[0] + f.shape[0] - 1
     out_len = full if out_limit is None else min(out_limit, full)
-    out = la.zeros((out_len, space.n))
-    blocks = {k: space.scaled_basis_rows(g[k]) for k in range(dg + 1) if g[k].any()}
-    table = ctx.ntable
-    table.ensure(dg)
-    for i in range(min(dg, out_len - 1) + 1):
-        t_len = min(df + 1, out_len - i)
-        frows = f[:t_len]
-        acc = None
-        for k in range(i, dg + 1):
-            if k not in blocks:
-                continue
-            # frows N^T B, associated so the first product is the smaller one
-            nt = table.matrix(i, k).T
-            if t_len < space.n:
-                b = la.mat_mul(spec, la.mat_mul(spec, frows, nt), blocks[k])
-            else:
-                b = la.mat_mul(spec, frows, la.mat_mul(spec, nt, blocks[k]))
-            acc = b if acc is None else spec.add_arrays(acc, b)
-        if acc is not None:
-            out[i: i + t_len] = spec.add_arrays(out[i: i + t_len], acc)
-    return out
+    if g.shape[0] == 0 or f.shape[0] == 0 or out_len <= 0:
+        return la.zeros((0, space.n))
+    # W_i only reaches rows l >= i
+    w = coefficient_maps(space, ctx, g, min(g.shape[0], out_len))
+    return toeplitz_mul(ctx.field, f, w, out_len)
 
 
 def x_times_arrays(ctx: SkewDerivation, f: np.ndarray) -> np.ndarray:
@@ -132,21 +139,16 @@ def mul_iterative_arrays(ctx: SkewDerivation, g: np.ndarray, f: np.ndarray) -> n
 
 def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
               out_limit: Optional[int] = None) -> np.ndarray:
-    """X^n f = sum_k N_k^n(f) X^k on coefficient rows."""
-    spec = ctx.field
+    """X^n f = sum_k N_k^n(f) X^k on coefficient rows: one Toeplitz product
+    with W_k = (N_k^n)^T read from row n of the stacked table."""
     f = _trim(f)
-    if f.shape[0] == 0:
-        return la.zeros((0, ctx.algebra.dim))
     full = n + f.shape[0]
     out_len = full if out_limit is None else min(out_limit, full)
-    out = la.zeros((out_len, ctx.algebra.dim))
-    table = ctx.ntable
-    table.ensure(n)
-    for k in range(min(n, out_len - 1) + 1):
-        t_len = min(f.shape[0], out_len - k)
-        rows = la.mat_mul(spec, f[:t_len], table.matrix(k, n).T)
-        out[k: k + t_len] = spec.add_arrays(out[k: k + t_len], rows)
-    return out
+    if f.shape[0] == 0 or out_len <= 0:
+        return la.zeros((0, ctx.algebra.dim))
+    r = ctx.algebra.dim
+    w = ctx.ntable.rows(n)[n, :min(n + 1, out_len)].transpose(0, 2, 1).reshape(-1, r)
+    return toeplitz_mul(ctx.field, f, w, out_len)
 
 
 def apply_map_rows(ctx: SkewDerivation, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -365,23 +367,19 @@ def left_from_right(ctx: SkewDerivation,
                     right_coeffs: Sequence[AlgebraElement]) -> SkewPoly:
     """Convert sum_i X^i a_i to left-coefficient form.
 
-    The X^i coefficient is sum_{j >= i} N_i^j(a_j).
+    The X^i coefficient is sum_{j >= i} N_i^j(a_j): one contraction against
+    the stacked N-table.
     """
-    spec = ctx.field
-    n = len(right_coeffs)
-    out = la.zeros((n, ctx.algebra.dim))
-    table = ctx.ntable
-    if n:
-        table.ensure(n - 1)
-    for j, a in enumerate(right_coeffs):
+    for a in right_coeffs:
         if a.algebra != ctx.algebra:
             raise MixedStructureError("coefficient from a different algebra")
-        if not a.coords.any():
-            continue
-        for i in range(j + 1):
-            out[i] = spec.add_arrays(
-                out[i], la.mat_vec(spec, table.matrix(i, j), a.coords))
-    return SkewPoly(ctx, out)
+    n, r = len(right_coeffs), ctx.algebra.dim
+    if not n:
+        return SkewPoly.zero(ctx)
+    coords = np.stack([a.coords for a in right_coeffs]).reshape(n * r, 1)
+    # rows (i, x), columns (j, b): N_i^j[x, b]
+    table = ctx.ntable.rows(n - 1).transpose(1, 2, 0, 3).reshape(n * r, n * r)
+    return SkewPoly(ctx, la.mat_mul(ctx.field, table, coords).reshape(n, r))
 
 
 def right_from_left(f: SkewPoly) -> list[AlgebraElement]:

@@ -164,20 +164,9 @@ def series_times_scalar(s: CoeffSeries, a: AlgebraElement,
         raise PrecisionError(
             f"requested {prec} output coefficients; series precision {s.prec} "
             f"supports {n_max} (needs {prec * m})")
-    spec = ctx.field
-    space = s.space
-    table = ctx.ntable
-    if prec:
-        table.ensure((prec * m) - 1)
-    out = la.zeros((prec, space.n))
-    for i in range(prec):
-        acc = la.zeros(space.n)
-        for j in range(i, (i + 1) * m):
-            b = la.mat_vec(spec, table.matrix(i, j), a.coords)
-            if b.any() and s.coeffs[j].any():
-                acc = spec.add_arrays(acc, space.act_row(s.coeffs[j], b))
-        out[i] = acc
-    return s._new(prec, out)
+    # the product with the constant series a: coefficient i reads s_i .. s_{(i+1)m-1}
+    out = mul_arrays(s.space, ctx, s.coeffs[: prec * m], a.coords[None, :], out_limit=prec)
+    return s._new(prec, _pad(out, prec))
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:

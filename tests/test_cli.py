@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from skewcodes.cli import main
+from skewcodes.cli import load_workspace, main
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 W = os.path.join(HERE, "workspaces")
@@ -184,6 +184,30 @@ def test_bad_laurent_window_is_input_error(payload):
                         payload, "x"])
     assert rc == 2
     assert err.startswith("input error:") and out == ""
+
+
+def test_sizes_over_the_table_limit_are_refused(tmp_path):
+    """Refusal path only: every size is one past its limit, and is refused
+    with exit 2 before the N-table is built."""
+    limits = load_workspace(ws("f4c5"))
+    too_far = limits.max_n + 1
+    raw = json.load(open(ws("f4c5")))
+    raw["prec"] = limits.max_prec + 1
+    big_prec = tmp_path / "big_prec.json"
+    big_prec.write_text(json.dumps(raw))
+    for argv in (["nop", "-w", ws("f4c5"), "-i", "0", "-n", str(too_far)],
+                 ["mul", "-w", ws("f4c5"), "-r", "series", "one", "s1",
+                  "--prec", str(limits.max_prec + 1)],
+                 ["mul", "-w", ws("f4c5"), "-r", "series", "one",
+                  json.dumps({"coeffs": [[1, 0, 0, 0, 0]], "prec": limits.max_prec + 1})],
+                 ["mul", "-w", ws("f4c5"), "-r", "laurent",
+                  json.dumps({"ord": too_far, "coeffs": [[1, 0, 0, 0, 0]]}), "x"],
+                 ["mul", "-w", ws("f4c5"), "-r", "laurent",
+                  json.dumps({"ord": 0, "coeffs": [[1, 0, 0, 0, 0]], "end": too_far + 1}), "x"],
+                 ["verify", "-w", str(big_prec)]):
+        rc, out, err = run(argv)
+        assert rc == 2, (argv, err)
+        assert err.startswith("input error:") and "limit" in err and out == "", argv
 
 
 def test_prec_override():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import SkewPoly, TruncLaurent, TruncSeries
+from skewcodes import SkewPoly, TruncLaurent, TruncSeries, poly_mul_iterative
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import laurent_mul
@@ -15,7 +15,7 @@ from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               flsx_scalar_action, module_verify,
                               natural_module, regular_module,
                               veclaurent_times_ring, veclaurent_times_scalar,
-                              veclaurent_times_scalar_direct,
+                              veclaurent_times_scalar_direct, vecpoly_times_basis,
                               vecpoly_times_ring, vecpoly_times_scalar,
                               vecseries_times_ring, vecseries_times_scalar)
 from conftest import rand_coords, rand_element
@@ -187,6 +187,24 @@ def test_windows_hold_for_every_completion(laurent_bundles, module_a,
                 ct = SkewPoly(ctx, np.concatenate(
                     [t.coeffs, rand_coords(rng, q, (2, r))]))
                 assert VecSeries.from_poly(vecpoly_times_ring(cv, ct), w.prec) == w, b.name
+        # ring side: series_mul and series_times_scalar, zero operands included
+        cases = [(rand_coords(rng, q, (3 * m, r)), rand_coords(rng, q, (3, r)))
+                 for _ in range(3)]
+        cases += [(np.zeros((3 * m, r), dtype=DTYPE), rand_coords(rng, q, (3, r))),
+                  (rand_coords(rng, q, (3 * m, r)), np.zeros((3, r), dtype=DTYPE))]
+        for s_rows, t_rows in cases:
+            s, t = TruncSeries(ctx, 3 * m, s_rows), TruncSeries(ctx, 3, t_rows)
+            a = rand_element(rng, b.algebra)
+            w, wa = series_mul(s, t), series_times_scalar(s, a)
+            for _ in range(2):
+                cs = SkewPoly(ctx, np.concatenate(
+                    [s_rows, rand_coords(rng, q, (rng.randrange(1, 2 * m + 1), r))]))
+                ct = SkewPoly(ctx, np.concatenate(
+                    [t_rows, rand_coords(rng, q, (rng.randrange(1, 3), r))]))
+                exact = poly_mul_iterative(cs, ct)
+                assert TruncSeries.from_poly(exact, w.prec) == w, b.name
+                exact = poly_mul_iterative(cs, SkewPoly.constant(ctx, a))
+                assert TruncSeries.from_poly(exact, wa.prec) == wa, b.name
 
 
 def test_natural_module_is_row_action_by_parent_matrices(m2f4_inner,
@@ -213,6 +231,11 @@ def test_vecpoly_scalar_action_is_associative(all_bundles):
             lhs = vecpoly_times_scalar(vecpoly_times_scalar(v, a), c)
             rhs = vecpoly_times_scalar(v, a * c)
             assert lhs == rhs, b.name
+        v = rand_vecpoly(rng, spec, b.ctx, 3)
+        assert vecpoly_times_basis(v) == [vecpoly_times_scalar(v, e)
+                                          for e in b.algebra.basis()], b.name
+        zero = VecPoly.zero(spec, b.ctx)
+        assert vecpoly_times_basis(zero) == [zero] * b.algebra.dim, b.name
 
 
 def test_vecpoly_ring_action_is_associative(all_bundles):

@@ -1,13 +1,19 @@
 """(sigma, delta) verification, the mirror derivation and the N-operators."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from skewcodes import (LinearMap, field, matrix_algebra, n_operator,
-                       nilpotency_index, quotient_algebra_yz, restrict_scalars,
+from skewcodes import (LinearMap, SkewPoly, field, matrix_algebra, n_operator,
+                       nilpotency_index, poly_mul, poly_mul_iterative,
+                       quotient_algebra_yz, restrict_scalars,
                        verify_skew_derivation)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import AxiomError
+from skewcodes.fields import DTYPE
+from skewcodes.skewmap import NOperatorTable
 
 
 def test_presets_build_and_report_nilpotency(all_bundles):
@@ -131,3 +137,96 @@ def test_non_invertible_sigma_is_allowed_without_mirror():
     ctx = verify_skew_derivation(a, sigma, LinearMap.zero(a))
     assert ctx.sigma_inv is None
     assert ctx.delta_prime is None and ctx.m_delta_prime is None
+
+
+def _recurrence_entries(ctx, n_max):
+    """N_i^n entry by entry from the recurrence, with lookup-table products."""
+    from test_gflinalg import table_mat_mul
+    spec, r = ctx.field, ctx.algebra.dim
+    zero = la.zeros((r, r))
+    rows = [[la.eye(r)]]
+    for n in range(n_max):
+        prev = rows[-1]
+        rows.append([spec.add_arrays(
+            table_mat_mul(spec, ctx.sigma.matrix, prev[i - 1] if i else zero),
+            table_mat_mul(spec, ctx.delta.matrix, prev[i] if i <= n else zero))
+            for i in range(n + 2)])
+    return rows
+
+
+def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz_bundles):
+    for b in series_bundles + odd_fyz_bundles[1:]:
+        table = NOperatorTable(b.ctx)
+        want = _recurrence_entries(b.ctx, 64)
+        for n in (3, 10, 64):
+            table.ensure(n)
+            assert table.n_max == n
+            stack = table.rows(n)
+            for k in range(n + 1):
+                for i in range(n + 1):
+                    expect = want[k][i] if i <= k else la.zeros(stack.shape[2:])
+                    assert np.array_equal(stack[k, i], expect), (b.name, k, i)
+
+
+def test_table_memory_is_read_only(f4c5_group):
+    """Callers get read-only views: writing through one cannot change later
+    products."""
+    ctx = f4c5_group.ctx
+    m = ctx.ntable.matrix(1, 2)
+    with pytest.raises(ValueError):
+        m ^= 1
+    with pytest.raises(ValueError):
+        ctx.ntable.rows(4)[2, 1, 0, 0] = 1
+    assert not n_operator(ctx, 1, 2).matrix.flags.writeable
+    ctx.ntable.ensure(ctx.ntable.n_max + 3)  # growth keeps the memo read-only
+    with pytest.raises(ValueError):
+        ctx.ntable.matrix(1, 2)[0, 0] = 1
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        g = SkewPoly(ctx, rng.integers(0, 4, (4, 5)).astype(DTYPE))
+        f = SkewPoly(ctx, rng.integers(0, 4, (3, 5)).astype(DTYPE))
+        assert poly_mul(g, f) == poly_mul_iterative(g, f)
+
+
+def test_table_refuses_sizes_over_its_budget(m2f4_inner):
+    table = NOperatorTable(m2f4_inner.ctx)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        table.ensure(table.max_n + 1)
+    assert table.n_max == 0
+
+
+def test_concurrent_ensure_and_matrix_agree_with_one_thread(f4c5_group):
+    """Threads race to extend fresh tables row by row while reading the
+    newest entries; every read must equal the table built on one thread."""
+    ctx = f4c5_group.ctx
+    ref = NOperatorTable(ctx)
+    ref.ensure(40)
+    errors = []
+
+    def worker(table, seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for n in range(41):
+                i = int(rng.integers(0, n + 1))
+                if not np.array_equal(table.matrix(n, n), ref.matrix(n, n)) \
+                        or not np.array_equal(table.matrix(i, n), ref.matrix(i, n)):
+                    errors.append((n, i))
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(25):
+            table = NOperatorTable(ctx)
+            threads = [threading.Thread(target=worker, args=(table, 4 * round_ + s))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert table.n_max == 40 and np.array_equal(table.rows(40), ref.rows(40))
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []

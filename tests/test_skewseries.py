@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewcodes import SkewPoly, TruncSeries, VecSeries, regular_module
+from skewcodes import _gflinalg as la
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
 from skewcodes.skewseries import (kernel_left_x, ore_left, q_bound,
@@ -220,3 +221,30 @@ def test_construction_leaves_the_callers_array_alone(m2f4_inner):
         assert arr.flags.writeable and not s.coeffs.flags.writeable
         arr[0, 0] ^= 1
         assert s.coeffs[0, 0] != arr[0, 0]
+
+
+def test_series_product_kernel_calls_do_not_grow_with_precision(series_bundles,
+                                                                 monkeypatch):
+    """The batched product makes a fixed number of field-kernel calls, so
+    de-batching shows as a count that grows with N on any machine."""
+    rng = random.Random(91)
+    real = la.mat_mul
+    calls = []
+
+    def counting(spec, a, b):
+        calls.append(a.shape)
+        return real(spec, a, b)
+
+    for b in series_bundles:
+        ctx = b.ctx
+        ctx.ntable.ensure(32 * ctx.m_delta)  # table growth is not a product call
+        counts = []
+        for n in (8, 32):
+            s = rand_series(rng, ctx, n * ctx.m_delta)
+            t = rand_series(rng, ctx, n)
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(la, "mat_mul", counting)
+                series_mul(s, t)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, (b.name, counts)
