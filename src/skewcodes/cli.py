@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -57,13 +58,17 @@ from .modact import (RightModuleSpec, VecPoly, check_module, natural_module,
                      regular_module)
 from .presets import PRESETS, load_preset
 from .skewlaurent import TruncLaurent, laurent_mul, laurent_ring_exists
-from .skewmap import SkewDerivation, verify_skew_derivation
+from .skewmap import MAX_TABLE_ENTRIES, SkewDerivation, verify_skew_derivation
 from .skewpoly import SkewPoly
 from .skewseries import TruncSeries, ore_left, series_mul
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+
+# largest algebra dimension, after scalar restriction, whose r^4-entry
+# associativity check fits the N-table entry budget
+MAX_ALGEBRA_DIM = math.isqrt(math.isqrt(MAX_TABLE_ENTRIES))
 
 
 class InputError(ValueError):
@@ -108,18 +113,35 @@ class Workspace:
 
     def _build_algebra(self, spec: dict) -> Algebra:
         kind = _get(spec, "kind", str)
-        if kind == "matrix":
-            a = matrix_algebra(self.fs, _get(spec, "n", int))
-        elif kind == "group_cyclic":
-            a = group_algebra_cyclic(self.fs, _get(spec, "n", int))
+        restrict = spec.get("restrict_scalars", False)
+        if restrict and self.fs.k == 1:
+            raise InputError("restrict_scalars needs a non-prime field")
+
+        def check_dim(dim: int) -> None:  # sizes are refused before building
+            dim *= self.fs.k if restrict else 1
+            if dim > MAX_ALGEBRA_DIM:
+                raise InputError(f"algebra dimension {dim} exceeds the limit "
+                                 f"{MAX_ALGEBRA_DIM}")
+
+        if kind in ("matrix", "group_cyclic"):
+            n = _get(spec, "n", int)
+            if n < 1:
+                raise InputError(f"{kind} algebra size n must be positive")
+            check_dim(n * n if kind == "matrix" else n)
+            build = matrix_algebra if kind == "matrix" else group_algebra_cyclic
+            a = build(self.fs, n)
         elif kind == "quotient_yz":
+            check_dim(3)
             a = quotient_algebra_yz(self.fs)
         elif kind == "quotient_tn":
             poly = [self._field_elem(self.fs, c) for c in _get(spec, "poly", list)]
+            if len(poly) < 2 or poly[-1] != 1:
+                raise InputError("quotient_tn poly must be monic of degree >= 1")
+            check_dim(len(poly) - 1)
             a = quotient_algebra_tn(self.fs, poly)
         else:
             raise InputError(f"unknown algebra kind {kind!r}")
-        if spec.get("restrict_scalars", False):
+        if restrict:
             self.parent = a
             self.restriction = restrict_scalars(a)
             a = self.restriction.algebra

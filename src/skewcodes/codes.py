@@ -115,13 +115,6 @@ class ConvCodeBasis:
         return f"<code basis {self.k}/{self.n} pure={self.pure} stable={self.stable}>"
 
 
-def _canonical(spec: RightModuleSpec, g: PolyMatrix) -> PolyMatrix:
-    c = closure(g)
-    if c.shape[0] == 0:
-        return PolyMatrix(spec.field, [])
-    return c
-
-
 def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
                         context: SkewDerivation) -> bool:
     """True iff the row module of g is stable under the algebra action.
@@ -151,13 +144,10 @@ def code_from_generators(b, module: RightModuleSpec,
     """
     _check_context(module, context)
     b = list(b)
-    if b and not all(isinstance(v, VecPoly) for v in b):
+    if not all(isinstance(v, VecPoly) for v in b):
         raise TypeError("generators must be vector polynomials")
-    if not b:
-        g = PolyMatrix(module.field, [])
-    else:
-        g = _canonical(module, vecpolys_to_matrix(module, b))
-    pure = is_direct_summand(g) if g.shape[0] else True
+    g = closure(vecpolys_to_matrix(module, b))
+    pure = is_direct_summand(g)
     stable = is_cyclic_submodule(g, module, context)
     return ConvCodeBasis(g, module, context, pure, stable)
 
@@ -172,11 +162,7 @@ def cyclic_closure(b, module: RightModuleSpec,
     round and the loop ends within n+1 rounds.
     """
     _check_context(module, context)
-    b = list(b)
-    if not b:
-        return ConvCodeBasis(PolyMatrix(module.field, []), module, context,
-                             True, True)
-    g = _canonical(module, vecpolys_to_matrix(module, b))
+    g = closure(vecpolys_to_matrix(module, list(b)))
     n = module.n
     for _ in range(n + 2):
         if g.shape[0] == 0:
@@ -184,7 +170,7 @@ def cyclic_closure(b, module: RightModuleSpec,
         rows = matrix_to_vecpolys(module, context, g)
         products = [w for v in rows for w in vecpoly_times_basis(v)]
         stacked = g.stack(vecpolys_to_matrix(module, products))
-        g2 = _canonical(module, stacked)
+        g2 = closure(stacked)
         if g2 == g:
             break
         if g2.shape[0] <= g.shape[0]:
@@ -192,7 +178,7 @@ def cyclic_closure(b, module: RightModuleSpec,
         g = g2
     else:
         raise AssertionError("cyclic closure did not reach a fixpoint")
-    pure = is_direct_summand(g) if g.shape[0] else True
+    pure = is_direct_summand(g)
     stable = is_cyclic_submodule(g, module, context)
     if not (pure and stable):
         raise AssertionError("cyclic closure produced a non-cyclic module")
@@ -228,7 +214,7 @@ def correspondence_roundtrip(code: ConvCodeBasis) -> RoundtripReport:
         checks.append(("F[X]-rank equals rational rank (0)", True))
         checks.append(("stability re-verified", True))
         return RoundtripReport(tuple(checks))
-    back = _canonical(code.module, g)
+    back = closure(g)
     checks.append(("span-intersect returns the same basis", back == g))
     kk = len(hermite_pivots(g))
     rr = rank_rational(g)

@@ -1,14 +1,18 @@
 """Exact linear algebra over the commutative polynomial ring F[X].
 
 Everything here works over the principal ideal domain F[X] for a finite
-field F: Hermite (row echelon) form with a unimodular transform, Smith form
-U G V = D with the divisibility chain, membership of a vector in a row
-module, purification (the smallest direct summand containing a row module)
-and the direct-summand test via unit invariant factors.
+field F and rests on one elimination with transform, hermite_form: U G = H
+with U unimodular and H in row echelon form.  Membership and rank read H.
+Purification (the smallest direct summand containing a row module) and the
+direct-summand test read the Hermite form of G^T: the summand is spanned by
+rows of the inverted transform, and G spans a summand of full rank exactly
+when every pivot is 1.  smith_form (U G V = D with the divisibility chain)
+alternates Hermite forms of D and D^T and is kept as an oracle off the code
+path, as are det_poly and rank_rational, which do not use hermite_form.
 
-Pivoting is deterministic: among candidate pivots of minimal degree the
-lowest row index wins (Smith form: lexicographically smallest position), so
-repeated runs produce identical output.
+Pivoting is deterministic: among candidate pivots of minimal degree in the
+current column the lowest row index wins, so repeated runs produce identical
+output.
 """
 
 from __future__ import annotations
@@ -121,21 +125,17 @@ class Poly:
         if self.is_zero() or other.is_zero():
             return Poly.zero(fs)
         out = np.zeros(self.degree + other.degree + 1, dtype=DTYPE)
-        for i in range(self.coeffs.shape[0]):
-            c = int(self.coeffs[i])
-            if c == 0:
-                continue
-            seg = np.asarray([fs.mul(c, int(b)) for b in other.coeffs],
-                             dtype=DTYPE)
-            out[i: i + seg.shape[0]] = fs.add_arrays(out[i: i + seg.shape[0]], seg)
+        L = other.coeffs.shape[0]
+        for i, c in enumerate(self.coeffs.tolist()):
+            if c:
+                out[i: i + L] = fs.add_arrays(out[i: i + L], fs.MUL[c, other.coeffs])
         return Poly._raw(fs, out)
 
     def scale(self, c: int) -> "Poly":
         fs = self.field
         if c == 0:
             return Poly.zero(fs)
-        return Poly._raw(fs, np.asarray([fs.mul(c, int(b)) for b in self.coeffs],
-                                        dtype=DTYPE))
+        return Poly._raw(fs, fs.MUL[c, self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -267,6 +267,9 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.field, out)
 
+    def transpose(self) -> "PolyMatrix":
+        return PolyMatrix(self.field, list(zip(*self.rows)))
+
     def stack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.field != other.field or self.shape[1] != other.shape[1]:
             raise ValueError("cannot stack")
@@ -338,6 +341,11 @@ def is_unimodular(g: PolyMatrix) -> bool:
 
 # ---- Hermite form ----
 
+def _sub_multiple(a: list[Poly], q: Poly, b: list[Poly]) -> list[Poly]:
+    """The row a - q b."""
+    return [x if y.is_zero() else x - q * y for x, y in zip(a, b)]
+
+
 def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """(H, U) with U unimodular, U G = H row echelon, monic pivots, entries
     above each pivot reduced below the pivot degree."""
@@ -345,8 +353,14 @@ def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     k, n = g.shape
     h = _to_lists(g)
     u = _to_lists(PolyMatrix.identity(fs, k))
+
+    def reduce(i: int, pr: int, col: int) -> None:  # row i -= q row pr
+        q = h[i][col] // h[pr][col]
+        if not q.is_zero():
+            h[i] = _sub_multiple(h[i], q, h[pr])
+            u[i] = _sub_multiple(u[i], q, u[pr])
+
     pr = 0
-    pivots: list[tuple[int, int]] = []
     for col in range(n):
         if pr >= k:
             break
@@ -355,37 +369,22 @@ def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
             if not cands:
                 break
             best = min(cands, key=lambda i: (h[i][col].degree, i))
-            if best != pr:
-                h[pr], h[best] = h[best], h[pr]
-                u[pr], u[best] = u[best], u[pr]
-            done = True
+            h[pr], h[best] = h[best], h[pr]
+            u[pr], u[best] = u[best], u[pr]
             for i in range(pr + 1, k):
-                if h[i][col].is_zero():
-                    continue
-                q = h[i][col] // h[pr][col]
-                if not q.is_zero():
-                    for j in range(n):
-                        h[i][j] = h[i][j] - q * h[pr][j]
-                    for j in range(k):
-                        u[i][j] = u[i][j] - q * u[pr][j]
                 if not h[i][col].is_zero():
-                    done = False
-            if done:
+                    reduce(i, pr, col)
+            if all(h[i][col].is_zero() for i in range(pr + 1, k)):
                 break
-        if pr < k and not h[pr][col].is_zero():
-            c = fs.inv(h[pr][col].lead())
-            if c != 1:
-                h[pr] = [e.scale(c) for e in h[pr]]
-                u[pr] = [e.scale(c) for e in u[pr]]
-            for i in range(pr):
-                q = h[i][col] // h[pr][col]
-                if not q.is_zero():
-                    for j in range(n):
-                        h[i][j] = h[i][j] - q * h[pr][j]
-                    for j in range(k):
-                        u[i][j] = u[i][j] - q * u[pr][j]
-            pivots.append((pr, col))
-            pr += 1
+        if h[pr][col].is_zero():
+            continue
+        c = fs.inv(h[pr][col].lead())
+        if c != 1:
+            h[pr] = [e.scale(c) for e in h[pr]]
+            u[pr] = [e.scale(c) for e in u[pr]]
+        for i in range(pr):
+            reduce(i, pr, col)
+        pr += 1
     return PolyMatrix(fs, h), PolyMatrix(fs, u)
 
 
@@ -455,12 +454,9 @@ class SmithDecomposition:
             return False
         if not is_unimodular(self.u) or not is_unimodular(self.v):
             return False
+        if not _is_diagonal(self.d):
+            return False
         diag = self.diagonal
-        k, n = self.d.shape
-        for i in range(k):
-            for j in range(n):
-                if i != j and not self.d.rows[i][j].is_zero():
-                    return False
         seen_zero = False
         for i, e in enumerate(diag):
             if e.is_zero():
@@ -476,90 +472,43 @@ class SmithDecomposition:
         return True
 
 
+def _is_diagonal(d: PolyMatrix) -> bool:
+    return all(e.is_zero() for i, row in enumerate(d.rows)
+               for j, e in enumerate(row) if i != j)
+
+
 def smith_form(g: PolyMatrix) -> SmithDecomposition:
-    """U G V = D with monic, divisibility-ordered diagonal."""
+    """U G V = D with monic, divisibility-ordered diagonal.
+
+    Alternates the Hermite forms of D and of D^T (Kannan & Bachem, SIAM
+    J. Comput. 8(4), 1979) until D is diagonal.  If then d_i does not divide
+    a later d_j, column j is added to column i and the next row pass puts
+    gcd(d_i, d_j) in place of d_i; a row addition would not do, because the
+    next row pass reduces it away again.
+    """
     fs = g.field
     k, n = g.shape
-    d = _to_lists(g)
-    u = _to_lists(PolyMatrix.identity(fs, k))
-    v = _to_lists(PolyMatrix.identity(fs, n))
-
-    def row_sub(i, j, q):  # row_i -= q * row_j
-        for t in range(n):
-            d[i][t] = d[i][t] - q * d[j][t]
-        for t in range(k):
-            u[i][t] = u[i][t] - q * u[j][t]
-
-    def col_sub(j, i, q):  # col_j -= q * col_i
-        for t in range(k):
-            d[t][j] = d[t][j] - q * d[t][i]
-        for t in range(n):
-            v[t][j] = v[t][j] - q * v[t][i]
-
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for t in range(k):
-            d[t][i], d[t][j] = d[t][j], d[t][i]
-        for t in range(n):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-
-    for t in range(min(k, n)):
-        while True:
-            best = None
-            for i in range(t, k):
-                for j in range(t, n):
-                    if not d[i][j].is_zero():
-                        key = (d[i][j].degree, i, j)
-                        if best is None or key < best[0]:
-                            best = (key, i, j)
-            if best is None:
-                break
-            _, bi, bj = best
-            if bi != t:
-                row_swap(t, bi)
-            if bj != t:
-                col_swap(t, bj)
-            dirty = False
-            for i in range(t + 1, k):
-                if d[i][t].is_zero():
-                    continue
-                q = d[i][t] // d[t][t]
-                row_sub(i, t, q)
-                if not d[i][t].is_zero():
-                    dirty = True
-            for j in range(t + 1, n):
-                if d[t][j].is_zero():
-                    continue
-                q = d[t][j] // d[t][t]
-                col_sub(j, t, q)
-                if not d[t][j].is_zero():
-                    dirty = True
-            if dirty:
+    d, u, v = g, PolyMatrix.identity(fs, k), PolyMatrix.identity(fs, n)
+    while True:
+        d, w = hermite_form(d)
+        u = w @ u
+        if not _is_diagonal(d):
+            dt, w = hermite_form(d.transpose())
+            d, v = dt.transpose(), v @ w.transpose()
+            if not _is_diagonal(d):
                 continue
-            offender = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if not d[t][t].divides(d[i][j]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            # pull the offending row up so the next round shrinks the pivot
-            for j in range(n):
-                d[t][j] = d[t][j] + d[offender][j]
-            for j in range(k):
-                u[t][j] = u[t][j] + u[offender][j]
-        if not d[t][t].is_zero() and d[t][t].lead() != 1:
-            c = fs.inv(d[t][t].lead())
-            d[t] = [e.scale(c) for e in d[t]]
-            u[t] = [e.scale(c) for e in u[t]]
-    return SmithDecomposition(PolyMatrix(fs, u), PolyMatrix(fs, d),
-                              PolyMatrix(fs, v))
+        s = SmithDecomposition(u, d, v)
+        diag = s.diagonal
+        bad = next(((i, j) for i in range(len(diag))
+                    for j in range(i + 1, len(diag))
+                    if not diag[i].divides(diag[j])), None)
+        if bad is None:
+            return s
+        i, j = bad
+        e = _to_lists(PolyMatrix.identity(fs, n))
+        e[j][i] = Poly.one(fs)
+        e = PolyMatrix(fs, e)
+        d, v = d @ e, v @ e
 
 
 # ---- membership, closure, direct summands ----
@@ -627,28 +576,24 @@ def closure(g: PolyMatrix) -> PolyMatrix:
     """Canonical basis (Hermite form, zero rows dropped) of the smallest
     F[X]-direct summand of F^n[X] containing the row module of g.
 
-    With U G V = D, the row module of G equals that of D V^{-1}, whose rows
-    are the invariant factors times rows of V^{-1}; the purification keeps
-    those rows of V^{-1} (the factors divided out).
+    With U G^T = H of rank rho, G = H^T (U^{-1})^T and H^T is zero beyond
+    its first rho columns, so the rows of G lie in the span of the first rho
+    rows of (U^{-1})^T: rows of a unimodular matrix, hence a direct summand,
+    and of rank rho, hence the smallest one.
     """
-    fs = g.field
-    s = smith_form(g)
-    rho = s.rank
-    hv, uv = hermite_form(s.v)
-    if hv != PolyMatrix.identity(fs, s.v.shape[0]):
-        raise AssertionError("V from smith_form is not unimodular")
-    vinv = uv
-    basis = vinv.take_rows(range(rho))
-    h, _ = hermite_form(basis)
-    return h.drop_zero_rows()
+    h, u = hermite_form(g.transpose())
+    rho = len(hermite_pivots(h))
+    hu, uinv = hermite_form(u)
+    if hu != PolyMatrix.identity(g.field, u.shape[0]):
+        raise AssertionError("transform from hermite_form is not unimodular")
+    basis, _ = hermite_form(uinv.transpose().take_rows(range(rho)))
+    return basis.drop_zero_rows()
 
 
 def is_direct_summand(g: PolyMatrix) -> bool:
     """True iff the rows span a direct summand of F^n[X] of rank equal to the
-    number of rows: every Smith invariant factor is a nonzero constant."""
-    s = smith_form(g)
-    diag = s.diagonal
-    k = g.shape[0]
-    if s.rank != k:
-        return False
-    return all(not e.is_zero() and e.is_unit() for e in diag[:k])
+    number of rows: the Hermite form of G^T has one pivot per row of G and
+    every pivot is 1, so G is the first rows of a unimodular matrix."""
+    h, _ = hermite_form(g.transpose())
+    piv = hermite_pivots(h)
+    return len(piv) == g.shape[0] and all(h.rows[i][c].is_one() for i, c in piv)

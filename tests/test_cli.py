@@ -2,12 +2,14 @@
 
 import io
 import json
+import math
 import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from skewcodes.cli import load_workspace, main
+from skewcodes import cli
+from skewcodes.cli import MAX_ALGEBRA_DIM, load_workspace, main
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 W = os.path.join(HERE, "workspaces")
@@ -208,6 +210,35 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path):
         rc, out, err = run(argv)
         assert rc == 2, (argv, err)
         assert err.startswith("input error:") and "limit" in err and out == "", argv
+
+
+@pytest.mark.parametrize("fs,algebra", [
+    ({"p": 2}, {"kind": "group_cyclic", "n": 0}),
+    ({"p": 2}, {"kind": "matrix", "n": -1}),
+    ({"p": 2}, {"kind": "quotient_tn", "poly": []}),
+    ({"p": 3}, {"kind": "quotient_tn", "poly": [1, 2]}),
+    ({"p": 2}, {"kind": "quotient_yz", "restrict_scalars": True}),
+    ({"p": 2}, {"kind": "group_cyclic", "n": MAX_ALGEBRA_DIM + 1}),
+    ({"p": 2}, {"kind": "matrix", "n": math.isqrt(MAX_ALGEBRA_DIM) + 1}),
+    ({"p": 2}, {"kind": "quotient_tn", "poly": [1] * (MAX_ALGEBRA_DIM + 2)}),
+    ({"p": 2, "k": 2}, {"kind": "group_cyclic", "n": MAX_ALGEBRA_DIM // 2 + 1,
+                        "restrict_scalars": True}),
+])
+def test_bad_algebra_sizes_are_refused_before_building(tmp_path, monkeypatch,
+                                                      fs, algebra):
+    """Refusal path only: each size is empty, not monic, or one past the
+    dimension limit; no algebra constructor may run."""
+    def never(*args):
+        raise AssertionError("algebra built before its size was checked")
+    for name in ("matrix_algebra", "group_algebra_cyclic",
+                 "quotient_algebra_tn", "quotient_algebra_yz"):
+        monkeypatch.setattr(cli, name, never)
+    doc = {"field": fs, "algebra": algebra, "sigma": {"kind": "identity"},
+           "delta": {"kind": "zero"}}
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["verify", "-w", str(path)])
+    assert rc == 2 and err.startswith("input error:") and out == "", err
 
 
 def test_prec_override():

@@ -15,6 +15,7 @@ from skewcodes.codes import (ConvCodeBasis, code_from_generators,
                              vecpolys_to_matrix)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE, field
+from skewcodes import fxlinalg
 from skewcodes.fxlinalg import Poly, closure, membership
 from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
                               regular_module, vecpoly_times_scalar)
@@ -76,16 +77,22 @@ def test_matrix_unit_row_is_not_cyclic(m2f4_inner):
 
 
 def test_cyclic_closure_in_both_acceptance_modules(
-        m2f4_inner, f4c5_group, module_a, module_b):
+        m2f4_inner, f4c5_group, module_a, module_b, odd_fyz_bundles):
     rng = random.Random(82)
-    configs = [("natural", module_a, m2f4_inner.ctx),
-               ("regular", module_b, f4c5_group.ctx)]
+    configs = [("natural", module_a, m2f4_inner.ctx, None),
+               ("regular", module_b, f4c5_group.ctx, None)]
+    for b in odd_fyz_bundles:  # odd characteristic; scaling by y, z shrinks codes
+        configs.append((f"fyz{b.ctx.field.p}", regular_module(b.ctx.algebra),
+                        b.ctx, b.ctx.algebra.basis()))
     ranks = {}
-    for name, spec, ctx in configs:
+    for name, spec, ctx, scalars in configs:
         seen = set()
-        for _ in range(10):
+        for trial in range(10):
             gens = [rand_vecpoly(rng, spec, ctx, 2)
                     for _ in range(rng.randrange(1, 3))]
+            if scalars:
+                gens = [vecpoly_times_scalar(v, scalars[trial % len(scalars)])
+                        for v in gens]
             code = cyclic_closure(gens, spec, ctx)
             assert code.pure and code.stable
             assert 0 <= code.k <= code.n
@@ -101,6 +108,30 @@ def test_cyclic_closure_in_both_acceptance_modules(
         "the natural module is simple, so nonzero codes are full rate"
     assert any(k < 5 for k in ranks["regular"]), \
         "the regular module admits proper codes"
+    for name in ("fyz3", "fyz5"):
+        assert any(0 < k < 3 for k in ranks[name]), \
+            f"{name}: generators in the radical give proper codes"
+
+
+def test_code_path_never_calls_smith_form(monkeypatch, m2f4_inner, f4c5_group,
+                                         module_a, module_b, odd_fyz_bundles):
+    """smith_form is an oracle only: codes and purification run without it."""
+    def refuse(g):
+        raise AssertionError("smith_form called on the code path")
+    monkeypatch.setattr(fxlinalg, "smith_form", refuse)
+    rng = random.Random(86)
+    fyz3 = odd_fyz_bundles[0]
+    for spec, ctx in [(module_a, m2f4_inner.ctx), (module_b, f4c5_group.ctx),
+                      (regular_module(fyz3.ctx.algebra), fyz3.ctx)]:
+        gens = [rand_vecpoly(rng, spec, ctx, 2) for _ in range(2)]
+        code = cyclic_closure(gens, spec, ctx)
+        assert code.pure and code.stable and code.k > 0
+        assert correspondence_roundtrip(code).ok
+        assert code_from_generators(gens, spec, ctx).pure
+        assert closure(code.g) == code.g
+        fs = spec.field
+        msg = [Poly(fs, [rng.randrange(fs.q), 1]) for _ in range(code.k)]
+        assert decode(encode(msg, code), code) == msg
 
 
 def test_all_ones_row_gives_rate_one_fifth(f4c5_group, module_b):

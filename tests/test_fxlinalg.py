@@ -15,7 +15,9 @@ from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
 
 F2 = field(2)
 F4 = field(2, 2)
+F3 = field(3)
 F5 = field(5)
+F9 = field(3, 2)
 
 
 def rand_poly(rng, fs, maxdeg):
@@ -198,3 +200,55 @@ def test_solver_matches_membership():
     for _ in range(50):
         v = [rand_poly(rng, F4, 3) for _ in range(4)]
         assert (solver.solve(v) is None) == (membership(v, g) is None)
+
+
+def smith_purification(g):
+    """The purification read off a verified Smith form: the first rank rows
+    of V^{-1}, in Hermite form."""
+    s = smith_form(g)
+    assert s.verify(g)
+    hv, vinv = hermite_form(s.v)
+    assert hv == PolyMatrix.identity(g.field, s.v.shape[0])
+    h, _ = hermite_form(vinv.take_rows(range(s.rank)))
+    return s, h.drop_zero_rows()
+
+
+@pytest.mark.parametrize("fs", [F2, F4, F3, F5, F9],
+                         ids=["F2", "F4", "F3", "F5", "F9"])
+def test_closure_and_summand_agree_with_smith(fs):
+    rng = random.Random(79)
+    impure = 0
+    for trial in range(24):
+        k = rng.randrange(1, 4)
+        n = rng.randrange(k, 5)
+        g = rand_matrix(rng, fs, k, n, 2)
+        if trial % 2:  # a row times X + c
+            i = rng.randrange(k)
+            lin = Poly(fs, [rng.randrange(fs.q), 1])
+            g = PolyMatrix(fs, [[lin * e for e in row] if r == i else row
+                                for r, row in enumerate(g.rows)])
+        s, ref = smith_purification(g)
+        assert closure(g) == ref
+        unit_factors = s.rank == k and all(e.is_unit() for e in s.diagonal[:k])
+        assert is_direct_summand(g) == unit_factors
+        impure += not unit_factors and s.rank == k
+    assert impure > 0, "some inputs must be full rank but impure"
+
+
+def test_smith_fixed_cases():
+    # the passes reach diag(X, X + 1); adding row 2 to row 1 to fix the
+    # divisibility would be reduced away by the next row pass, for ever
+    g = PolyMatrix.from_coeff_lists(F2, [[[0, 1], [0, 1, 1], [0]],
+                                         [[0], [1, 1], [1, 1]]])
+    s = smith_form(g)
+    assert s.verify(g)
+    assert s.diagonal == [Poly.one(F2), Poly(F2, [0, 1, 1])]
+    zero = PolyMatrix.zeros(F5, 2, 3)
+    s = smith_form(zero)
+    assert s.verify(zero) and s.d == zero and s.rank == 0
+    assert closure(zero).shape == (0, 0) and not is_direct_summand(zero)
+    empty = PolyMatrix(F2, [[], []])  # k x 0
+    s = smith_form(empty)
+    assert (s.u.shape, s.d.shape, s.v.shape) == ((2, 2), (2, 0), (0, 0))
+    assert s.verify(empty) and s.rank == 0
+    assert closure(empty).shape == (0, 0) and not is_direct_summand(empty)
