@@ -69,11 +69,6 @@ def mat_vec(spec: FieldSpec, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(spec, m, v.reshape(-1, 1))[:, 0]
 
 
-def rows_mat(spec: FieldSpec, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """rows @ M: apply M on the right of every row vector."""
-    return mat_mul(spec, rows, m)
-
-
 def scale(spec: FieldSpec, a: np.ndarray, c: int) -> np.ndarray:
     return spec.MUL[a, c]
 

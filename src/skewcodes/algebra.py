@@ -8,13 +8,14 @@ convention (column j = image of a_j).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import _gflinalg as la
 from .errors import AxiomError, MixedStructureError
 from .fields import DTYPE, FieldElement, FieldSpec, field
+from .fxlinalg import Poly
 
 
 class Algebra:
@@ -205,11 +206,6 @@ class LinearMap:
         return cls(algebra, cols)
 
     @classmethod
-    def from_function(cls, algebra: Algebra,
-                      fn: Callable[[AlgebraElement], AlgebraElement]) -> "LinearMap":
-        return cls.from_images(algebra, [fn(b) for b in algebra.basis()])
-
-    @classmethod
     def identity(cls, algebra: Algebra) -> "LinearMap":
         return cls(algebra, la.eye(algebra.dim))
 
@@ -222,10 +218,6 @@ class LinearMap:
             raise MixedStructureError("map applied to element of a different algebra")
         return AlgebraElement(self.algebra,
                               la.mat_vec(self.algebra.field, self.matrix, x.coords))
-
-    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to a stack of coordinate rows: rows @ matrix.T."""
-        return la.mat_mul(self.algebra.field, rows, self.matrix.T)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         return self.apply(x)
@@ -375,25 +367,13 @@ def quotient_algebra_tn(fieldspec: FieldSpec, poly: Sequence) -> Algebra:
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("defining polynomial must have degree >= 1")
-    red = la.zeros((2 * n, n))
-    for i in range(n):
-        red[i, i] = 1
-    for d in range(n, 2 * n):
-        row = la.zeros(2 * n)
-        for t in range(n):
-            row[d - n + t] = fieldspec.neg(coeffs[t].idx)
-        acc = la.zeros(n)
-        for t in range(2 * n):
-            if row[t]:
-                if t < n:
-                    acc[t] = fieldspec.add(int(acc[t]), int(row[t]))
-                else:
-                    acc = fieldspec.add_arrays(acc, la.scale(fieldspec, red[t], int(row[t])))
-        red[d] = acc
-    tensor = la.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            tensor[i, j] = red[i + j]
+    # row d of red holds t^d mod f
+    f = Poly(fieldspec, coeffs)
+    red = la.zeros((2 * n - 1, n))
+    for d in range(2 * n - 1):
+        rem = (Poly.x_power(fieldspec, d) % f).coeffs
+        red[d, :rem.shape[0]] = rem
+    tensor = red[np.add.outer(np.arange(n), np.arange(n))]
     unit = la.zeros(n)
     unit[0] = 1
     labels = ["1"] + ["t" if i == 1 else f"t^{i}" for i in range(1, n)]
@@ -409,90 +389,49 @@ class ScalarRestriction:
     """View of an algebra over GF(p^k) as an algebra over GF(p).
 
     Restricted basis is b_{(i, j)} = g^j a_i in blocks of k per parent basis
-    element, where g is the parent field generator.
+    element, where g is the parent field generator; coordinates are the
+    field's digit layout (FieldSpec.DIGITS) of the parent coordinates.
     """
 
     def __init__(self, parent: Algebra):
         K = parent.field
         if K.k == 1:
             raise ValueError("parent field is already prime")
-        F = field(K.p, 1)
-        r, k = parent.dim, K.k
-        rr = r * k
-        # b_{(i,j)} = g^j a_i where g is the parent field generator (index p^j)
-        tensor = la.zeros((rr, rr, rr))
-        for i1 in range(r):
-            for j1 in range(k):
-                for i2 in range(r):
-                    for j2 in range(k):
-                        gg = K.mul(K.p**j1, K.p**j2)
-                        prod = parent.tensor[i1, i2]
-                        for l in range(r):
-                            cl = int(prod[l])
-                            if cl == 0:
-                                continue
-                            d = K.mul(gg, cl)
-                            for t, ct in enumerate(K._idx_to_coeffs(d)):
-                                if ct:
-                                    tensor[i1 * k + j1, i2 * k + j2, l * k + t] = ct
-        unit = la.zeros(rr)
-        for i in range(r):
-            for t in range(k):
-                c = K._idx_to_coeffs(int(parent.unit[i]))[t]
-                if c:
-                    unit[i * k + t] = c
+        # b_u b_{(i,j)} = b_u (g^j a_i): the restricted right regular action
+        right = K.restrict_stack(parent.tensor.transpose(1, 0, 2))
+        tensor = np.ascontiguousarray(right.transpose(1, 0, 2))
+        unit = K.DIGITS[parent.unit].reshape(-1)
         labels = []
-        for i in range(r):
-            for j in range(k):
-                if j == 0:
-                    labels.append(parent.labels[i])
-                else:
-                    gs = K.symbol if j == 1 else f"{K.symbol}^{j}"
-                    if parent.labels[i] == "1":
-                        labels.append(gs)
-                    else:
-                        labels.append(f"{gs}*{parent.labels[i]}")
+        for lbl in parent.labels:
+            for j in range(K.k):
+                gs = K.symbol if j == 1 else f"{K.symbol}^{j}"
+                labels.append(lbl if j == 0 else gs if lbl == "1" else f"{gs}*{lbl}")
         meta = dict(parent.meta)
         meta.update({"kind": "restricted", "parent_kind": parent.meta.get("kind"),
                      "name": f"restriction of {parent.meta.get('name', 'algebra')}"})
         self.parent = parent
-        self.algebra = check_algebra(Algebra(F, tensor, unit, labels, meta=meta))
+        self.algebra = check_algebra(Algebra(field(K.p, 1), tensor, unit, labels, meta=meta))
 
     def to_restricted(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.parent:
             raise MixedStructureError("element is not in the parent algebra")
-        K, k = self.parent.field, self.parent.field.k
-        coords = la.zeros(self.algebra.dim)
-        for i in range(self.parent.dim):
-            cc = K._idx_to_coeffs(int(x.coords[i]))
-            for t in range(k):
-                coords[i * k + t] = cc[t]
-        return AlgebraElement(self.algebra, coords)
+        return AlgebraElement(self.algebra, self.parent.field.DIGITS[x.coords].reshape(-1))
 
     def to_parent(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.algebra:
             raise MixedStructureError("element is not in the restricted algebra")
-        K, k = self.parent.field, self.parent.field.k
-        coords = la.zeros(self.parent.dim)
-        for i in range(self.parent.dim):
-            cc = [int(x.coords[i * k + t]) for t in range(k)]
-            coords[i] = K._coeffs_to_idx(cc)
-        return AlgebraElement(self.parent, coords)
+        K = self.parent.field
+        return AlgebraElement(self.parent, K.from_digits(x.coords.reshape(-1, K.k)))
 
     def frobenius(self, t: int = 1) -> LinearMap:
         """Componentwise field Frobenius x -> x^(p^t) on the K-coordinates.
 
         Only GF(p)-linear, hence a LinearMap on the restricted algebra.
         """
-        K, k = self.parent.field, self.parent.field.k
-        r = self.parent.dim
-        m = la.zeros((self.algebra.dim, self.algebra.dim))
-        for i in range(r):
-            for j in range(k):
-                cc = K._idx_to_coeffs(K.frob(K.p**j, t))
-                for u in range(k):
-                    m[i * k + u, i * k + j] = cc[u]
-        return LinearMap(self.algebra, m)
+        K = self.parent.field
+        powers = K.from_digits(np.eye(K.k))  # the indices of g^0 .. g^{k-1}
+        block = K.DIGITS[[K.frob(int(g), t) for g in powers]].T
+        return LinearMap(self.algebra, np.kron(np.eye(self.parent.dim), block))
 
 
 def restrict_scalars(parent: Algebra) -> ScalarRestriction:

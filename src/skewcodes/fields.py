@@ -257,6 +257,17 @@ class FieldSpec:
         (n, l), k = b.shape, self.k
         return np.take(self.REG, b, axis=0).transpose(0, 2, 1, 3).reshape(n * k, l * k)
 
+    def restrict_stack(self, mats: np.ndarray) -> np.ndarray:
+        """Restriction of scalars to GF(p): (J, n, l) K-matrices M_j ->
+        (J k, n k, l k) GF(p) matrices, matrix j k + w = digit_blocks(a^w M_j).
+        Over the bases a^s e_i (s fastest) that is the matrix of
+        x -> x (a^w M_j), so a stack of action matrices indexed by a basis
+        b_j restricts to the action of the basis a^w b_j (w fastest)."""
+        (J, n, l), k = mats.shape, self.k
+        scaled = self.MUL[self.POWERS.astype(np.intp)][:, mats]  # [w, j] = a^w M_j
+        blocks = np.take(self.REG, scaled, axis=0)  # [w, j, i, c, s, t]
+        return blocks.transpose(1, 0, 2, 4, 3, 5).reshape(J * k, n * k, l * k).astype(DTYPE)
+
     def from_digits(self, digits: np.ndarray) -> np.ndarray:
         """Indices from unreduced base-p digit sums on the last axis (exact
         nonnegative integers held as float64)."""
@@ -275,10 +286,6 @@ class FieldSpec:
         if isinstance(value, (list, tuple)):
             return FieldElement(self, self._coeffs_to_idx(value))
         return FieldElement(self, int(value) % self.p if self.k == 1 else int(value))
-
-    def from_int(self, n: int) -> "FieldElement":
-        """Image of the integer n under the prime-subfield embedding."""
-        return FieldElement(self, n % self.p)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
         return FieldElement(self, self._coeffs_to_idx(coeffs))

@@ -207,22 +207,21 @@ class Poly:
 # ---- polynomial matrices ----
 
 class PolyMatrix:
-    """Rectangular matrix with Poly entries (immutable)."""
+    """Rectangular matrix with Poly entries (immutable).  width is the
+    column count of a matrix without rows; otherwise the rows give it."""
 
     __slots__ = ("field", "rows", "shape")
 
-    def __init__(self, fieldspec: FieldSpec, rows: Sequence[Sequence[Poly]]):
+    def __init__(self, fieldspec: FieldSpec, rows: Sequence[Sequence[Poly]],
+                 width: int = 0):
         tup = tuple(tuple(e for e in row) for row in rows)
-        if tup:
-            width = len(tup[0])
-            for row in tup:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
-                for e in row:
-                    if not isinstance(e, Poly) or e.field != fieldspec:
-                        raise MixedStructureError("entry over the wrong field")
-        else:
-            width = 0
+        width = len(tup[0]) if tup else width
+        for row in tup:
+            if len(row) != width:
+                raise ValueError("ragged rows")
+            for e in row:
+                if not isinstance(e, Poly) or e.field != fieldspec:
+                    raise MixedStructureError("entry over the wrong field")
         self.field = fieldspec
         self.rows = tup
         self.shape = (len(tup), width)
@@ -241,7 +240,7 @@ class PolyMatrix:
     @classmethod
     def zeros(cls, fieldspec: FieldSpec, k: int, n: int) -> "PolyMatrix":
         zero = Poly.zero(fieldspec)
-        return cls(fieldspec, [[zero] * n for _ in range(k)])
+        return cls(fieldspec, [[zero] * n for _ in range(k)], n)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
@@ -265,29 +264,31 @@ class PolyMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return PolyMatrix(self.field, out)
+        return PolyMatrix(self.field, out, m)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.field, list(zip(*self.rows)))
+        k, n = self.shape
+        return PolyMatrix(self.field, [[row[j] for row in self.rows] for j in range(n)], k)
 
     def stack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.field != other.field or self.shape[1] != other.shape[1]:
             raise ValueError("cannot stack")
-        return PolyMatrix(self.field, list(self.rows) + list(other.rows))
+        return PolyMatrix(self.field, self.rows + other.rows, self.shape[1])
 
     def take_rows(self, idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(self.field, [self.rows[i] for i in idx])
+        return PolyMatrix(self.field, [self.rows[i] for i in idx], self.shape[1])
 
     def drop_zero_rows(self) -> "PolyMatrix":
         return PolyMatrix(self.field,
-                          [r for r in self.rows if any(not e.is_zero() for e in r)])
+                          [r for r in self.rows if any(not e.is_zero() for e in r)],
+                          self.shape[1])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyMatrix) and self.field == other.field
-                and self.rows == other.rows)
+                and self.shape == other.shape and self.rows == other.rows)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows))
+        return hash((self.field, self.shape, self.rows))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -385,7 +386,7 @@ def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
         for i in range(pr):
             reduce(i, pr, col)
         pr += 1
-    return PolyMatrix(fs, h), PolyMatrix(fs, u)
+    return PolyMatrix(fs, h, n), PolyMatrix(fs, u, k)
 
 
 def hermite_pivots(h: PolyMatrix) -> list[tuple[int, int]]:

@@ -80,9 +80,6 @@ class RightModuleSpec:
         return la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :],
                           self.action_matrix(a))[0]
 
-    def act_rows(self, rows: np.ndarray, a) -> np.ndarray:
-        return la.mat_mul(self.field, rows, self.action_matrix(a))
-
     def format_rows(self, rows: np.ndarray, offset: int) -> str:
         """Row i printed as the coefficient vector of X^(offset + i)."""
         fs = self.field
@@ -143,37 +140,20 @@ def regular_module(algebra: Algebra) -> RightModuleSpec:
     return check_module(RightModuleSpec(algebra, action, name="regular"))
 
 
-def restrict_module(res, parent_action: np.ndarray, n_parent: int,
+def restrict_module(res, parent_action: np.ndarray,
                     name: str = "restricted") -> RightModuleSpec:
     """Scalar restriction of a K-module to the prime field.
 
-    parent_action holds one n_parent x n_parent matrix over K per parent
-    basis element (row convention).  The restricted module has dimension
-    n_parent * k with basis g^u e_i (u fastest), matching the basis layout
-    of the restricted algebra.
+    parent_action holds one n x n matrix over K per parent basis element
+    (row convention).  The restricted module has dimension n k with basis
+    g^u e_i (u fastest), matching the basis layout of the restricted
+    algebra; its action matrices come from the field's regular-representation
+    tables (FieldSpec.restrict_stack).
     """
-    K = res.parent.field
-    k = K.k
-    rp = res.parent.dim
     parent_action = np.asarray(parent_action, dtype=DTYPE)
-    if parent_action.shape != (rp, n_parent, n_parent):
+    if parent_action.ndim != 3 or parent_action.shape[0] != res.parent.dim:
         raise ValueError("parent action has the wrong shape")
-    n = n_parent * k
-    action = la.zeros((rp * k, n, n))
-    for j in range(rp):
-        for w in range(k):
-            # basis element g^w a_j of the restricted algebra
-            mat = la.zeros((n, n))
-            for i in range(n_parent):
-                for u in range(k):
-                    # (g^u e_i) . (g^w a_j) = sum_t (g^{u+w} P[i,t]) e_t
-                    guw = K.mul(K.pow_(K.p, u), K.pow_(K.p, w))
-                    for t in range(n_parent):
-                        c = K.mul(guw, int(parent_action[j, i, t]))
-                        for s, cs in enumerate(K._idx_to_coeffs(c)):
-                            if cs:
-                                mat[i * k + u, t * k + s] = cs
-            action[j * k + w] = mat
+    action = res.parent.field.restrict_stack(parent_action)
     return check_module(RightModuleSpec(res.algebra, action, name=name))
 
 
@@ -184,11 +164,8 @@ def natural_module(res) -> RightModuleSpec:
     if parent.meta.get("kind") != "matrix":
         raise ValueError("natural_module needs a restricted matrix algebra")
     nn = parent.meta["n"]
-    parent_action = la.zeros((parent.dim, nn, nn))
-    for s in range(nn):
-        for t in range(nn):
-            parent_action[s * nn + t, s, t] = 1
-    return restrict_module(res, parent_action, nn, name="natural")
+    # R(E_st) has its single 1 at (s, t)
+    return restrict_module(res, la.eye(nn * nn).reshape(-1, nn, nn), name="natural")
 
 
 # ---- coefficient containers ----
@@ -258,7 +235,6 @@ class VecSeries(_OverModule, CoeffSeries):
 
     __slots__ = ("spec",)
     _tag = "vecseries"
-    _poly = VecPoly
 
     def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation,
                  prec: int, coeffs: np.ndarray):

@@ -146,8 +146,7 @@ def m2f4_diag() -> ExampleBundle:
     f4, parent, res = _m2f4_restricted()
     a = res.algebra
     sigma = res.frobenius()
-    gen = f4.p  # index of the field generator
-    m_el = _parent_matrix(res, [[0, 0], [0, gen]])
+    m_el = _parent_matrix(res, [[0, 0], [0, f4.gen.idx]])
     delta = inner_derivation(a, sigma, m_el)
     ctx = verify_skew_derivation(a, sigma, delta)
 

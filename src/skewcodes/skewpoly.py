@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import AlgebraElement, LinearMap
+from .algebra import AlgebraElement
 from .errors import MixedStructureError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
@@ -354,13 +354,6 @@ def xn_times(f: SkewPoly, n: int) -> SkewPoly:
     if n < 0:
         raise ValueError("xn_times needs n >= 0")
     return SkewPoly(f.ctx, xn_arrays(f.ctx, f.coeffs, n))
-
-
-def apply_coeffwise(m: LinearMap, f: SkewPoly) -> SkewPoly:
-    """Apply a linear map to every coefficient."""
-    if m.algebra != f.ctx.algebra:
-        raise MixedStructureError("map on a different algebra")
-    return SkewPoly(f.ctx, apply_map_rows(f.ctx, m.matrix, f.coeffs))
 
 
 def left_from_right(ctx: SkewDerivation,

@@ -51,7 +51,6 @@ class CoeffSeries(CoeffRows):
 
     __slots__ = ("prec",)
     _tag = "trunc series"
-    _poly = SkewPoly
 
     def __init__(self, ctx: SkewDerivation, prec: int, coeffs: np.ndarray):
         if prec < 0:
@@ -69,10 +68,6 @@ class CoeffSeries(CoeffRows):
     @classmethod
     def from_poly(cls, f: CoeffPoly, prec: int):
         return cls(*f._structure(), prec, _pad(f.coeffs, prec))
-
-    def to_poly(self) -> CoeffPoly:
-        """Forget the O(X^prec) tail, keeping the stored coefficients."""
-        return self._poly(*self._structure(), self.coeffs)
 
     def coeff(self, i: int):
         if not 0 <= i < self.prec:

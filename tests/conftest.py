@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import (LinearMap, field, load_preset, natural_module,
-                       regular_module, verify_skew_derivation)
-from skewcodes.presets import fyz_quotient as fyz_quotient_over
+from skewcodes import (LinearMap, field, inner_derivation, load_preset,
+                       matrix_algebra, natural_module, regular_module,
+                       restrict_scalars, verify_skew_derivation)
+from skewcodes.presets import ExampleBundle, fyz_quotient as fyz_quotient_over
 from skewcodes.fields import DTYPE
 
 
@@ -46,6 +47,24 @@ def series_bundles(m2f4_inner, f4c5_group, fyz_quotient):
 def odd_fyz_bundles():
     """The fyz quotient over GF(3) and GF(5): series rings in odd characteristic."""
     return [fyz_quotient_over(3), fyz_quotient_over(5)]
+
+
+def m2_inner_over(p: int) -> ExampleBundle:
+    """M2(GF(p^2)) restricted to GF(p), sigma the componentwise Frobenius and
+    delta inner by E12: the odd-characteristic analogue of m2f4-inner."""
+    res = restrict_scalars(matrix_algebra(field(p, 2), 2))
+    sigma = res.frobenius()
+    e12 = res.to_restricted(res.parent.basis_element(1))
+    ctx = verify_skew_derivation(res.algebra, sigma,
+                                 inner_derivation(res.algebra, sigma, e12))
+    return ExampleBundle(f"m2f{p * p}-inner", ctx, lambda b: [],
+                         restriction=res, inner_element=e12)
+
+
+@pytest.fixture(scope="session")
+def odd_laurent_bundles():
+    """Laurent rings in characteristic 3 and 5 (m_delta = m_delta' = 3)."""
+    return [m2_inner_over(3), m2_inner_over(5)]
 
 
 @pytest.fixture(scope="session")

@@ -84,31 +84,51 @@ def test_verify_algebra_catches_broken_tensor():
     assert report.failures
 
 
+RESTRICTION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]
+
+
+def restriction_cases():
+    """M2 and C3 over GF(4), GF(8), GF(9), GF(25) and GF(27), restricted."""
+    for p, k in RESTRICTION_FIELDS:
+        for parent in (matrix_algebra(field(p, k), 2), group_algebra_cyclic(field(p, k), 3)):
+            yield parent, restrict_scalars(parent)
+
+
 def test_scalar_restriction_round_trip():
-    f4 = field(2, 2)
-    parent = matrix_algebra(f4, 2)
-    res = restrict_scalars(parent)
-    assert res.algebra.dim == parent.dim * f4.k
-    assert res.algebra.field.q == 2
     rng = random.Random(11)
-    for _ in range(40):
-        x, y = rand_element(rng, parent), rand_element(rng, parent)
-        rx, ry = res.to_restricted(x), res.to_restricted(y)
-        assert res.to_parent(rx) == x
-        assert res.to_restricted(x * y) == rx * ry
-        assert res.to_restricted(x + y) == rx + ry
+    for parent, res in restriction_cases():
+        K = parent.field
+        assert res.algebra.dim == parent.dim * K.k
+        assert res.algebra.field.q == K.p
+        assert res.to_restricted(parent.one) == res.algebra.one
+        for _ in range(10):
+            x, y = rand_element(rng, parent), rand_element(rng, parent)
+            rx, ry = res.to_restricted(x), res.to_restricted(y)
+            assert res.to_parent(rx) == x, parent
+            assert res.to_restricted(x * y) == rx * ry, parent
+            assert res.to_restricted(x + y) == rx + ry, parent
+            assert res.to_restricted(x - y) == rx - ry, parent
 
 
 def test_restriction_frobenius_is_algebra_map():
-    res = restrict_scalars(matrix_algebra(field(2, 2), 2))
-    frob = res.frobenius()
-    a = res.algebra
-    assert frob(a.one) == a.one
-    for i in range(a.dim):
-        for j in range(a.dim):
-            x, y = a.basis_element(i), a.basis_element(j)
-            assert frob(x * y) == frob(x) * frob(y)
-    assert frob.compose(frob).is_identity()  # Frobenius has order k = 2
+    rng = random.Random(12)
+    for parent, res in restriction_cases():
+        K, a = parent.field, res.algebra
+        frob = res.frobenius()
+        assert frob(a.one) == a.one
+        basis = a.basis()
+        for x in basis:
+            for y in basis:
+                assert frob(x * y) == frob(x) * frob(y), parent
+        x = rand_element(rng, parent)
+        fx = parent.from_coords(K.FROB[x.coords])
+        assert frob(res.to_restricted(x)) == res.to_restricted(fx), parent
+        power = LinearMap.identity(a)
+        for t in range(1, K.k + 1):
+            power = frob.compose(power)
+            assert power == res.frobenius(t), (parent, t)
+            # Frobenius has order k
+            assert power.is_identity() == (t == K.k), (parent, t)
 
 
 def test_linear_map_images_and_inverse():

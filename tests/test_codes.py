@@ -178,8 +178,13 @@ def test_zero_code(m2f4_inner, module_a):
     ctx = m2f4_inner.ctx
     z = code_from_generators([], module_a, ctx)
     assert z.k == 0 and z.pure and z.stable
+    assert vecpolys_to_matrix(module_a, []).shape == z.g.shape == (0, 4)
     zz = cyclic_closure([VecPoly.zero(module_a, ctx)], module_a, ctx)
-    assert zz.k == 0 and correspondence_roundtrip(zz).ok
+    assert zz.k == 0 and zz.g == z.g
+    assert correspondence_roundtrip(zz).lines() == [
+        "ok   span-intersect returns the same basis",
+        "ok   F[X]-rank equals rational rank (0)",
+        "ok   stability re-verified"]
     assert encode([], z).is_zero()
 
 

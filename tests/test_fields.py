@@ -128,3 +128,21 @@ def test_char2_addition_is_xor():
 def test_custom_modulus_rejected_if_reducible():
     with pytest.raises(ValueError):
         field(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+
+
+def test_only_fields_knows_the_digit_layout():
+    """Outside fields.py, field elements are digitised through the public
+    tables (DIGITS, REG, from_digits, restrict_stack, gen): no module
+    reaches for the private coefficient helpers or builds the generator
+    power a^j as the index p**j."""
+    import re
+    from pathlib import Path
+
+    import skewcodes
+    pattern = re.compile(r"_idx_to_coeffs|_coeffs_to_idx|\.p\s*\*\*|pow_\(\s*\w+\.p\s*,")
+    offenders = [f"{path.name}:{n}: {line.strip()}"
+                 for path in sorted(Path(skewcodes.__file__).parent.glob("*.py"))
+                 if path.name != "fields.py"
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert not offenders, offenders

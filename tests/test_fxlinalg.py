@@ -246,9 +246,20 @@ def test_smith_fixed_cases():
     zero = PolyMatrix.zeros(F5, 2, 3)
     s = smith_form(zero)
     assert s.verify(zero) and s.d == zero and s.rank == 0
-    assert closure(zero).shape == (0, 0) and not is_direct_summand(zero)
+    assert closure(zero).shape == (0, 3) and not is_direct_summand(zero)
     empty = PolyMatrix(F2, [[], []])  # k x 0
     s = smith_form(empty)
     assert (s.u.shape, s.d.shape, s.v.shape) == ((2, 2), (2, 0), (0, 0))
     assert s.verify(empty) and s.rank == 0
     assert closure(empty).shape == (0, 0) and not is_direct_summand(empty)
+
+
+def test_matrices_without_rows_keep_their_width():
+    assert PolyMatrix.zeros(F2, 0, 3).shape == (0, 3)
+    assert PolyMatrix(F2, [[], []]).transpose().shape == (0, 2)
+    rows = PolyMatrix.identity(F2, 2)
+    assert PolyMatrix(F2, []).shape == (0, 0)
+    assert PolyMatrix(F2, [], 2).stack(rows) == rows
+    assert rows.take_rows([]).shape == (0, 2)
+    assert PolyMatrix.zeros(F2, 3, 2).drop_zero_rows().shape == (0, 2)
+    assert PolyMatrix(F2, [], 2) != PolyMatrix(F2, [], 3)

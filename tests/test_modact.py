@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import SkewPoly, TruncLaurent, TruncSeries, poly_mul_iterative
+from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, field, matrix_algebra,
+                       poly_mul_iterative, restrict_scalars)
+from skewcodes import _gflinalg as la
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
-from skewcodes.skewlaurent import laurent_mul
+from skewcodes.skewlaurent import laurent_mul, xinv_times
 from skewcodes.skewseries import series_mul, series_times_scalar
 from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               central_laurent, check_module,
@@ -144,15 +146,34 @@ def completion(rng, x, tail):
     return TruncLaurent(x.ctx, x.ord, rows, None)
 
 
-def test_windows_hold_for_every_completion(laurent_bundles, module_a,
-                                           series_bundles, odd_fyz_bundles):
+def rand_central_class(rng, q):
+    """A Laurent class over the prime field as (ord, coefficient list, end)."""
+    ord_ = rng.randrange(-2, 3)
+    coeffs = [rng.randrange(q) for _ in range(rng.choice([0, 1, 3]))]
+    end = None if rng.random() < 0.2 else ord_ + len(coeffs) + rng.randrange(3)
+    return ord_, coeffs, end
+
+
+def central_completion(rng, q, f, tail):
+    ord_, coeffs, end = f
+    if end is None:
+        return f
+    pad = [0] * (end - ord_ - len(coeffs))
+    return ord_, coeffs + pad + [rng.randrange(q) for _ in range(tail)], None
+
+
+def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
+                                           module_a, series_bundles, odd_fyz_bundles):
     """Whatever the unknown tails hold, the exact products of two completions
     agree with the windowed product on its whole claimed window."""
     rng = random.Random(63)
-    for b in laurent_bundles:
+    pairs = [(b, module_a if b.name == "m2f4-inner" else regular_module(b.algebra))
+             for b in laurent_bundles]
+    pairs += [(b, spec) for b in odd_laurent_bundles
+              for spec in (natural_module(b.restriction), regular_module(b.algebra))]
+    for b, spec in pairs:
         ctx = b.ctx
         q, r = ctx.field.q, ctx.algebra.dim
-        spec = module_a if b.name == "m2f4-inner" else regular_module(b.algebra)
         cases = [(rand_laurent_class(rng, ctx, spec.n),
                   rand_laurent_class(rng, ctx, r)) for _ in range(12)]
         # zero classes on either side, with windows ending below and above 0
@@ -165,12 +186,16 @@ def test_windows_hold_for_every_completion(laurent_bundles, module_a,
             s = TruncLaurent(ctx, vo, rand_coords(rng, q, (vrows.shape[0], r)), ve)
             t = TruncLaurent(ctx, *t_window)
             a = rand_element(rng, b.algebra)
+            f = rand_central_class(rng, q)
             windowed = (laurent_mul(s, t), veclaurent_times_ring(v, t),
-                        veclaurent_times_scalar(v, a))
+                        veclaurent_times_scalar(v, a), xinv_times(s),
+                        flsx_scalar_action(v, *f))
             for _ in range(2):
                 cs, cv, ct = (completion(rng, x, 4) for x in (s, v, t))
+                cf = central_completion(rng, q, f, 4)
                 exact = (laurent_mul(cs, ct), veclaurent_times_ring(cv, ct),
-                         veclaurent_times_scalar(cv, a))
+                         veclaurent_times_scalar(cv, a), xinv_times(cs),
+                         flsx_scalar_action(cv, *cf))
                 for w, e in zip(windowed, exact):
                     assert e.end is None and e.agrees_with(w), (b.name, w, e)
     for b in series_bundles + odd_fyz_bundles:
@@ -218,6 +243,18 @@ def test_natural_module_is_row_action_by_parent_matrices(m2f4_inner,
     e2[2] = 1
     assert np.array_equal(module_a.act_row(e2, E21), e1)
     assert not module_a.act_row(e1, E21).any()
+    # M2(GF(9)) over GF(3): the digits of v P are the restricted v times P
+    res = restrict_scalars(matrix_algebra(field(3, 2), 2))
+    K, nat = res.parent.field, natural_module(res)
+    assert module_verify(nat).ok and nat.n == 4
+    rng = random.Random(64)
+    for _ in range(20):
+        v, pm = rand_coords(rng, K.q, (1, 2)), rand_coords(rng, K.q, (2, 2))
+        vp = la.mat_mul(K, v, pm)
+        digits = [np.array([c for x in row for c in K.element(int(x)).coeffs])
+                  for row in (v[0], vp[0])]
+        rp = res.to_restricted(res.parent.from_coords(pm.reshape(-1)))
+        assert np.array_equal(nat.act_row(digits[0], rp), digits[1])
 
 
 def test_vecpoly_scalar_action_is_associative(all_bundles):

@@ -57,10 +57,11 @@ def test_construction_refused_without_laurent_ring(fyz_quotient, m2f4_diag):
             require_laurent_ring(b.ctx)
 
 
-def test_shuttle_identities(laurent_bundles):
-    """X(X^{-1}s) = s and X^{-1}(Xs) = s on the surviving window."""
+def test_shuttle_identities(laurent_bundles, odd_laurent_bundles):
+    """X(X^{-1}s) = s and X^{-1}(Xs) = s on the surviving window; in odd
+    characteristic this checks the sign of delta' = -delta sigma^{-1}."""
     rng = random.Random(41)
-    for b in laurent_bundles:
+    for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
         mp = ctx.m_delta_prime
         X = TruncLaurent.from_poly(SkewPoly.x_power(ctx))
