@@ -58,7 +58,7 @@ from .modact import (RightModuleSpec, VecPoly, check_module, natural_module,
                      regular_module)
 from .presets import PRESETS, load_preset
 from .skewlaurent import TruncLaurent, laurent_mul, laurent_ring_exists
-from .skewmap import MAX_TABLE_ENTRIES, SkewDerivation, verify_skew_derivation
+from .skewmap import MAX_TABLE_ENTRIES, verify_skew_derivation
 from .skewpoly import SkewPoly
 from .skewseries import TruncSeries, ore_left, series_mul
 
@@ -430,6 +430,9 @@ def _generators(ws: Workspace, args) -> list[VecPoly]:
         if not isinstance(refs, list) or not refs:
             raise InputError("no generators: pass -g or add a 'generators' "
                              "list to the workspace")
+        if not all(isinstance(r, str) for r in refs):
+            raise InputError("each workspace generator must be a vector name "
+                             "or an inline JSON string")
     return [ws.vecpoly(ws.payload("vectors", r)) for r in refs]
 
 
@@ -459,6 +462,9 @@ def cmd_code(args) -> int:
     if args.message is None:
         raise InputError("encode needs -m MESSAGE")
     msg = ws.message(ws.payload("messages", args.message))
+    if len(msg) != code.k:
+        raise InputError(f"message length {len(msg)} does not match code "
+                         f"dimension {code.k}")
     word = encode(msg, code)
     print(f"rate: {code.k}/{code.n}")
     print(f"codeword: {word}")

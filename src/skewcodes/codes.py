@@ -19,25 +19,25 @@ X-multiples by induction on degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
+from . import _gflinalg as la
 from .errors import MixedStructureError
-from .fields import DTYPE
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
-                       hermite_pivots, is_direct_summand, rank_rational)
-from .modact import (RightModuleSpec, VecPoly, vecpoly_times_basis,
-                     vecpoly_times_ring)
+                       hermite_pivots, rank_rational, summand_transform)
+from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
 from .skewmap import SkewDerivation
+from .skewpoly import coefficient_maps, toeplitz_mul
 
 
 # ---- conversions between vector polynomials and F[X] rows ----
 
 def vecpoly_to_polyrow(v: VecPoly) -> list[Poly]:
     """Columns of the coefficient stack, one F[X] polynomial per slot."""
-    fs = v.spec.field
-    return [Poly(fs, v.coeffs[:, j]) for j in range(v.spec.n)]
+    return [Poly._raw(v.spec.field, v.coeffs[:, j]) for j in range(v.spec.n)]
 
 
 def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
@@ -46,11 +46,7 @@ def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
     if len(row) != spec.n:
         raise ValueError(f"row length {len(row)} does not match module "
                          f"dimension {spec.n}")
-    L = max((p.degree + 1 for p in row), default=0)
-    arr = np.zeros((L, spec.n), dtype=DTYPE)
-    for j, p in enumerate(row):
-        arr[: p.coeffs.shape[0], j] = p.coeffs
-    return VecPoly(spec, ctx, arr)
+    return VecPoly(spec, ctx, _planes(PolyMatrix(spec.field, [row]))[:, 0])
 
 
 def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
@@ -59,7 +55,18 @@ def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
 
 def matrix_to_vecpolys(spec: RightModuleSpec, ctx: SkewDerivation,
                        g: PolyMatrix) -> list[VecPoly]:
-    return [polyrow_to_vecpoly(spec, ctx, row) for row in g.rows]
+    planes = _planes(g)
+    return [VecPoly(spec, ctx, planes[:, i]) for i in range(g.shape[0])]
+
+
+def _planes(g: PolyMatrix) -> np.ndarray:
+    """The (D, rows, cols) coefficient planes of g, D one past its degree."""
+    depth = max((e.coeffs.shape[0] for row in g.rows for e in row), default=0)
+    out = la.zeros((depth, *g.shape))
+    for i, row in enumerate(g.rows):
+        for j, e in enumerate(row):
+            out[: e.coeffs.shape[0], i, j] = e.coeffs
+    return out
 
 
 def _check_context(spec: RightModuleSpec, ctx: SkewDerivation) -> None:
@@ -76,7 +83,9 @@ class ConvCodeBasis:
 
     g holds the unique Hermite-form basis (k rows, n columns). pure records
     the direct-summand test, stable the A-action test; the code is cyclic
-    for the twisted action exactly when both hold.
+    for the twisted action exactly when both hold. ut is U^T for the
+    summand transform U of g (fxlinalg.summand_transform) in (D n, n)
+    planes: v ut = [x | s] holds the coordinates and syndrome of a word v.
     """
 
     g: PolyMatrix
@@ -84,6 +93,7 @@ class ConvCodeBasis:
     context: SkewDerivation
     pure: bool
     stable: bool
+    ut: np.ndarray = field(compare=False, repr=False)
 
     @property
     def k(self) -> int:
@@ -100,38 +110,77 @@ class ConvCodeBasis:
     def rows(self) -> list[VecPoly]:
         return matrix_to_vecpolys(self.module, self.context, self.g)
 
-    def solver(self) -> EchelonSolver:
-        return EchelonSolver(self.g)
-
     def lines(self) -> list[str]:
-        out = [f"rate: {self.k}/{self.n}",
-               f"pure (direct summand): {'yes' if self.pure else 'no'}",
-               f"stable (A-action): {'yes' if self.stable else 'no'}"]
-        for row in self.g.rows:
-            out.append("[" + ", ".join(str(e) for e in row) + "]")
-        return out
+        return [f"rate: {self.k}/{self.n}",
+                f"pure (direct summand): {'yes' if self.pure else 'no'}",
+                f"stable (A-action): {'yes' if self.stable else 'no'}"] + str(self.g).splitlines()
 
     def __repr__(self) -> str:
         return f"<code basis {self.k}/{self.n} pure={self.pure} stable={self.stable}>"
+
+
+def _summand_ut(g: PolyMatrix) -> Optional[np.ndarray]:
+    """U^T of fxlinalg.summand_transform(g) in read-only (D n, n) planes."""
+    u = summand_transform(g)
+    if u is None:
+        return None
+    ut = _planes(u.transpose()).reshape(-1, g.shape[1])
+    ut.setflags(write=False)
+    return ut
+
+
+def _products_in(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
+                 context: SkewDerivation, samples=None) -> bool:
+    """True iff row*f has syndrome zero for every row of g and ring element
+    f (coefficient rows over A; default the basis of A).  The f sit at a
+    stride that fits both products: one Toeplitz product with the rows'
+    coefficient maps side by side forms every row*f, one more checks them.
+    """
+    (k, n), r = g.shape, context.algebra.dim
+    if samples is None:
+        samples = list(la.eye(r)[:, None, :])
+    if k in (0, n) or not samples:
+        return True
+    planes, depth = _planes(g), ut.shape[0] // n
+    stride = max(f.shape[0] for f in samples) + planes.shape[0] + depth - 2
+    stacked = la.zeros((len(samples), stride, r))
+    for j, f in enumerate(samples):
+        stacked[j, : f.shape[0]] = f
+    total = len(samples) * stride
+    w = np.concatenate([coefficient_maps(module, context, planes[:, i], planes.shape[0])
+                        for i in range(k)], axis=1)
+    words = toeplitz_mul(module.field, stacked.reshape(total, r), w, total)
+    words = words.reshape(total, k, n).transpose(1, 0, 2).reshape(k * total, n)
+    syndrome = ut.reshape(depth, n, n)[:, :, k:].reshape(depth * n, n - k)
+    return not toeplitz_mul(module.field, words, syndrome, k * total).any()
+
+
+def _code(g: PolyMatrix, module: RightModuleSpec,
+          context: SkewDerivation) -> ConvCodeBasis:
+    """The code with basis g, an output of closure and so a direct summand."""
+    ut = _summand_ut(g)
+    if ut is None:
+        raise AssertionError("closure returned a basis that is not a direct summand")
+    return ConvCodeBasis(g, module, context, True,
+                         _products_in(g, ut, module, context), ut)
 
 
 def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
                         context: SkewDerivation) -> bool:
     """True iff the row module of g is stable under the algebra action.
 
-    Checks every row times every algebra basis element for membership;
-    sufficiency is the generator lemma in the module docstring.
+    Checks every row times every algebra basis element for membership
+    (sufficient by the generator lemma in the module docstring): through the
+    syndrome former if g is a full-rank summand, else an EchelonSolver.
     """
     _check_context(module, context)
-    if g.shape[0] == 0:
-        return True
+    ut = _summand_ut(g)
+    if ut is not None:
+        return _products_in(g, ut, module, context)
     solver = EchelonSolver(g)
-    rows = matrix_to_vecpolys(module, context, g)
-    for v in rows:
-        for w in vecpoly_times_basis(v):
-            if not solver.contains(vecpoly_to_polyrow(w)):
-                return False
-    return True
+    return all(solver.contains(vecpoly_to_polyrow(w))
+               for v in matrix_to_vecpolys(module, context, g)
+               for w in vecpoly_times_basis(v))
 
 
 def code_from_generators(b, module: RightModuleSpec,
@@ -146,41 +195,30 @@ def code_from_generators(b, module: RightModuleSpec,
     b = list(b)
     if not all(isinstance(v, VecPoly) for v in b):
         raise TypeError("generators must be vector polynomials")
-    g = closure(vecpolys_to_matrix(module, b))
-    pure = is_direct_summand(g)
-    stable = is_cyclic_submodule(g, module, context)
-    return ConvCodeBasis(g, module, context, pure, stable)
+    return _code(closure(vecpolys_to_matrix(module, b)), module, context)
 
 
 def cyclic_closure(b, module: RightModuleSpec,
                    context: SkewDerivation) -> ConvCodeBasis:
     """Smallest pure, A-stable F[X]-submodule containing the generators.
 
-    Alternates adding the products row*basis-element with purification until
-    the canonical basis stops changing. Two nested pure submodules of equal
-    rank coincide, so the rank strictly increases on every non-fixpoint
-    round and the loop ends within n+1 rounds.
+    Purifies, then adds the products row*basis-element and purifies again
+    until the basis is stable. Two nested pure submodules of equal rank
+    coincide, so the rank strictly increases on every unstable round, and
+    rank n is stable: the loop ends within n+1 rounds.
     """
     _check_context(module, context)
     g = closure(vecpolys_to_matrix(module, list(b)))
-    n = module.n
-    for _ in range(n + 2):
-        rows = matrix_to_vecpolys(module, context, g)
-        products = [w for v in rows for w in vecpoly_times_basis(v)]
-        stacked = g.stack(vecpolys_to_matrix(module, products))
-        g2 = closure(stacked)
-        if g2 == g:
-            break
+    for _ in range(module.n + 1):
+        code = _code(g, module, context)
+        if code.stable:
+            return code
+        products = [w for v in code.rows() for w in vecpoly_times_basis(v)]
+        g2 = closure(g.stack(vecpolys_to_matrix(module, products)))
         if g2.shape[0] <= g.shape[0]:
             raise AssertionError("cyclic closure rank failed to increase")
         g = g2
-    else:
-        raise AssertionError("cyclic closure did not reach a fixpoint")
-    pure = is_direct_summand(g)
-    stable = is_cyclic_submodule(g, module, context)
-    if not (pure and stable):
-        raise AssertionError("cyclic closure produced a non-cyclic module")
-    return ConvCodeBasis(g, module, context, pure, stable)
+    raise AssertionError("cyclic closure did not reach a fixpoint")
 
 
 @dataclass(frozen=True)
@@ -205,47 +243,47 @@ def correspondence_roundtrip(code: ConvCodeBasis) -> RoundtripReport:
     """
     if not (code.pure and code.stable):
         raise ValueError("roundtrip requires a pure, stable code")
-    g = code.g
-    checks = []
-    back = closure(g)
-    checks.append(("span-intersect returns the same basis", back == g))
-    kk = len(hermite_pivots(g))
-    rr = rank_rational(g)
-    checks.append((f"F[X]-rank equals rational rank ({kk})",
-                   kk == g.shape[0] == rr))
-    checks.append(("stability re-verified",
-                   is_cyclic_submodule(g, code.module, code.context)))
-    return RoundtripReport(tuple(checks))
+    g, kk = code.g, len(hermite_pivots(code.g))
+    return RoundtripReport((
+        ("span-intersect returns the same basis", closure(g) == g),
+        (f"F[X]-rank equals rational rank ({kk})", kk == g.shape[0] == rank_rational(g)),
+        ("stability re-verified", _products_in(g, code.ut, code.module, code.context))))
+
+
+def _transformed(word: VecPoly, code: ConvCodeBasis) -> np.ndarray:
+    """The coefficient rows of word U^T = [coordinates | syndrome]."""
+    v, n = word.coeffs, code.n
+    if v.shape[1] != n:
+        raise ValueError(f"vector length {v.shape[1]} does not match width {n}")
+    return toeplitz_mul(code.module.field, v, code.ut, v.shape[0] + code.ut.shape[0] // n - 1)
 
 
 def encode(message, code: ConvCodeBasis) -> VecPoly:
-    """message (length-k F[X] coordinates) times the basis matrix."""
-    msg = list(message)
+    """message (length-k F[X] coordinates) times the basis matrix, as one
+    Toeplitz product with the coefficient planes of g."""
+    fs, msg = code.module.field, list(message)
     if len(msg) != code.k:
         raise ValueError(f"message length {len(msg)} does not match code "
                          f"dimension {code.k}")
-    fs = code.module.field
-    n = code.n
-    out = [Poly.zero(fs)] * n
-    for i, p in enumerate(msg):
-        if not isinstance(p, Poly):
-            p = Poly(fs, p)
-        if p.is_zero():
-            continue
-        for j in range(n):
-            e = code.g.rows[i][j]
-            if not e.is_zero():
-                out[j] = out[j] + p * e
-    return polyrow_to_vecpoly(code.module, code.context, out)
+    if not msg:
+        return VecPoly.zero(code.module, code.context)
+    m = _planes(PolyMatrix(fs, [[p if isinstance(p, Poly) else Poly(fs, p) for p in msg]]))
+    planes = _planes(code.g)
+    out = toeplitz_mul(fs, m[:, 0], planes.reshape(-1, code.n), m.shape[0] + planes.shape[0] - 1)
+    return VecPoly(code.module, code.context, out)
 
 
-def decode(word: VecPoly, code: ConvCodeBasis):
-    """Coordinates of a codeword with respect to the stored basis, or None."""
-    return code.solver().solve(vecpoly_to_polyrow(word))
+def decode(word: VecPoly, code: ConvCodeBasis) -> Optional[list[Poly]]:
+    """Coordinates of a codeword with respect to the stored basis, or None:
+    the first k columns of word U^T, when its syndrome columns vanish."""
+    y = _transformed(word, code)
+    if y[:, code.k:].any():
+        return None
+    return [Poly._raw(code.module.field, y[:, j]) for j in range(code.k)]
 
 
 def is_codeword(word: VecPoly, code: ConvCodeBasis) -> bool:
-    return decode(word, code) is not None
+    return not _transformed(word, code)[:, code.k:].any()
 
 
 def stable_under_ring_samples(code: ConvCodeBasis, elements) -> bool:
@@ -254,11 +292,8 @@ def stable_under_ring_samples(code: ConvCodeBasis, elements) -> bool:
     The generator lemma makes this redundant for a stable code; it exists to
     let callers spot-check stability against arbitrary ring elements.
     """
-    solver = code.solver()
-    rows = code.rows()
-    for f in elements:
-        for v in rows:
-            w = vecpoly_times_ring(v, f)
-            if not solver.contains(vecpoly_to_polyrow(w)):
-                return False
-    return True
+    elements = list(elements)
+    if any(f.ctx != code.context for f in elements):
+        raise MixedStructureError("ring element from a different context")
+    return _products_in(code.g, code.ut, code.module, code.context,
+                        [f.coeffs for f in elements])

@@ -6,9 +6,10 @@ with U unimodular and H in row echelon form.  Membership and rank read H.
 Purification (the smallest direct summand containing a row module) and the
 direct-summand test read the Hermite form of G^T: the summand is spanned by
 rows of the inverted transform, and G spans a summand of full rank exactly
-when every pivot is 1.  smith_form (U G V = D with the divisibility chain)
-alternates Hermite forms of D and D^T and is kept as an oracle off the code
-path, as are det_poly and rank_rational, which do not use hermite_form.
+when every pivot is 1; the transform then holds a right inverse and syndrome
+former of G (summand_transform).  smith_form (U G V = D, divisibility chain)
+alternates Hermite forms of D and D^T and is an oracle off the code path, as
+are det_poly and rank_rational, which do not use hermite_form.
 
 Pivoting is deterministic: among candidate pivots of minimal degree in the
 current column the lowest row index wins, so repeated runs produce identical
@@ -529,8 +530,6 @@ class EchelonSolver:
         fs = self.g.field
         k, n = self.g.shape
         v = list(v)
-        if k == 0:
-            return [] if all(e.is_zero() for e in v) else None
         if len(v) != n:
             raise ValueError(f"vector length {len(v)} does not match width {n}")
         h, u = self.h, self.u
@@ -546,14 +545,7 @@ class EchelonSolver:
                     r[j] = r[j] - q * h.rows[i][j]
         if any(not e.is_zero() for e in r):
             return None
-        x = [Poly.zero(fs)] * k
-        for j in range(k):
-            acc = Poly.zero(fs)
-            for i in range(k):
-                if not y[i].is_zero() and not u.rows[i][j].is_zero():
-                    acc = acc + y[i] * u.rows[i][j]
-            x[j] = acc
-        return x
+        return list((PolyMatrix(fs, [y], k) @ u).rows[0])
 
     def contains(self, v: Sequence[Poly]) -> bool:
         return self.solve(v) is not None
@@ -591,10 +583,19 @@ def closure(g: PolyMatrix) -> PolyMatrix:
     return basis.drop_zero_rows()
 
 
-def is_direct_summand(g: PolyMatrix) -> bool:
-    """True iff the rows span a direct summand of F^n[X] of rank equal to the
-    number of rows: the Hermite form of G^T has one pivot per row of G and
-    every pivot is 1, so G is the first rows of a unimodular matrix."""
-    h, _ = hermite_form(g.transpose())
+def summand_transform(g: PolyMatrix) -> Optional[PolyMatrix]:
+    """The unimodular U with U G^T = [I_k; 0] if the k rows of G span a
+    direct summand of rank k, else None.  As G U^T = [I_k | 0], v U^T =
+    [x | s] has s = 0 iff v is in the row module, and then v = x G: a right
+    inverse and a syndrome former (Forney, IEEE Trans. IT 16(6), 1970)."""
+    h, u = hermite_form(g.transpose())
     piv = hermite_pivots(h)
-    return len(piv) == g.shape[0] and all(h.rows[i][c].is_one() for i, c in piv)
+    if len(piv) == g.shape[0] and all(h.rows[i][c].is_one() for i, c in piv):
+        return u
+    return None
+
+
+def is_direct_summand(g: PolyMatrix) -> bool:
+    """True iff the rows span a direct summand of F^n[X] of rank equal to
+    their number (the Hermite form of G^T has one pivot per row, all 1)."""
+    return summand_transform(g) is not None

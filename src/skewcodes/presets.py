@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import _gflinalg as la
-from .algebra import (Algebra, AlgebraElement, LinearMap, ScalarRestriction,
+from .algebra import (AlgebraElement, LinearMap, ScalarRestriction,
                       group_algebra_cyclic, inner_derivation, matrix_algebra,
                       quotient_algebra_yz, restrict_scalars)
 from .fields import field

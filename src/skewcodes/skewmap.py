@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import Algebra, AlgebraElement, LinearMap
+from .algebra import Algebra, LinearMap
 from .errors import AxiomError, MixedStructureError
 
 

@@ -176,6 +176,29 @@ def test_schema_violation_is_input_error(tmp_path):
     assert "input error:" in err
 
 
+def _edited_f4c5(tmp_path, key, value):
+    doc = json.load(open(ws("f4c5")))
+    doc[key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_generator_ref_that_is_not_a_string_is_input_error(tmp_path):
+    path = _edited_f4c5(tmp_path, "generators", [[]])
+    rc, out, err = run(["code", "closure", "-w", path])
+    assert rc == 2 and err.startswith("input error:") and out == "", err
+
+
+def test_message_of_the_wrong_length_is_input_error(tmp_path):
+    """e1 generates the whole regular module, so the code has k = 5 and the
+    one-entry message m0 does not fit it."""
+    path = _edited_f4c5(tmp_path, "vectors", {"ones": [[1, 0, 0, 0, 0]]})
+    rc, out, err = run(["code", "encode", "-w", path, "-m", "m0"])
+    assert rc == 2 and err.startswith("input error:") and out == "", err
+    assert "code dimension 5" in err
+
+
 @pytest.mark.parametrize("payload", [
     '{"ord": -1, "coeffs": [[1, 0, 0, 0, 0]], "end": -1}',
     '{"ord": "-1", "coeffs": [[1, 0, 0, 0, 0]]}',

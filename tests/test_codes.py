@@ -16,9 +16,11 @@ from skewcodes.codes import (ConvCodeBasis, code_from_generators,
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE, field
 from skewcodes import fxlinalg
-from skewcodes.fxlinalg import Poly, closure, membership
+from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
+                                membership)
 from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
-                              regular_module, vecpoly_times_scalar)
+                              regular_module, vecpoly_times_ring,
+                              vecpoly_times_scalar)
 from skewcodes.skewmap import verify_skew_derivation
 from skewcodes.skewpoly import SkewPoly
 from conftest import rand_coords, rand_element
@@ -134,6 +136,98 @@ def test_code_path_never_calls_smith_form(monkeypatch, m2f4_inner, f4c5_group,
         assert decode(encode(msg, code), code) == msg
 
 
+def _agrees_with_solver(rng, code, samples):
+    """decode, is_codeword and stable_under_ring_samples give the verdicts
+    and coordinates of an EchelonSolver of code.g on the zero word, one
+    member and, for a proper code, one non-member; returns the stability
+    verdict."""
+    spec, ctx, fs = code.module, code.context, code.module.field
+    solver = EchelonSolver(code.g)
+    x = [Poly(fs, [rng.randrange(fs.q) for _ in range(rng.randrange(4))])
+         for _ in range(code.k)]
+    member = polyrow_to_vecpoly(spec, ctx, (PolyMatrix(fs, [x], code.k) @ code.g).rows[0])
+    assert encode(x, code) == member
+    words = [VecPoly.zero(spec, ctx), member]
+    if code.k < code.n:
+        for _ in range(50):
+            w = rand_vecpoly(rng, spec, ctx, 3)
+            if solver.solve(vecpoly_to_polyrow(w)) is None:
+                words.append(w)
+                break
+        else:
+            raise AssertionError("no non-member drawn for a proper code")
+    for w in words:
+        expected = solver.solve(vecpoly_to_polyrow(w))
+        assert decode(w, code) == expected
+        assert is_codeword(w, code) == (expected is not None)
+    assert decode(member, code) == x
+    stable = all(solver.contains(vecpoly_to_polyrow(vecpoly_times_ring(v, f)))
+                 for f in samples for v in code.rows())
+    assert stable_under_ring_samples(code, samples) == stable
+    return stable
+
+
+def test_syndrome_former_agrees_with_echelon_solver(
+        m2f4_inner, f4c5_group, module_a, module_b, odd_fyz_bundles):
+    # the criterion-6 codes: the same draws as test_criterion_6_code_correspondence
+    rng = random.Random(601)
+    verdicts = []
+    for spec, ctx in [(module_a, m2f4_inner.ctx), (module_b, f4c5_group.ctx)]:
+        for _ in range(12):
+            gens = [VecPoly(spec, ctx, rand_coords(rng, spec.field.q,
+                                                   (rng.randrange(1, 4), spec.n)))
+                    for _ in range(rng.randrange(1, 3))]
+            code = cyclic_closure(gens, spec, ctx)
+            samples = [rand_ring_elem(rng, ctx, 3) for _ in range(200)]
+            check = random.Random(len(verdicts))
+            assert _agrees_with_solver(check, code, samples[:3])
+            verdicts.append(_agrees_with_solver(
+                check, code_from_generators(gens, spec, ctx), samples[:3]))
+    # odd characteristic: generators scaled by 1, y and z
+    for b in odd_fyz_bundles:
+        spec, ctx = regular_module(b.ctx.algebra), b.ctx
+        for scalar in b.ctx.algebra.basis():
+            for _ in range(2):
+                gens = [vecpoly_times_scalar(rand_vecpoly(rng, spec, ctx, 2), scalar)
+                        for _ in range(rng.randrange(1, 3))]
+                samples = [rand_ring_elem(rng, ctx, 2) for _ in range(3)]
+                assert _agrees_with_solver(rng, cyclic_closure(gens, spec, ctx), samples)
+                verdicts.append(_agrees_with_solver(
+                    rng, code_from_generators(gens, spec, ctx), samples))
+    assert not all(verdicts), "some generated code must be unstable"
+    # k = 0 (no rows), k = n (no syndrome columns) and the zero word
+    zero = code_from_generators([], module_a, m2f4_inner.ctx)
+    full = cyclic_closure([VecPoly.unit_row(module_b, f4c5_group.ctx, 0)],
+                          module_b, f4c5_group.ctx)
+    assert (zero.k, full.k) == (0, full.n)
+    for code in (zero, full):
+        assert _agrees_with_solver(rng, code, [rand_ring_elem(rng, code.context, 2)])
+
+
+def test_code_path_never_calls_echelon_solver(monkeypatch, m2f4_inner, f4c5_group,
+                                              module_a, module_b, odd_fyz_bundles):
+    """Codes read membership, coordinates and stability off their stored
+    transform: the EchelonSolver serves row modules that are not summands."""
+    def refuse(self, v):
+        raise AssertionError("EchelonSolver.solve called on the code path")
+    monkeypatch.setattr(EchelonSolver, "solve", refuse)
+    rng = random.Random(87)
+    fyz3 = odd_fyz_bundles[0]
+    for spec, ctx in [(module_a, m2f4_inner.ctx), (module_b, f4c5_group.ctx),
+                      (regular_module(fyz3.ctx.algebra), fyz3.ctx)]:
+        gens = [rand_vecpoly(rng, spec, ctx, 2) for _ in range(2)]
+        code = cyclic_closure(gens, spec, ctx)
+        assert code.pure and code.stable and code.k > 0
+        assert correspondence_roundtrip(code).ok
+        assert code_from_generators(gens, spec, ctx).pure
+        fs = spec.field
+        msg = [Poly(fs, [rng.randrange(fs.q), 1]) for _ in range(code.k)]
+        word = encode(msg, code)
+        assert decode(word, code) == msg and is_codeword(word, code)
+        assert stable_under_ring_samples(code, [rand_ring_elem(rng, ctx, 3)
+                                                for _ in range(4)])
+
+
 def test_all_ones_row_gives_rate_one_fifth(f4c5_group, module_b):
     ctx = f4c5_group.ctx
     ones = VecPoly.from_rows(module_b, ctx,
@@ -244,3 +338,6 @@ def test_mixed_context_rejected(m2f4_inner, f4c5_group, module_a, module_b):
     v = VecPoly.unit_row(module_a, m2f4_inner.ctx, 0)
     with pytest.raises(MixedStructureError):
         code_from_generators([v], module_b, f4c5_group.ctx)
+    code = code_from_generators([v], module_a, m2f4_inner.ctx)
+    with pytest.raises(MixedStructureError):
+        stable_under_ring_samples(code, [SkewPoly.one(f4c5_group.ctx)])
