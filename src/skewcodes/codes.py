@@ -26,6 +26,7 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import MixedStructureError
+from .fields import DTYPE
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
                        hermite_pivots, rank_rational, summand_transform)
 from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
@@ -37,7 +38,8 @@ from .skewpoly import coefficient_maps, toeplitz_mul
 
 def vecpoly_to_polyrow(v: VecPoly) -> list[Poly]:
     """Columns of the coefficient stack, one F[X] polynomial per slot."""
-    return [Poly._raw(v.spec.field, v.coeffs[:, j]) for j in range(v.spec.n)]
+    fs = v.spec.field
+    return [Poly(fs, v.coeffs[:, j]) for j in range(v.spec.n)]
 
 
 def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
@@ -46,7 +48,11 @@ def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
     if len(row) != spec.n:
         raise ValueError(f"row length {len(row)} does not match module "
                          f"dimension {spec.n}")
-    return VecPoly(spec, ctx, _planes(PolyMatrix(spec.field, [row]))[:, 0])
+    L = max((p.degree + 1 for p in row), default=0)
+    arr = np.zeros((L, spec.n), dtype=DTYPE)
+    for j, p in enumerate(row):
+        arr[: p.coeffs.shape[0], j] = p.coeffs
+    return VecPoly(spec, ctx, arr)
 
 
 def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
@@ -83,9 +89,10 @@ class ConvCodeBasis:
 
     g holds the unique Hermite-form basis (k rows, n columns). pure records
     the direct-summand test, stable the A-action test; the code is cyclic
-    for the twisted action exactly when both hold. ut is U^T for the
-    summand transform U of g (fxlinalg.summand_transform) in (D n, n)
-    planes: v ut = [x | s] holds the coordinates and syndrome of a word v.
+    for the twisted action exactly when both hold. ut follows from g: U^T
+    for the summand transform U of g (fxlinalg.summand_transform) in (D n, n)
+    planes, so v ut = [x | s] holds the coordinates and syndrome of a word
+    v; it is None when g is not a direct summand of full rank.
     """
 
     g: PolyMatrix
@@ -93,7 +100,10 @@ class ConvCodeBasis:
     context: SkewDerivation
     pure: bool
     stable: bool
-    ut: np.ndarray = field(compare=False, repr=False)
+    ut: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ut", _summand_ut(self.g))
 
     @property
     def k(self) -> int:
@@ -111,9 +121,12 @@ class ConvCodeBasis:
         return matrix_to_vecpolys(self.module, self.context, self.g)
 
     def lines(self) -> list[str]:
-        return [f"rate: {self.k}/{self.n}",
-                f"pure (direct summand): {'yes' if self.pure else 'no'}",
-                f"stable (A-action): {'yes' if self.stable else 'no'}"] + str(self.g).splitlines()
+        out = [f"rate: {self.k}/{self.n}",
+               f"pure (direct summand): {'yes' if self.pure else 'no'}",
+               f"stable (A-action): {'yes' if self.stable else 'no'}"]
+        for row in self.g.rows:
+            out.append("[" + ", ".join(str(e) for e in row) + "]")
+        return out
 
     def __repr__(self) -> str:
         return f"<code basis {self.k}/{self.n} pure={self.pure} stable={self.stable}>"
@@ -147,40 +160,47 @@ def _products_in(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
     for j, f in enumerate(samples):
         stacked[j, : f.shape[0]] = f
     total = len(samples) * stride
-    w = np.concatenate([coefficient_maps(module, context, planes[:, i], planes.shape[0])
-                        for i in range(k)], axis=1)
+    w = np.concatenate([coefficient_maps(module, context, planes[:, i],
+                                         planes.shape[0]) for i in range(k)],
+                       axis=1)
     words = toeplitz_mul(module.field, stacked.reshape(total, r), w, total)
     words = words.reshape(total, k, n).transpose(1, 0, 2).reshape(k * total, n)
     syndrome = ut.reshape(depth, n, n)[:, :, k:].reshape(depth * n, n - k)
     return not toeplitz_mul(module.field, words, syndrome, k * total).any()
 
 
+def _syndrome_former(code: ConvCodeBasis) -> np.ndarray:
+    if code.ut is None:
+        raise ValueError("the code basis is not a direct summand of full rank")
+    return code.ut
+
+
 def _code(g: PolyMatrix, module: RightModuleSpec,
           context: SkewDerivation) -> ConvCodeBasis:
-    """The code with basis g, an output of closure and so a direct summand."""
-    ut = _summand_ut(g)
-    if ut is None:
-        raise AssertionError("closure returned a basis that is not a direct summand")
-    return ConvCodeBasis(g, module, context, True,
-                         _products_in(g, ut, module, context), ut)
+    """The code with basis g, an output of closure and so a direct summand.
+    The stability flag is set before the code is returned, from the stored
+    transform, so that g is brought to Hermite form only once."""
+    code = ConvCodeBasis(g, module, context, True, False)
+    object.__setattr__(code, "stable", _products_in(g, _syndrome_former(code),
+                                                    module, context))
+    return code
 
 
 def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
                         context: SkewDerivation) -> bool:
     """True iff the row module of g is stable under the algebra action.
 
-    Checks every row times every algebra basis element for membership
-    (sufficient by the generator lemma in the module docstring): through the
-    syndrome former if g is a full-rank summand, else an EchelonSolver.
+    Checks every row times every algebra basis element for membership;
+    sufficiency is the generator lemma in the module docstring.
     """
     _check_context(module, context)
-    ut = _summand_ut(g)
-    if ut is not None:
-        return _products_in(g, ut, module, context)
     solver = EchelonSolver(g)
-    return all(solver.contains(vecpoly_to_polyrow(w))
-               for v in matrix_to_vecpolys(module, context, g)
-               for w in vecpoly_times_basis(v))
+    rows = matrix_to_vecpolys(module, context, g)
+    for v in rows:
+        for w in vecpoly_times_basis(v):
+            if not solver.contains(vecpoly_to_polyrow(w)):
+                return False
+    return True
 
 
 def code_from_generators(b, module: RightModuleSpec,
@@ -243,19 +263,28 @@ def correspondence_roundtrip(code: ConvCodeBasis) -> RoundtripReport:
     """
     if not (code.pure and code.stable):
         raise ValueError("roundtrip requires a pure, stable code")
-    g, kk = code.g, len(hermite_pivots(code.g))
-    return RoundtripReport((
-        ("span-intersect returns the same basis", closure(g) == g),
-        (f"F[X]-rank equals rational rank ({kk})", kk == g.shape[0] == rank_rational(g)),
-        ("stability re-verified", _products_in(g, code.ut, code.module, code.context))))
+    g = code.g
+    checks = []
+    back = closure(g)
+    checks.append(("span-intersect returns the same basis", back == g))
+    kk = len(hermite_pivots(g))
+    rr = rank_rational(g)
+    checks.append((f"F[X]-rank equals rational rank ({kk})",
+                   kk == g.shape[0] == rr))
+    checks.append(("stability re-verified",
+                   _products_in(g, _syndrome_former(code), code.module,
+                                code.context)))
+    return RoundtripReport(tuple(checks))
 
 
 def _transformed(word: VecPoly, code: ConvCodeBasis) -> np.ndarray:
     """The coefficient rows of word U^T = [coordinates | syndrome]."""
-    v, n = word.coeffs, code.n
+    v, n, ut = word.coeffs, code.n, _syndrome_former(code)
     if v.shape[1] != n:
-        raise ValueError(f"vector length {v.shape[1]} does not match width {n}")
-    return toeplitz_mul(code.module.field, v, code.ut, v.shape[0] + code.ut.shape[0] // n - 1)
+        raise ValueError(f"vector length {v.shape[1]} does not match "
+                         f"width {n}")
+    return toeplitz_mul(code.module.field, v, ut,
+                        v.shape[0] + ut.shape[0] // n - 1)
 
 
 def encode(message, code: ConvCodeBasis) -> VecPoly:
@@ -267,9 +296,11 @@ def encode(message, code: ConvCodeBasis) -> VecPoly:
                          f"dimension {code.k}")
     if not msg:
         return VecPoly.zero(code.module, code.context)
-    m = _planes(PolyMatrix(fs, [[p if isinstance(p, Poly) else Poly(fs, p) for p in msg]]))
+    row = [p if isinstance(p, Poly) else Poly(fs, p) for p in msg]
+    m = _planes(PolyMatrix(fs, [row]))[:, 0]
     planes = _planes(code.g)
-    out = toeplitz_mul(fs, m[:, 0], planes.reshape(-1, code.n), m.shape[0] + planes.shape[0] - 1)
+    out = toeplitz_mul(fs, m, planes.reshape(-1, code.n),
+                       m.shape[0] + planes.shape[0] - 1)
     return VecPoly(code.module, code.context, out)
 
 
@@ -295,5 +326,5 @@ def stable_under_ring_samples(code: ConvCodeBasis, elements) -> bool:
     elements = list(elements)
     if any(f.ctx != code.context for f in elements):
         raise MixedStructureError("ring element from a different context")
-    return _products_in(code.g, code.ut, code.module, code.context,
-                        [f.coeffs for f in elements])
+    return _products_in(code.g, _syndrome_former(code), code.module,
+                        code.context, [f.coeffs for f in elements])

@@ -228,6 +228,27 @@ def test_code_path_never_calls_echelon_solver(monkeypatch, m2f4_inner, f4c5_grou
                                                 for _ in range(4)])
 
 
+def test_code_basis_derives_its_transform_from_g(m2f4_inner, module_a):
+    """ut follows from g: a basis built by hand gets the same transform, and
+    one that is not a direct summand of full rank gets none, so the read
+    side refuses it."""
+    ctx, fs = m2f4_inner.ctx, module_a.field
+    code = cyclic_closure([rand_vecpoly(random.Random(88), module_a, ctx, 2)],
+                          module_a, ctx)
+    again = ConvCodeBasis(code.g, module_a, ctx, code.pure, code.stable)
+    assert again == code and np.array_equal(again.ut, code.ut)
+    assert not again.ut.flags.writeable
+    g = PolyMatrix(fs, [[Poly(fs, [0, 1])] + [Poly.zero(fs)] * 3])
+    loose = ConvCodeBasis(g, module_a, ctx, False, False)
+    assert loose.ut is None
+    word = polyrow_to_vecpoly(module_a, ctx, g.rows[0])
+    for read in (decode, is_codeword):
+        with pytest.raises(ValueError):
+            read(word, loose)
+    with pytest.raises(ValueError):
+        stable_under_ring_samples(loose, [SkewPoly.one(ctx)])
+
+
 def test_all_ones_row_gives_rate_one_fifth(f4c5_group, module_b):
     ctx = f4c5_group.ctx
     ones = VecPoly.from_rows(module_b, ctx,
