@@ -413,6 +413,11 @@ def cmd_nop(args) -> int:
 
 def cmd_ore(args) -> int:
     ws = load_workspace(args.workspace)
+    # each step's n is at most dim A, so X^(k dim A) bounds the witness
+    limit = ws.max_n // ws.algebra.dim
+    if not 1 <= args.k <= limit:
+        raise InputError(f"need 1 <= k <= {limit} (N-table limit {ws.max_n}"
+                         f" over dim A = {ws.algebra.dim}), got k = {args.k}")
     f = ws.ring_poly(ws.payload("polynomials", args.f))
     w = ore_left(f, args.k)
     print(f"f = {f}")
@@ -545,10 +550,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except PrecisionError as e:
+    except (InputError, PrecisionError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (AxiomError, RingUnavailableError, MixedStructureError) as e:

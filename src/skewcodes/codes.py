@@ -81,6 +81,19 @@ def _check_context(spec: RightModuleSpec, ctx: SkewDerivation) -> None:
                                   "algebra")
 
 
+def _generator_matrix(b, module: RightModuleSpec,
+                      context: SkewDerivation) -> PolyMatrix:
+    """The generators as the rows of an F[X] matrix, each checked to be a
+    vector polynomial over the given module and context."""
+    _check_context(module, context)
+    b = list(b)
+    if not all(isinstance(v, VecPoly) for v in b):
+        raise TypeError("generators must be vector polynomials")
+    if any((v.spec, v.ctx) != (module, context) for v in b):
+        raise MixedStructureError("generator over another module or context")
+    return vecpolys_to_matrix(module, b)
+
+
 # ---- code objects ----
 
 @dataclass(frozen=True)
@@ -211,11 +224,8 @@ def code_from_generators(b, module: RightModuleSpec,
     stable is reported as found, so a False there means the input does not
     generate a cyclic code without further closing (see cyclic_closure).
     """
-    _check_context(module, context)
-    b = list(b)
-    if not all(isinstance(v, VecPoly) for v in b):
-        raise TypeError("generators must be vector polynomials")
-    return _code(closure(vecpolys_to_matrix(module, b)), module, context)
+    return _code(closure(_generator_matrix(b, module, context)), module,
+                 context)
 
 
 def cyclic_closure(b, module: RightModuleSpec,
@@ -227,8 +237,7 @@ def cyclic_closure(b, module: RightModuleSpec,
     coincide, so the rank strictly increases on every unstable round, and
     rank n is stable: the loop ends within n+1 rounds.
     """
-    _check_context(module, context)
-    g = closure(vecpolys_to_matrix(module, list(b)))
+    g = closure(_generator_matrix(b, module, context))
     for _ in range(module.n + 1):
         code = _code(g, module, context)
         if code.stable:

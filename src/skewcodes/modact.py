@@ -10,8 +10,7 @@ left multiplications replaced by the action:
 
 and, Laurent-side, right multiplication by X^l is a plain coefficient shift
 for every integer l (positive or negative), while the scalar action at
-negative orders expands through the composed maps sigma' delta'^{k_1} ...
-sigma' delta'^{k_{n_0}}.
+negative orders is the Laurent product with the scalar as a constant.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from . import _gflinalg as la
 from .algebra import Algebra, AlgebraElement
 from .errors import MixedStructureError
 from .fields import DTYPE
-from .skewlaurent import (CoeffLaurent, TruncLaurent, _composition_maps,
-                          _min_end, laurent_mul, xn_floor, xnegn_times)
+from .skewlaurent import (CoeffLaurent, TruncLaurent, _min_end, laurent_mul,
+                          xn_floor, xnegn_direct)
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, SkewPoly, _trim, coefficient_maps, mul_arrays,
-                       poly_mul)
+                       poly_mul, toeplitz_mul)
 from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
                          series_mul, series_times_scalar)
 
@@ -316,51 +315,12 @@ def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
 
 # ---- Laurent-level products ----
 
-def _scalar_pieces(s: VecLaurent, scalars: list[np.ndarray]) -> VecLaurent:
-    """sum_k (s_hat . scalars[k]) X^{ord - k}, windows combined over the
-    nonzero scalars; shared by the direct and composed negative-order paths.
-
-    Each series piece has the exact coefficient count hat_prec_out; for an
-    exact s it is the full product length.
-    """
-    spec, ctx = s.spec, s.ctx
-    hat_prec_out = s.coeffs.shape[0] if s.end is None \
-        else (s.end - s.ord) // require_series_ring(ctx)
-    n0 = -s.ord
-    keep = [k for k, u in enumerate(scalars) if u.any()]
-    if not keep:
-        return s._zero(None)
-    kmax = max(keep)
-    width = hat_prec_out + kmax
-    out = la.zeros((width, spec.n))
-    exact = s.end is None
-    hat = None if exact else VecSeries(spec, ctx, s.end - s.ord,
-                                       s._window_arr(s.ord, s.end))
-    fs = spec.field
-    for k in keep:
-        if hat is not None:
-            piece = series_times_scalar(hat, ctx.algebra.from_coords(scalars[k]),
-                                        prec=hat_prec_out)
-            rows = piece.coeffs
-        else:
-            rows = mul_arrays(spec, ctx, s.coeffs, scalars[k][None, :])
-        pos = kmax - k
-        seg = min(rows.shape[0], width - pos)
-        if seg > 0:
-            out[pos: pos + seg] = fs.add_arrays(out[pos: pos + seg], rows[:seg])
-    ord_out = -n0 - kmax
-    end = None if exact else ord_out + hat_prec_out
-    if end is not None:
-        out = out[: max(0, end - ord_out)]
-    return s._new(ord_out, out, end)
-
-
 def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
     """s a (production path).
 
-    Nonnegative orders embed into the series layer.  Negative orders write
-    s = s_hat X^{-n_0} and move X^{-n_0} across a on the ring side (iterated
-    X^{-1} expansion), then apply the series-level scalar rule piecewise.
+    Nonnegative orders embed into the series layer.  Negative orders are the
+    Laurent product with the exact constant a, which moves X^{ord} across a
+    by iterated X^{-1} expansion.
     """
     ctx = s.ctx
     if a.algebra != ctx.algebra:
@@ -374,17 +334,13 @@ def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
             v = VecPoly(s.spec, ctx, s.coeffs).shift(s.ord)
             return VecLaurent.from_poly(vecpoly_times_scalar(v, a))
         return VecLaurent.from_series(series_times_scalar(s.to_series(), a))
-    n0 = -s.ord
-    const = TruncLaurent(ctx, 0, a.coords[None, :], None)
-    u = xnegn_times(const, n0)
-    width = n0 * (ctx.m_delta_prime - 1)
-    scalars = [u.coeff(-n0 - k).coords for k in range(width + 1)]
-    return _scalar_pieces(s, scalars)
+    return laurent_mul(s, TruncLaurent(ctx, 0, a.coords[None, :], None))
 
 
 def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
-    """s a via the closed expansion through the composed maps
-    sigma' delta'^{k_1} ... sigma' delta'^{k_{n_0}} (test oracle)."""
+    """s a = (s X^{n_0}) (X^{-n_0} a) with X^{-n_0} a expanded through the
+    composed maps sigma' delta'^{k_1} ... sigma' delta'^{k_{n_0}} (test
+    oracle)."""
     ctx = s.ctx
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
@@ -392,9 +348,8 @@ def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaure
     if s.is_zero() or s.ord >= 0:
         return veclaurent_times_scalar(s, a)
     n0 = -s.ord
-    comps = _composition_maps(ctx, n0)
-    scalars = [la.mat_vec(ctx.field, c, a.coords) for c in comps]
-    return _scalar_pieces(s, scalars)
+    const = TruncLaurent(ctx, 0, a.coords[None, :], None)
+    return laurent_mul(s.shift(n0), xnegn_direct(const, n0))
 
 
 # ---- the central F((X)) action ----
@@ -421,26 +376,14 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
     hi = s.support_end + f_ord + fc.shape[0] - 1
     if end is not None:
         hi = min(hi, end)
-    out = la.zeros((max(hi - lo, 0), spec.n))
-    for j in range(fc.shape[0]):
-        c = int(fc[j])
-        if c == 0:
-            continue
-        rows = la.scale(fs, s.coeffs, c)
-        pos = j  # exponent s.ord + i + f_ord + j  ->  index i + j
-        seg = min(rows.shape[0], out.shape[0] - pos)
-        if seg > 0:
-            out[pos: pos + seg] = fs.add_arrays(out[pos: pos + seg], rows[:seg])
-    return s._new(lo, out, end)
+    # out_k = sum_j s_{k-j} W_j with W_j = f_j I
+    w = la.scale(fs, la.eye(spec.n), fc[:, None, None]).reshape(-1, spec.n)
+    return s._new(lo, toeplitz_mul(fs, s.coeffs, w, max(hi - lo, 0)), end)
 
 
 def central_laurent(ctx: SkewDerivation, f_ord: int, f_coeffs: Sequence,
                     f_end: Optional[int] = None) -> TruncLaurent:
     """Embed a Laurent series over F into the ring (coefficients c * 1_A)."""
-    fs = ctx.field
-    rows = la.zeros((len(f_coeffs), ctx.algebra.dim))
-    for i, c in enumerate(f_coeffs):
-        idx = fs.element(c).idx
-        if idx:
-            rows[i] = la.scale(fs, ctx.algebra.unit, idx)
+    fc = np.asarray([ctx.field.element(c).idx for c in f_coeffs], dtype=DTYPE)
+    rows = la.scale(ctx.field, ctx.algebra.unit, fc[:, None])
     return TruncLaurent(ctx, f_ord, rows, f_end)

@@ -28,7 +28,8 @@ from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import CoeffPoly, CoeffRows, SkewPoly, _pad, mul_arrays, xn_arrays
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, mul_arrays,
+                       xn_arrays, xn_times)
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -193,7 +194,6 @@ class OreWitness:
     k: int = 1
 
     def verify(self, f: SkewPoly) -> bool:
-        from .skewpoly import xn_times
         return xn_times(f, self.n) == self.g.shift(self.k)
 
 
@@ -211,34 +211,19 @@ def _element_chain_length(ctx: SkewDerivation, coords: np.ndarray) -> int:
 def ore_left(f: SkewPoly, k: int = 1) -> OreWitness:
     """Witness X^n f = g X^k with n minimal at each of the k steps.
 
-    Writing f = f_0 + h X, take the minimal n with delta^n(f_0) = 0; then
-    X^n f = (X^n h + sum_{j=1}^{n} N_j^n(f_0) X^{j-1}) X.
+    Take the minimal n with delta^n(f_0) = 0; then X^n f = sum_j N_j^n(f) X^j
+    has X^0 coefficient N_0^n(f_0) = delta^n(f_0) = 0, and g is the rest
+    shifted down by one.
     """
     if k < 1:
         raise ValueError("ore_left needs k >= 1")
     ctx = f.ctx
-    table = ctx.ntable
-    total_n = 0
-    cur = f
+    total_n, cur = 0, f.coeffs
     for _ in range(k):
-        if cur.is_zero():
-            g = cur
-            n = 0
-        else:
-            f0 = cur.coeffs[0]
-            n = _element_chain_length(ctx, f0)
-            h = SkewPoly(ctx, cur.coeffs[1:])
-            from .skewpoly import xn_times
-            g = xn_times(h, n)
-            if f0.any() and n:
-                table.ensure(n)
-                extra = la.zeros((n, ctx.algebra.dim))
-                for j in range(1, n + 1):
-                    extra[j - 1] = la.mat_vec(ctx.field, table.matrix(j, n), f0)
-                g = g + SkewPoly(ctx, extra)
+        n = _element_chain_length(ctx, cur[0]) if cur.shape[0] else 0
+        cur = xn_arrays(ctx, cur, n)[1:]
         total_n += n
-        cur = g
-    return OreWitness(total_n, cur, k)
+    return OreWitness(total_n, SkewPoly(ctx, cur), k)
 
 
 @dataclass(frozen=True)

@@ -211,10 +211,15 @@ def test_bad_laurent_window_is_input_error(payload):
     assert err.startswith("input error:") and out == ""
 
 
-def test_sizes_over_the_table_limit_are_refused(tmp_path):
+def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
     """Refusal path only: every size is one past its limit, and is refused
     with exit 2 before the N-table is built."""
+    def never(*args):
+        raise AssertionError("ore_left ran on a refused k")
+
+    monkeypatch.setattr(cli, "ore_left", never)
     limits = load_workspace(ws("f4c5"))
+    ore_k = limits.max_n // limits.algebra.dim
     too_far = limits.max_n + 1
     raw = json.load(open(ws("f4c5")))
     raw["prec"] = limits.max_prec + 1
@@ -229,7 +234,9 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path):
                   json.dumps({"ord": too_far, "coeffs": [[1, 0, 0, 0, 0]]}), "x"],
                  ["mul", "-w", ws("f4c5"), "-r", "laurent",
                   json.dumps({"ord": 0, "coeffs": [[1, 0, 0, 0, 0]], "end": too_far + 1}), "x"],
-                 ["verify", "-w", str(big_prec)]):
+                 ["verify", "-w", str(big_prec)],
+                 ["ore", "-w", ws("f4c5"), "-f", "f1", "-k", "0"],
+                 ["ore", "-w", ws("f4c5"), "-f", "f1", "-k", str(ore_k + 1)]):
         rc, out, err = run(argv)
         assert rc == 2, (argv, err)
         assert err.startswith("input error:") and "limit" in err and out == "", argv

@@ -355,10 +355,24 @@ def test_stability_agrees_with_sigma_only_oracle(f4c5_group):
         assert vecpoly_times_scalar(v, a) == sigma_only_action(v, a)
 
 
-def test_mixed_context_rejected(m2f4_inner, f4c5_group, module_a, module_b):
+def test_mixed_context_rejected(m2f4_inner, f4c5_group, f4c5_sigma_only,
+                                module_a, module_b):
     v = VecPoly.unit_row(module_a, m2f4_inner.ctx, 0)
     with pytest.raises(MixedStructureError):
         code_from_generators([v], module_b, f4c5_group.ctx)
+    # same algebra and width, but another module or context than the one given
+    A5, n = f4c5_group.ctx.algebra, module_b.n
+    triv = check_module(RightModuleSpec(
+        A5, np.broadcast_to(np.eye(n, dtype=DTYPE), (A5.dim, n, n)).copy(),
+        name="trivial"))
+    u = VecPoly.unit_row(module_b, f4c5_group.ctx, 0)
+    for build, gen in ((code_from_generators,
+                        VecPoly.unit_row(triv, f4c5_group.ctx, 0)),
+                       (cyclic_closure,
+                        VecPoly.unit_row(module_b, f4c5_sigma_only, 0))):
+        for gens in ([gen], [u, gen]):
+            with pytest.raises(MixedStructureError):
+                build(gens, module_b, f4c5_group.ctx)
     code = code_from_generators([v], module_a, m2f4_inner.ctx)
     with pytest.raises(MixedStructureError):
         stable_under_ring_samples(code, [SkewPoly.one(f4c5_group.ctx)])

@@ -1,6 +1,7 @@
 """Source hygiene checks on the package modules."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import skewcodes
@@ -26,3 +27,30 @@ def test_every_imported_name_is_used():
         offenders += [f"{path.name}:{line}: {name}"
                       for name, line in imported.items() if name not in used]
     assert not offenders, offenders
+
+
+def test_benchmark_harness_names_resolve():
+    """Every attribute the perfbench tracer patches, and every `sc.<name>`
+    the perfbench workloads read, is still defined in the package."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(module, path) for _, module, path
+               in tracer.SPAN_TARGETS + tracer.COUNT_TARGETS]
+    targets.append(("skewcodes.skewmap", "NOperatorTable.matrix"))
+    missing = []
+    for module, path in targets:
+        owner = importlib.import_module(module)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module}.{path}")
+    tree = ast.parse((bench / "workloads.py").read_text())
+    missing += [f"skewcodes.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "sc"
+                and not hasattr(skewcodes, node.attr)]
+    assert not missing, missing

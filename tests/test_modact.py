@@ -198,6 +198,20 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
                          flsx_scalar_action(cv, *cf))
                 for w, e in zip(windowed, exact):
                     assert e.end is None and e.agrees_with(w), (b.name, w, e)
+        # exact right operands: the window end rests on the left one alone
+        for _ in range(20):
+            vo, L = rng.randrange(-3, 3), rng.randrange(1, 6)
+            ve = vo + L + rng.randrange(3)
+            v = VecLaurent(spec, ctx, vo, rand_coords(rng, q, (L, spec.n)), ve)
+            s = TruncLaurent(ctx, vo, rand_coords(rng, q, (L, r)), ve)
+            t = TruncLaurent(ctx, rng.randrange(-2, 3),
+                             rand_coords(rng, q, (rng.randrange(1, 4), r)), None)
+            windowed = (laurent_mul(s, t), veclaurent_times_ring(v, t))
+            for _ in range(3):
+                exact = (laurent_mul(completion(rng, s, 4), t),
+                         veclaurent_times_ring(completion(rng, v, 4), t))
+                for w, e in zip(windowed, exact):
+                    assert e.agrees_with(w), (b.name, w, e)
     for b in series_bundles + odd_fyz_bundles:
         ctx = b.ctx
         q, r, m = ctx.field.q, ctx.algebra.dim, ctx.m_delta
@@ -335,10 +349,11 @@ def test_vecseries_ring_action_is_associative(series_bundles):
             assert min(lhs.prec, rhs.prec) == N
 
 
-def test_veclaurent_scalar_direct_equals_composed(laurent_bundles):
-    """Closed chain expansion vs series shuttle: values and windows."""
+def test_veclaurent_scalar_direct_equals_composed(laurent_bundles,
+                                                  odd_laurent_bundles):
+    """Closed chain expansion vs iterated X^{-1}: values and windows."""
     rng = random.Random(57)
-    for b in laurent_bundles:
+    for b in laurent_bundles + odd_laurent_bundles:
         spec = regular_module(b.algebra)
         ctx = b.ctx
         for _ in range(15):

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import SkewPoly, TruncSeries, VecSeries, regular_module
+from skewcodes import (SkewPoly, TruncSeries, VecSeries, poly_mul_iterative,
+                       regular_module)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
@@ -149,10 +150,18 @@ def test_shift_is_right_x_power(series_bundles):
         assert np.array_equal(sh.coeffs[3:], s.coeffs)
 
 
-def test_ore_left_witness_verifies(series_bundles):
-    """X^n f = g X^k with n minimal for the constant-term chain."""
+def ore_holds(w, f):
+    """The witness's own verify, and g X^k = X^n f by the rewriting product."""
+    xn = SkewPoly.x_power(f.ctx, w.n)
+    return w.verify(f) and w.g.shift(w.k) == poly_mul_iterative(xn, f)
+
+
+def test_ore_left_witness_verifies(series_bundles, odd_fyz_bundles,
+                                   odd_laurent_bundles):
+    """X^n f = g X^k with n minimal for the constant-term chain, checked
+    against the rewriting product as well as the witness's own verify."""
     rng = random.Random(38)
-    for b in series_bundles:
+    for b in series_bundles + odd_fyz_bundles + odd_laurent_bundles:
         ctx = b.ctx
         for _ in range(40):
             L = rng.randrange(1, 6)
@@ -160,7 +169,7 @@ def test_ore_left_witness_verifies(series_bundles):
                                           (L, ctx.algebra.dim)))
             w = ore_left(f)
             assert w.k == 1
-            assert w.verify(f), b.name
+            assert ore_holds(w, f), b.name
             chain = f.coeff(0)
             for _ in range(w.n):
                 prev = chain
@@ -171,7 +180,7 @@ def test_ore_left_witness_verifies(series_bundles):
         f = SkewPoly(ctx, rand_coords(rng, ctx.field.q,
                                       (3, ctx.algebra.dim)))
         w2 = ore_left(f, k=2)
-        assert w2.k == 2 and w2.verify(f), b.name
+        assert w2.k == 2 and ore_holds(w2, f), b.name
 
 
 def test_ore_left_refused_when_chain_never_vanishes(m2f4_diag):
