@@ -9,6 +9,8 @@ ring does not exist, 2 malformed input. All output is deterministic.
 Workspace schema (JSON object; sections marked * are optional):
 
   field      {"p": int, "k": int*, "modulus": [int, ...]*}
+             (p prime, p^k <= 1024, a monic irreducible modulus where no
+             built-in one exists; other fields exit 2)
   algebra    {"kind": "matrix"|"group_cyclic"|"quotient_yz"|"quotient_tn",
               "n": int (matrix/group sizes), "poly": [fe, ...] (quotient_tn),
               "restrict_scalars": bool*}

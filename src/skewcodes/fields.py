@@ -7,6 +7,12 @@ addition, negation, inversion and Frobenius tables, so scalar and
 elementwise numpy arithmetic are table lookups.  Sums and matrix products go
 through base-p digits instead (digit and regular-representation tables, see
 _gflinalg.mat_mul): digit sums reduced mod p.  Everything is exact.
+
+The tables come from the companion matrix C of the modulus (x -> x * a on
+digit rows; Lidl & Niederreiter, Finite Fields, 1997): y acts as
+sum_t y_t C^t, one digit product over all pairs gives MUL, and a modulus is
+refused as reducible exactly when MUL has zero divisors (a finite integral
+domain is a field).  Fields need p prime and p^k <= 1024.
 """
 
 from __future__ import annotations
@@ -49,62 +55,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mul_mod(u: list[int], v: list[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Product of coefficient lists modulo (modulus, p).  modulus is monic."""
-    k = len(modulus) - 1
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        for j, vj in enumerate(v):
-            out[i + j] = (out[i + j] + ui * vj) % p
-    for d in range(len(out) - 1, k - 1, -1):
-        c = out[d]
-        if c == 0:
-            continue
-        out[d] = 0
-        for t in range(k):
-            out[d - k + t] = (out[d - k + t] - c * modulus[t]) % p
-    out = out[:k] + [0] * max(0, k - len(out))
-    return out[:k]
-
-
-def _poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of coefficient lists over Z_p; den != 0."""
-    num = list(num)
-    dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
-    inv_lead = pow(den[dd], p - 2, p) if p > 2 else den[dd]
-    q = [0] * max(1, len(num) - dd)
-    for d in range(len(num) - 1, dd - 1, -1):
-        c = num[d]
-        if c == 0:
-            continue
-        f = (c * inv_lead) % p
-        q[d - dd] = f
-        for t in range(dd + 1):
-            num[d - dd + t] = (num[d - dd + t] - f * den[t]) % p
-    return q, num[:dd] if dd > 0 else [0]
-
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Exhaustive divisor check: no monic divisor of degree 1..k//2."""
-    k = len(modulus) - 1
-    for d in range(1, k // 2 + 1):
-        for enc in range(p**d):
-            div = [(enc // p**i) % p for i in range(d)] + [1]
-            _, rem = _poly_divmod(list(modulus), div, p)
-            if all(c == 0 for c in rem):
-                return False
-    return True
-
-
 class FieldSpec:
     """GF(p^k) with index-level tables.  Construct via field()."""
 
     def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None,
                  symbol: str = "a"):
+        # bound p and k before the primality test and before forming p**k,
+        # whose costs grow with them: for p >= 2, k >= 11 gives p**k > 1024
+        if p > _MAX_ORDER or (p > 1 and k >= _MAX_ORDER.bit_length()):
+            raise ValueError(f"GF({p}^{k}) exceeds supported table size {_MAX_ORDER}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if k < 1:
@@ -122,8 +81,6 @@ class FieldSpec:
         modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}: got {modulus}")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.q = q
@@ -139,54 +96,39 @@ class FieldSpec:
     def _coeffs_to_idx(self, coeffs: Sequence[int]) -> int:
         return sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs[: self.k]))
 
-    def _mul_raw(self, i: int, j: int) -> int:
-        prod = _poly_mul_mod(self._idx_to_coeffs(i), self._idx_to_coeffs(j),
-                             self.modulus, self.p)
-        return self._coeffs_to_idx(prod)
-
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
-        coeffs = np.zeros((q, k), dtype=np.int64)
-        for i in range(q):
-            coeffs[i] = self._idx_to_coeffs(i)
-        powers = np.array([p**i for i in range(k)], dtype=np.int64)
+        powers = p ** np.arange(k, dtype=np.int64)
+        coeffs = np.arange(q)[:, None] // powers % p
         self.ADD = (((coeffs[:, None, :] + coeffs[None, :, :]) % p) @ powers).astype(DTYPE)
         self.NEG = (((-coeffs) % p) @ powers).astype(DTYPE)
-
-        # multiplicative tables through a generator of the cyclic group
-        gen = None
-        for cand in range(1, q):
-            seen = 1
-            cur = cand
-            while cur != 1:
-                cur = self._mul_raw(cur, cand)
-                seen += 1
-            if seen == q - 1:
-                gen = cand
-                break
-        assert gen is not None
-        exp = np.zeros(2 * (q - 1), dtype=DTYPE)
-        log = np.zeros(q, dtype=np.int64)
-        cur = 1
-        for e in range(q - 1):
-            exp[e] = cur
-            log[cur] = e
-            cur = self._mul_raw(cur, gen)
-        exp[q - 1:] = exp[: q - 1]
-        self._exp, self._log = exp, log
-        self.MUL = np.zeros((q, q), dtype=DTYPE)
-        nz = np.arange(1, q)
-        self.MUL[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-        self.INV = np.zeros(q, dtype=DTYPE)
-        self.INV[1:] = exp[((q - 1) - log[nz]) % (q - 1)]
-        self.FROB = np.zeros(q, dtype=DTYPE)
-        self.FROB[1:] = exp[(log[nz] * p) % (q - 1)]
-        # base-p digits of every index, and the regular representation:
-        # REG[y, s] holds the digits of a^s * y, so digits(x * y) = digits(x) @ REG[y]
-        # over GF(p).  Float64 so one BLAS product sums them exactly.
         self.DIGITS = coeffs.astype(np.float64)
-        self.REG = self.DIGITS[self.MUL[:, powers]]
         self.POWERS = powers.astype(np.float64)
+        # On digit rows x -> x * a is the companion matrix C of the modulus
+        # (digits(x * a) = digits(x) @ C), so the regular representation
+        # REG[y] = sum_t y_t C^t has in row s the digits of a^s * y, and
+        # digits(x * y) = digits(x) @ REG[y] over GF(p).  Float64 so one BLAS
+        # product gives the unreduced digits of every product x * y exactly.
+        comp = np.eye(k, k, 1)
+        comp[-1] = np.negative(self.modulus[:k]) % p
+        comp_powers = [np.eye(k)]
+        for _ in range(k - 1):
+            comp_powers.append(np.fmod(comp_powers[-1] @ comp, p))
+        self.REG = np.fmod(np.tensordot(self.DIGITS, comp_powers, axes=1), p)
+        prod = self.DIGITS @ self.REG.transpose(1, 0, 2).reshape(k, q * k)
+        self.MUL = self.from_digits(prod.reshape(q, q, k))
+        # a finite commutative ring is a field exactly when it has no zero
+        # divisors, and F_p[a]/(modulus) has one exactly when it is reducible
+        if not self.MUL[1:, 1:].all():
+            raise ValueError(f"modulus {self.modulus} is reducible over GF({p})")
+        self.INV = np.argmax(self.MUL == 1, axis=1).astype(DTYPE)  # INV[0] = 0
+        self.FROB = idx = np.arange(q)
+        for _ in range(p - 1):  # x -> x^p
+            self.FROB = self.MUL[self.FROB, idx]
+        # one FieldSpec is shared by every caller of field(): no one may write
+        for table in (self.ADD, self.NEG, self.MUL, self.INV, self.FROB,
+                      self.DIGITS, self.REG, self.POWERS):
+            table.flags.writeable = False
 
     # ---- scalar index ops ----
 
@@ -210,9 +152,12 @@ class FieldSpec:
     def pow_(self, i: int, e: int) -> int:
         if e < 0:
             i, e = self.inv(i), -e
-        if i == 0:
-            return 0 if e else 1
-        return int(self._exp[(int(self._log[i]) * e) % (self.q - 1)])
+        out = 1
+        while e:  # square and multiply
+            if e & 1:
+                out = self.MUL[out, i]
+            i, e = self.MUL[i, i], e >> 1
+        return int(out)
 
     def frob(self, i: int, t: int = 1) -> int:
         out = i

@@ -156,12 +156,10 @@ class Poly:
         d = other.degree
         for i in range(self.degree - d, -1, -1):
             c = fs.mul(int(rem[i + d]), inv_lead)
-            if c == 0:
-                continue
-            q[i] = c
-            for j in range(d + 1):
-                rem[i + j] = fs.sub(int(rem[i + j]),
-                                    fs.mul(c, int(other.coeffs[j])))
+            if c:
+                q[i] = c
+                rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1],
+                                                  fs.MUL[fs.neg(c), other.coeffs])
         return Poly._raw(fs, q), Poly._raw(fs, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":

@@ -29,7 +29,7 @@ from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, mul_arrays,
-                       xn_arrays, xn_times)
+                       x_times_arrays, xn_arrays, xn_times)
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -167,12 +167,7 @@ def series_times_scalar(s: CoeffSeries, a: AlgebraElement,
 
 def x_times_series(s: TruncSeries) -> TruncSeries:
     """X * s: coefficient j becomes sigma(s_{j-1}) + delta(s_j); window kept."""
-    ctx = s.ctx
-    spec = ctx.field
-    out = la.zeros((s.prec, ctx.algebra.dim))
-    out[1:] = la.mat_mul(spec, s.coeffs[:-1], ctx.sigma.matrix.T)
-    out = spec.add_arrays(out, la.mat_mul(spec, s.coeffs, ctx.delta.matrix.T))
-    return TruncSeries(ctx, s.prec, out)
+    return TruncSeries(s.ctx, s.prec, x_times_arrays(s.ctx, s.coeffs)[:s.prec])
 
 
 def xn_times_series(s: TruncSeries, n: int) -> TruncSeries:

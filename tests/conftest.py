@@ -1,15 +1,33 @@
 """Shared fixtures: the four worked contexts and their common variants."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import skewcodes
 from skewcodes import (LinearMap, field, inner_derivation, load_preset,
                        matrix_algebra, natural_module, regular_module,
                        restrict_scalars, verify_skew_derivation)
 from skewcodes.presets import ExampleBundle, fyz_quotient as fyz_quotient_over
 from skewcodes.fields import DTYPE
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run a Python snippet in a child process that imports this skewcodes;
+    the timeout turns a hang into a failure."""
+    src = os.path.dirname(os.path.dirname(skewcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+    def run(script, *argv, timeout=5):
+        return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=timeout)
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -271,6 +271,20 @@ def test_bad_algebra_sizes_are_refused_before_building(tmp_path, monkeypatch,
     assert rc == 2 and err.startswith("input error:") and out == "", err
 
 
+@pytest.mark.parametrize("fs", [{"p": 2**61 - 1}, {"p": 3, "k": 10**8}])
+def test_huge_fields_exit_2_at_once(tmp_path, run_python, fs):
+    """A prime p = 2^61 - 1 and a degree k = 10^8 are refused before the
+    primality test or p**k runs; in a subprocess, so a hang fails the test."""
+    raw = json.load(open(ws("f4c5")))
+    raw["field"] = fs
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw))
+    r = run_python("import sys; from skewcodes.cli import main; sys.exit(main(sys.argv[1:]))",
+                   "verify", "-w", str(path))
+    assert r.returncode == 2 and r.stdout == "", r.stderr
+    assert r.stderr.startswith("input error: bad field: "), r.stderr
+
+
 def test_prec_override():
     """--prec sets operand precision; the product window is prec // m."""
     rc, out, _ = run(["mul", "-w", ws("m2f4_e12"), "-r", "series",

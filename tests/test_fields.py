@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from skewcodes import field
 from skewcodes.errors import MixedStructureError
-from skewcodes.fields import DTYPE
+from skewcodes.fields import _DEFAULT_MODULI, DTYPE, FieldSpec
 
 SMALL = [field(2), field(3), field(5), field(2, 2), field(3, 2), field(2, 3)]
 
@@ -128,6 +128,94 @@ def test_char2_addition_is_xor():
 def test_custom_modulus_rejected_if_reducible():
     with pytest.raises(ValueError):
         field(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+
+
+def _digits(idx, p, k):
+    return [idx // p**i % p for i in range(k)]
+
+
+def _schoolbook_mul_mod(u, v, modulus, p):
+    """Digit lists u * v reduced modulo the monic modulus over Z/p."""
+    k = len(modulus) - 1
+    out = [0] * (2 * k - 1)
+    for i, j in itertools.product(range(k), repeat=2):
+        out[i + j] = (out[i + j] + u[i] * v[j]) % p
+    for d in range(2 * k - 2, k - 1, -1):
+        c, out[d] = out[d], 0
+        for t in range(k):
+            out[d - k + t] = (out[d - k + t] - c * modulus[t]) % p
+    return out[:k]
+
+
+def _has_monic_factor(modulus, p):
+    """Schoolbook division by every monic polynomial of degree 1 .. k // 2."""
+    k = len(modulus) - 1
+    for d in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            div, rem = list(low) + [1], list(modulus)
+            for top in range(k, d - 1, -1):
+                c = rem[top]
+                for t in range(d + 1):
+                    rem[top - d + t] = (rem[top - d + t] - c * div[t]) % p
+            if not any(rem):
+                return True
+    return False
+
+
+def _oracle_cases():
+    cases = [(p, k, m) for (p, k), m in _DEFAULT_MODULI.items()]
+    for p, degrees in [(2, (2, 3)), (3, (2, 3)), (5, (2,)), (7, (2,))]:
+        cases += [(p, k, low + (1,)) for k in degrees
+                  for low in itertools.product(range(p), repeat=k)]
+    return cases
+
+
+def test_tables_match_schoolbook_arithmetic():
+    """Independent oracle for the companion-matrix construction: a modulus
+    is refused exactly when schoolbook division finds a monic factor, and
+    an accepted one gives the schoolbook product mod the modulus in MUL."""
+    refused = 0
+    for p, k, m in _oracle_cases():
+        if _has_monic_factor(m, p):
+            refused += 1
+            with pytest.raises(ValueError, match="reducible"):
+                FieldSpec(p, k, m)
+            continue
+        fs = FieldSpec(p, k, m)
+        digits = [_digits(i, p, k) for i in range(fs.q)]
+        expected = [[sum(c * p**i for i, c in
+                         enumerate(_schoolbook_mul_mod(u, v, m, p)))
+                     for v in digits] for u in digits]
+        assert fs.MUL.tolist() == expected, (p, k, m)
+    # Gauss's count of monic irreducibles: 1 + 2 + 3 + 8 + 10 + 21 of the 122
+    # listed moduli; the built-in ones are all irreducible
+    assert refused == 122 - 45
+
+
+def test_huge_field_sizes_are_refused_before_any_work(run_python):
+    """p = 2^61 - 1 is prime, so trial division would run to sqrt(p), and
+    3^(10^8) has 158 million bits: both are refused at once."""
+    r = run_python("from skewcodes import field\n"
+                   "for args in [(2**61 - 1,), (3, 10**8)]:\n"
+                   "    try:\n"
+                   "        field(*args)\n"
+                   "    except ValueError as e:\n"
+                   "        print(e)\n"
+                   "    else:\n"
+                   "        raise SystemExit(f'{args} accepted')\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count("exceeds supported table size 1024") == 2, r.stdout
+
+
+@pytest.mark.parametrize("name", ["ADD", "NEG", "MUL", "INV", "FROB",
+                                  "DIGITS", "REG", "POWERS"])
+def test_shared_tables_are_read_only(name):
+    """field() hands one cached FieldSpec to every caller, so a write into
+    its tables would corrupt every later product over that field."""
+    table = getattr(field(2, 2), name)
+    corner = (0,) * table.ndim
+    with pytest.raises(ValueError):
+        table[corner] = table[corner]
 
 
 def test_only_fields_knows_the_digit_layout():

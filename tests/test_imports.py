@@ -54,3 +54,27 @@ def test_benchmark_harness_names_resolve():
                 and isinstance(node.value, ast.Name) and node.value.id == "sc"
                 and not hasattr(skewcodes, node.attr)]
     assert not missing, missing
+
+
+def test_every_private_definition_is_referenced():
+    """Each private (single-underscore, not dunder) module-level function or
+    class, and each private method, is referenced by name or attribute
+    somewhere in the package; a leftover helper fails here."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(skewcodes.__file__).parent.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    offenders = []
+    for name, tree in trees.items():
+        scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        offenders += [f"{name}:{node.lineno}: {node.name}"
+                      for scope in scopes for node in scope.body
+                      if isinstance(node, defs) and node.name.startswith("_")
+                      and not node.name.endswith("__") and node.name not in referenced]
+    assert not offenders, offenders
