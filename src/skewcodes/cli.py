@@ -106,8 +106,10 @@ class Workspace:
         p = _get(spec, "p", int)
         k = spec.get("k", 1)
         modulus = spec.get("modulus")
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise InputError("field k must be a positive integer")
+        if modulus is not None and not isinstance(modulus, list):
+            raise InputError("field modulus must be a list of integers")
         try:
             return field(p, k, tuple(modulus) if modulus else None)
         except (ValueError, TypeError) as e:
@@ -235,6 +237,9 @@ class Workspace:
                 if not 0 <= spec < fs.q:
                     raise ValueError(f"index {spec} outside [0, {fs.q})")
                 return spec
+            if len(spec) > fs.k or not all(
+                    type(c) is int and 0 <= c < fs.p for c in spec):
+                raise ValueError(f"need at most {fs.k} digits in [0, {fs.p})")
             return fs.from_coeffs(spec).idx
         except (ValueError, TypeError) as e:
             raise InputError(f"bad field element {spec!r}: {e}") from e

@@ -38,8 +38,7 @@ from .skewpoly import coefficient_maps, toeplitz_mul
 
 def vecpoly_to_polyrow(v: VecPoly) -> list[Poly]:
     """Columns of the coefficient stack, one F[X] polynomial per slot."""
-    fs = v.spec.field
-    return [Poly(fs, v.coeffs[:, j]) for j in range(v.spec.n)]
+    return [Poly._raw(v.spec.field, c) for c in v.coeffs.T]
 
 
 def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
@@ -61,18 +60,8 @@ def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
 
 def matrix_to_vecpolys(spec: RightModuleSpec, ctx: SkewDerivation,
                        g: PolyMatrix) -> list[VecPoly]:
-    planes = _planes(g)
+    planes = g.planes()
     return [VecPoly(spec, ctx, planes[:, i]) for i in range(g.shape[0])]
-
-
-def _planes(g: PolyMatrix) -> np.ndarray:
-    """The (D, rows, cols) coefficient planes of g, D one past its degree."""
-    depth = max((e.coeffs.shape[0] for row in g.rows for e in row), default=0)
-    out = la.zeros((depth, *g.shape))
-    for i, row in enumerate(g.rows):
-        for j, e in enumerate(row):
-            out[: e.coeffs.shape[0], i, j] = e.coeffs
-    return out
 
 
 def _check_context(spec: RightModuleSpec, ctx: SkewDerivation) -> None:
@@ -150,7 +139,7 @@ def _summand_ut(g: PolyMatrix) -> Optional[np.ndarray]:
     u = summand_transform(g)
     if u is None:
         return None
-    ut = _planes(u.transpose()).reshape(-1, g.shape[1])
+    ut = u.transpose().planes().reshape(-1, g.shape[1])
     ut.setflags(write=False)
     return ut
 
@@ -167,7 +156,7 @@ def _products_in(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
         samples = list(la.eye(r)[:, None, :])
     if k in (0, n) or not samples:
         return True
-    planes, depth = _planes(g), ut.shape[0] // n
+    planes, depth = g.planes(), ut.shape[0] // n
     stride = max(f.shape[0] for f in samples) + planes.shape[0] + depth - 2
     stacked = la.zeros((len(samples), stride, r))
     for j, f in enumerate(samples):
@@ -306,8 +295,8 @@ def encode(message, code: ConvCodeBasis) -> VecPoly:
     if not msg:
         return VecPoly.zero(code.module, code.context)
     row = [p if isinstance(p, Poly) else Poly(fs, p) for p in msg]
-    m = _planes(PolyMatrix(fs, [row]))[:, 0]
-    planes = _planes(code.g)
+    m = PolyMatrix(fs, [row]).planes()[:, 0]
+    planes = code.g.planes()
     out = toeplitz_mul(fs, m, planes.reshape(-1, code.n),
                        m.shape[0] + planes.shape[0] - 1)
     return VecPoly(code.module, code.context, out)

@@ -78,6 +78,9 @@ class FieldSpec:
                 modulus = _DEFAULT_MODULI[(p, k)]
             else:
                 raise ValueError(f"no built-in modulus for GF({p}^{k}); pass one explicitly")
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+                   for c in modulus):
+            raise ValueError(f"modulus entries must be integers: got {modulus!r}")
         modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError(f"modulus must be monic of degree {k}: got {modulus}")

@@ -2,14 +2,16 @@
 
 Everything here works over the principal ideal domain F[X] for a finite
 field F and rests on one elimination with transform, hermite_form: U G = H
-with U unimodular and H in row echelon form.  Membership and rank read H.
-Purification (the smallest direct summand containing a row module) and the
-direct-summand test read the Hermite form of G^T: the summand is spanned by
-rows of the inverted transform, and G spans a summand of full rank exactly
-when every pivot is 1; the transform then holds a right inverse and syndrome
-former of G (summand_transform).  smith_form (U G V = D, divisibility chain)
-alternates Hermite forms of D and D^T and is an oracle off the code path, as
-are det_poly and rank_rational, which do not use hermite_form.
+with U unimodular and H in row echelon form.  It runs on coefficient arrays,
+each row of [G | I] one (width, D) index array, so a row step is one table
+gather per coefficient over all columns; on request it carries U^{-1} too.
+Membership and rank read H.  Purification (the smallest direct summand
+containing a row module) reads the Hermite form of G^T and its carried
+inverse, so closure takes two Hermite forms.  G spans a summand of full
+rank exactly when every pivot of that form is 1; its transform then holds a
+right inverse and syndrome former of G (summand_transform).  smith_form
+(U G V = D, alternating Hermite forms of D and D^T), det_poly and
+rank_rational are oracles off the code path; the last two do not eliminate.
 
 Pivoting is deterministic: among candidate pivots of minimal degree in the
 current column the lowest row index wins, so repeated runs produce identical
@@ -23,17 +25,38 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _gflinalg as la
 from .errors import MixedStructureError
 from .fields import DTYPE, FieldElement, FieldSpec
 
 
 # ---- dense univariate polynomials ----
 
-def _trim1(arr: np.ndarray) -> np.ndarray:
-    L = arr.shape[0]
-    while L > 0 and arr[L - 1] == 0:
-        L -= 1
-    return arr[:L]
+def _length(e: np.ndarray) -> int:
+    """One past the degree of a coefficient array (0 for zero)."""
+    nz = e.nonzero()[0]
+    return int(nz[-1]) + 1 if nz.shape[0] else 0
+
+
+def _divmod_arrays(fs: FieldSpec, a: np.ndarray,
+                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quotient and remainder of coefficient arrays, b trimmed and nonzero;
+    the quotient is trimmed (empty when deg a < deg b)."""
+    d = b.shape[0] - 1
+    if a.shape[0] <= d:
+        return a[:0], a
+    if d == 0:
+        return fs.MUL[fs.inv(int(b[0])), a], a[:0]
+    rem = np.array(a, dtype=DTYPE)
+    q = np.zeros(a.shape[0] - d, dtype=DTYPE)
+    inv_lead = fs.inv(int(b[-1]))
+    for i in range(a.shape[0] - d - 1, -1, -1):
+        c = fs.mul(int(rem[i + d]), inv_lead)
+        if c:
+            q[i] = c
+            rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1],
+                                              fs.MUL[fs.neg(c), b])
+    return q, rem
 
 
 class Poly:
@@ -46,14 +69,15 @@ class Poly:
             [c.idx if isinstance(c, FieldElement) else fieldspec.element(c).idx
              for c in coeffs], dtype=DTYPE)
         self.field = fieldspec
-        self.coeffs = _trim1(arr)
+        self.coeffs = arr[:_length(arr)]
         self.coeffs.setflags(write=False)
 
     @classmethod
     def _raw(cls, fieldspec: FieldSpec, arr: np.ndarray) -> "Poly":
         p = object.__new__(cls)
         object.__setattr__(p, "field", fieldspec)
-        a = _trim1(np.asarray(arr, dtype=DTYPE))
+        a = np.asarray(arr, dtype=DTYPE)
+        a = a[:_length(a)]
         a.setflags(write=False)
         object.__setattr__(p, "coeffs", a)
         return p
@@ -145,22 +169,10 @@ class Poly:
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         self._check(other)
-        fs = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(fs), self
-        rem = np.array(self.coeffs, dtype=DTYPE)
-        q = np.zeros(self.degree - other.degree + 1, dtype=DTYPE)
-        inv_lead = fs.inv(other.lead())
-        d = other.degree
-        for i in range(self.degree - d, -1, -1):
-            c = fs.mul(int(rem[i + d]), inv_lead)
-            if c:
-                q[i] = c
-                rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1],
-                                                  fs.MUL[fs.neg(c), other.coeffs])
-        return Poly._raw(fs, q), Poly._raw(fs, rem)
+        q, rem = _divmod_arrays(self.field, self.coeffs, other.coeffs)
+        return Poly._raw(self.field, q), Poly._raw(self.field, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -244,26 +256,41 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
 
+    @classmethod
+    def _raw(cls, fieldspec: FieldSpec, rows, width: int) -> "PolyMatrix":
+        """The matrix of rows of (width, D) coefficient arrays, unchecked."""
+        m = object.__new__(cls)
+        m.field, m.shape = fieldspec, (len(rows), width)
+        m.rows = tuple(tuple(Poly._raw(fieldspec, e) for e in row) for row in rows)
+        return m
+
+    def planes(self) -> np.ndarray:
+        """The (D, rows, cols) coefficient planes, D one past the degree."""
+        depth = max((e.coeffs.shape[0] for row in self.rows for e in row), default=0)
+        out = la.zeros((depth, *self.shape))
+        for i, row in enumerate(self.rows):
+            for j, e in enumerate(row):
+                out[: e.coeffs.shape[0], i, j] = e.coeffs
+        return out
+
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """One kernel product: C_l = sum_i A_{l-i} B_i over the planes, the
+        lagged planes of A side by side against the stacked planes of B."""
         if self.field != other.field:
             raise MixedStructureError("matrices over different fields")
-        k, n = self.shape
-        n2, m = other.shape
+        (k, n), (n2, m) = self.shape, other.shape
         if n != n2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        zero = Poly.zero(self.field)
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(m):
-                acc = zero
-                for t in range(n):
-                    a, b = self.rows[i][t], other.rows[t][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.field, out, m)
+        a, b = self.planes(), other.planes()
+        if not (a.shape[0] and b.shape[0]):
+            return PolyMatrix.zeros(self.field, k, m)
+        depth = a.shape[0] + b.shape[0] - 1
+        padded = la.zeros((depth, k, n))  # lags below 0 wrap round to zeros
+        padded[: a.shape[0]] = a
+        lag = np.subtract.outer(np.arange(depth), np.arange(b.shape[0]))
+        lagged = padded[lag].transpose(0, 2, 1, 3).reshape(depth * k, -1)
+        c = la.mat_mul(self.field, lagged, b.reshape(-1, m))
+        return PolyMatrix._raw(self.field, c.reshape(depth, k, m).transpose(1, 2, 0), m)
 
     def transpose(self) -> "PolyMatrix":
         k, n = self.shape
@@ -341,51 +368,75 @@ def is_unimodular(g: PolyMatrix) -> bool:
 
 # ---- Hermite form ----
 
-def _sub_multiple(a: list[Poly], q: Poly, b: list[Poly]) -> list[Poly]:
-    """The row a - q b."""
-    return [x if y.is_zero() else x - q * y for x, y in zip(a, b)]
+def _axpy(fs: FieldSpec, a: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row a + q b of (width, D) arrays: one gather and add over all
+    columns per term of q."""
+    depth = b.shape[1]
+    out = la.zeros((a.shape[0], max(a.shape[1], depth + q.shape[0] - 1)))
+    out[:, : a.shape[1]] = a
+    for t, c in enumerate(q.tolist()):
+        if c:
+            out[:, t: t + depth] = fs.add_arrays(out[:, t: t + depth], fs.MUL[c, b])
+    if not out[:, -1].any():  # the top planes cancelled
+        out = out[:, : _length(out.any(axis=0))]
+    return out
 
 
-def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
-    """(H, U) with U unimodular, U G = H row echelon, monic pivots, entries
-    above each pivot reduced below the pivot degree."""
-    fs = g.field
-    k, n = g.shape
-    h = _to_lists(g)
-    u = _to_lists(PolyMatrix.identity(fs, k))
+def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
+    """The elimination behind hermite_form on the (D, k, n) planes of G:
+    (rank, rows of H, rows of U, rows of W), W = (U^{-1})^T if inverse.
+
+    Each row of [G | I] is one (n + k, D) coefficient array, so a step on H
+    is the same step on U.  W undoes each step on the right: row i -= q row
+    pr adds q column i to column pr of U^{-1}, a swap swaps its columns, and
+    scaling a row by c scales its column by c^{-1}.
+    """
+    _, k, n = planes.shape
+    aug = la.zeros((max(planes.shape[0], 1), k, n + k))
+    aug[: planes.shape[0], :, :n] = planes
+    aug[0, :, n:] = la.eye(k)
+    h = [p.T[:, : _length(p.any(axis=1))] for p in aug.transpose(1, 0, 2)]
+    w = list(la.eye(k)[:, :, None])
 
     def reduce(i: int, pr: int, col: int) -> None:  # row i -= q row pr
-        q = h[i][col] // h[pr][col]
-        if not q.is_zero():
-            h[i] = _sub_multiple(h[i], q, h[pr])
-            u[i] = _sub_multiple(u[i], q, u[pr])
+        q, _ = _divmod_arrays(fs, h[i][col, : _length(h[i][col])],
+                              h[pr][col, : _length(h[pr][col])])
+        if q.shape[0]:
+            h[i] = _axpy(fs, h[i], fs.neg_arrays(q), h[pr])
+            if inverse:
+                w[pr] = _axpy(fs, w[pr], q, w[i])
 
     pr = 0
     for col in range(n):
         if pr >= k:
             break
         while True:
-            cands = [i for i in range(pr, k) if not h[i][col].is_zero()]
+            cands = [(d, i) for i in range(pr, k) if (d := _length(h[i][col]))]
             if not cands:
                 break
-            best = min(cands, key=lambda i: (h[i][col].degree, i))
-            h[pr], h[best] = h[best], h[pr]
-            u[pr], u[best] = u[best], u[pr]
+            best = min(cands)[1]  # minimal degree, then the lowest index
+            h[pr], h[best], w[pr], w[best] = h[best], h[pr], w[best], w[pr]
             for i in range(pr + 1, k):
-                if not h[i][col].is_zero():
-                    reduce(i, pr, col)
-            if all(h[i][col].is_zero() for i in range(pr + 1, k)):
+                reduce(i, pr, col)
+            if not any(h[i][col].any() for i in range(pr + 1, k)):
                 break
-        if h[pr][col].is_zero():
+        lead = _length(h[pr][col])
+        if not lead:
             continue
-        c = fs.inv(h[pr][col].lead())
-        if c != 1:
-            h[pr] = [e.scale(c) for e in h[pr]]
-            u[pr] = [e.scale(c) for e in u[pr]]
+        lead = int(h[pr][col, lead - 1])
+        if lead != 1:
+            h[pr], w[pr] = fs.MUL[fs.inv(lead), h[pr]], fs.MUL[lead, w[pr]]
         for i in range(pr):
             reduce(i, pr, col)
         pr += 1
-    return PolyMatrix(fs, h, n), PolyMatrix(fs, u, k)
+    return pr, [r[:n] for r in h], [r[n:] for r in h], w if inverse else None
+
+
+def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
+    """(H, U) with U unimodular, U G = H row echelon, monic pivots, entries
+    above each pivot reduced below the pivot degree."""
+    _, h, u, _ = _hermite(g.field, g.planes(), False)
+    return PolyMatrix._raw(g.field, h, g.shape[1]), PolyMatrix._raw(g.field, u, g.shape[0])
 
 
 def hermite_pivots(h: PolyMatrix) -> list[tuple[int, int]]:
@@ -570,14 +621,15 @@ def closure(g: PolyMatrix) -> PolyMatrix:
     With U G^T = H of rank rho, G = H^T (U^{-1})^T and H^T is zero beyond
     its first rho columns, so the rows of G lie in the span of the first rho
     rows of (U^{-1})^T: rows of a unimodular matrix, hence a direct summand,
-    and of rank rho, hence the smallest one.
+    and of rank rho, hence the smallest one.  The elimination carries
+    U^{-1}, checked by U U^{-1} = I; the basis is one more Hermite form.
     """
-    h, u = hermite_form(g.transpose())
-    rho = len(hermite_pivots(h))
-    hu, uinv = hermite_form(u)
-    if hu != PolyMatrix.identity(g.field, u.shape[0]):
+    fs, n = g.field, g.shape[1]
+    rho, _, u, uinv_t = _hermite(fs, g.planes().transpose(0, 2, 1), True)
+    u, uinv_t = PolyMatrix._raw(fs, u, n), PolyMatrix._raw(fs, uinv_t, n)
+    if u @ uinv_t.transpose() != PolyMatrix.identity(fs, n):
         raise AssertionError("transform from hermite_form is not unimodular")
-    basis, _ = hermite_form(uinv.transpose().take_rows(range(rho)))
+    basis, _ = hermite_form(uinv_t.take_rows(range(rho)))
     return basis.drop_zero_rows()
 
 

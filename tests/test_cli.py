@@ -305,3 +305,42 @@ def test_double_runs_byte_identical():
         first = run(argv)
         second = run(argv)
         assert first == second, argv
+
+
+@pytest.mark.parametrize("fs", [{"p": 2, "k": 2, "modulus": [1.7, True, 1]},
+                                {"p": 2, "k": 2, "modulus": "111"},
+                                {"p": 2, "k": True}])
+def test_field_entry_that_is_not_an_integer_is_input_error(tmp_path, fs):
+    """Nothing is coerced: each of these ran as some field with exit 0."""
+    raw = json.load(open(ws("f4c5")))
+    raw["field"] = fs
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run(["verify", "-w", str(path)])
+    assert rc == 2 and out == "" and err.startswith("input error:"), err
+
+
+@pytest.mark.parametrize("digits", [[0.5, 1], [True, 0], [0, 1, 1, 1],
+                                    [2, 0], [-1, 0]])
+def test_bad_digit_list_is_input_error(tmp_path, digits):
+    """A digit list must hold at most k ints in [0, p): nothing is
+    truncated, cast or dropped."""
+    raw = json.load(open(ws("f4c5")))
+    raw["polynomials"]["g"] = [[0, digits, 0, 0, 0]]
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run(["mul", "-w", str(path), "-r", "poly", "g", "x"])
+    assert rc == 2 and out == "" and err.startswith("input error: bad field element"), err
+
+
+def test_digit_list_names_the_same_element_as_its_index(tmp_path):
+    raw = json.load(open(ws("f4c5")))
+    outs = []
+    for coord in ([0, 1], 2):
+        raw["polynomials"]["g"] = [[0, coord, 0, 0, 0]]
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(raw))
+        rc, out, err = run(["mul", "-w", str(path), "-r", "poly", "g", "x"])
+        assert rc == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]

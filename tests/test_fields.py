@@ -234,3 +234,17 @@ def test_only_fields_knows_the_digit_layout():
                  for n, line in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(line)]
     assert not offenders, offenders
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, (1.7, True, 1)), (2, 2, (1, True, 1)), (2, 2, (1, 1, 1.0)),
+    (2, 2, ("1", "1", "1")), (3, 1, ("2", 1))])
+def test_modulus_entries_that_are_not_integers_are_refused(p, k, modulus):
+    """No entry is coerced: a float, bool or string would otherwise be
+    truncated or parsed into some other field."""
+    with pytest.raises(ValueError, match="must be integers"):
+        FieldSpec(p, k, modulus)
+
+
+def test_numpy_integer_modulus_is_accepted():
+    assert FieldSpec(2, 2, tuple(np.array([1, 1, 1]))) == field(2, 2)

@@ -1,6 +1,8 @@
 """Commutative F[X] layer: Hermite, Smith, membership, closure."""
 
+import hashlib
 import itertools
+import os
 import random
 
 import numpy as np
@@ -30,7 +32,7 @@ def rand_poly(rng, fs, maxdeg):
 
 def rand_matrix(rng, fs, k, n, maxdeg):
     return PolyMatrix(fs, [[rand_poly(rng, fs, maxdeg) for _ in range(n)]
-                           for _ in range(k)])
+                           for _ in range(k)], n)
 
 
 def combine(fs, xs, g):
@@ -58,6 +60,34 @@ def test_poly_arithmetic(fs):
             assert r.is_zero() or r.degree < b.degree
         if not a.is_zero():
             assert a.monic().lead() == 1
+
+
+def schoolbook(a, b):
+    """The product entry by entry, sum_t a[i][t] b[t][j] in Poly arithmetic:
+    an oracle independent of the kernel product behind @."""
+    n, zero = a.shape[1], Poly.zero(a.field)
+    return PolyMatrix(a.field, [[sum((row[t] * b.rows[t][j] for t in range(n)), zero)
+                                 for j in range(b.shape[1])] for row in a.rows],
+                      b.shape[1])
+
+
+@pytest.mark.parametrize("fs", [F2, F3, F4, F5, F9],
+                         ids=["F2", "F3", "F4", "F5", "F9"])
+def test_matmul_matches_schoolbook(fs):
+    rng = random.Random(80)
+    for _ in range(40):
+        k, n, m = (rng.randrange(0, 5) for _ in range(3))
+        a, b = rand_matrix(rng, fs, k, n, 3), rand_matrix(rng, fs, n, m, 3)
+        c = a @ b
+        assert c.shape == (k, m) and c == schoolbook(a, b)
+    a = rand_matrix(rng, fs, 3, 2, 2)
+    assert a @ PolyMatrix.zeros(fs, 2, 4) == PolyMatrix.zeros(fs, 3, 4)
+    assert (PolyMatrix.zeros(fs, 0, 3) @ rand_matrix(rng, fs, 3, 2, 2)).shape == (0, 2)
+    assert (rand_matrix(rng, fs, 2, 0, 1) @ PolyMatrix(fs, [], 3)
+            == PolyMatrix.zeros(fs, 2, 3))
+    for left, right in ((3, 3), (1, 2)):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a @ rand_matrix(rng, fs, left, right, 1)
 
 
 @pytest.mark.parametrize("fs", [F2, F4, F5], ids=["F2", "F4", "F5"])
@@ -263,3 +293,51 @@ def test_matrices_without_rows_keep_their_width():
     assert rows.take_rows([]).shape == (0, 2)
     assert PolyMatrix.zeros(F2, 3, 2).drop_zero_rows().shape == (0, 2)
     assert PolyMatrix(F2, [], 2) != PolyMatrix(F2, [], 3)
+
+
+# ---- golden digest of the canonical F[X] outputs ----
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                      "fxlinalg.txt")
+GOLDEN_FIELDS = [F2, F3, F4, F5, field(7), F9]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def golden_lines():
+    """One line per seeded matrix, 50 over each field, shapes up to 4 x 4
+    and degree <= 3: hashes of the printed Hermite form, closure basis and
+    Smith diagonal, the summand verdict and the rank (the pivots of H, as
+    rank reads them).  All are canonical, so every correct implementation
+    prints the same lines."""
+    out = []
+    for fs in GOLDEN_FIELDS:
+        rng = random.Random(f"fxlinalg-golden-{fs!r}")
+        for t in range(50):
+            k, n = rng.randrange(1, 5), rng.randrange(1, 5)
+            g = rand_matrix(rng, fs, k, n, 3)
+            h, _ = hermite_form(g)
+            diag = ", ".join(str(e) for e in smith_form(g).diagonal)
+            out.append(f"{fs!r} {t:2d} {k}x{n} H={_digest(str(h))} "
+                       f"C={_digest(str(closure(g)))} "
+                       f"summand={int(is_direct_summand(g))} "
+                       f"rank={len(hermite_pivots(h))} "
+                       f"D={_digest(diag)}")
+    return out
+
+
+def test_canonical_outputs_match_golden():
+    """Regenerate with `PYTHONPATH=src python tests/test_fxlinalg.py >
+    tests/golden/fxlinalg.txt`, only when the canonical forms are meant to
+    change."""
+    with open(GOLDEN) as fh:
+        expected = fh.read().splitlines()
+    got = golden_lines()
+    diff = [f"{a}  !=  {b}" for a, b in zip(got, expected) if a != b]
+    assert len(got) == len(expected) and not diff, diff[:5]
+
+
+if __name__ == "__main__":
+    print("\n".join(golden_lines()))
