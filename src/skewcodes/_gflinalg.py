@@ -49,6 +49,21 @@ def mat_mul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _digit_product(spec, a, b)
 
 
+def toeplitz_mul(spec: FieldSpec, f: np.ndarray, w: np.ndarray, out_len: int) -> np.ndarray:
+    """out_l = sum_i f_{l-i} W_i for l < out_len, f_j = 0 outside the rows of
+    f; the W_i are stacked as w, shape (I r, n).  f of shape (rows, *batch,
+    r) gives out of shape (out_len, *batch, n).  One kernel call."""
+    rows, *batch, r = f.shape
+    taps = w.shape[0] // r
+    # zero rows past f: lags beyond f, and negative lags from the end, read them
+    padded = zeros((rows + out_len + taps, *batch, r))
+    padded[:rows] = f
+    lag = np.subtract.outer(np.arange(out_len), np.arange(taps))
+    lagged = np.moveaxis(padded[lag], 1, -2) if batch else padded[lag]
+    out = mat_mul(spec, lagged.reshape(-1, taps * r), w)
+    return out.reshape(out_len, *batch, w.shape[1])
+
+
 def _digit_product(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """digits(a) @ blocks(b), reduced.  Rows of a go in chunks so the float64
     digit scratch stays near _SCRATCH entries."""

@@ -31,7 +31,7 @@ from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
                        hermite_pivots, rank_rational, summand_transform)
 from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
 from .skewmap import SkewDerivation
-from .skewpoly import coefficient_maps, toeplitz_mul
+from .skewpoly import coefficient_maps
 
 
 # ---- conversions between vector polynomials and F[X] rows ----
@@ -165,10 +165,10 @@ def _products_in(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
     w = np.concatenate([coefficient_maps(module, context, planes[:, i],
                                          planes.shape[0]) for i in range(k)],
                        axis=1)
-    words = toeplitz_mul(module.field, stacked.reshape(total, r), w, total)
+    words = la.toeplitz_mul(module.field, stacked.reshape(total, r), w, total)
     words = words.reshape(total, k, n).transpose(1, 0, 2).reshape(k * total, n)
     syndrome = ut.reshape(depth, n, n)[:, :, k:].reshape(depth * n, n - k)
-    return not toeplitz_mul(module.field, words, syndrome, k * total).any()
+    return not la.toeplitz_mul(module.field, words, syndrome, k * total).any()
 
 
 def _syndrome_former(code: ConvCodeBasis) -> np.ndarray:
@@ -281,7 +281,7 @@ def _transformed(word: VecPoly, code: ConvCodeBasis) -> np.ndarray:
     if v.shape[1] != n:
         raise ValueError(f"vector length {v.shape[1]} does not match "
                          f"width {n}")
-    return toeplitz_mul(code.module.field, v, ut,
+    return la.toeplitz_mul(code.module.field, v, ut,
                         v.shape[0] + ut.shape[0] // n - 1)
 
 
@@ -297,7 +297,7 @@ def encode(message, code: ConvCodeBasis) -> VecPoly:
     row = [p if isinstance(p, Poly) else Poly(fs, p) for p in msg]
     m = PolyMatrix(fs, [row]).planes()[:, 0]
     planes = code.g.planes()
-    out = toeplitz_mul(fs, m, planes.reshape(-1, code.n),
+    out = la.toeplitz_mul(fs, m, planes.reshape(-1, code.n),
                        m.shape[0] + planes.shape[0] - 1)
     return VecPoly(code.module, code.context, out)
 

@@ -45,7 +45,7 @@ def _divmod_arrays(fs: FieldSpec, a: np.ndarray,
     d = b.shape[0] - 1
     if a.shape[0] <= d:
         return a[:0], a
-    if d == 0:
+    if d == 0:  # most of the elimination's divisors are units
         return fs.MUL[fs.inv(int(b[0])), a], a[:0]
     rem = np.array(a, dtype=DTYPE)
     q = np.zeros(a.shape[0] - d, dtype=DTYPE)
@@ -57,6 +57,20 @@ def _divmod_arrays(fs: FieldSpec, a: np.ndarray,
             rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1],
                                               fs.MUL[fs.neg(c), b])
     return q, rem
+
+
+def _axpy(fs: FieldSpec, a: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The row a + q b of (width, D) arrays: one gather and add over all
+    columns per term of q."""
+    depth = b.shape[1]
+    out = la.zeros((a.shape[0], max(a.shape[1], depth + q.shape[0] - 1)))
+    out[:, : a.shape[1]] = a
+    for t, c in enumerate(q.tolist()):
+        if c:
+            out[:, t: t + depth] = fs.add_arrays(out[:, t: t + depth], fs.MUL[c, b])
+    if not out[:, -1].any():  # the top planes cancelled
+        out = out[:, : _length(out.any(axis=0))]
+    return out
 
 
 class Poly:
@@ -149,12 +163,7 @@ class Poly:
         fs = self.field
         if self.is_zero() or other.is_zero():
             return Poly.zero(fs)
-        out = np.zeros(self.degree + other.degree + 1, dtype=DTYPE)
-        L = other.coeffs.shape[0]
-        for i, c in enumerate(self.coeffs.tolist()):
-            if c:
-                out[i: i + L] = fs.add_arrays(out[i: i + L], fs.MUL[c, other.coeffs])
-        return Poly._raw(fs, out)
+        return Poly._raw(fs, _axpy(fs, la.zeros((1, 0)), self.coeffs, other.coeffs[None])[0])
 
     def scale(self, c: int) -> "Poly":
         fs = self.field
@@ -274,8 +283,7 @@ class PolyMatrix:
         return out
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        """One kernel product: C_l = sum_i A_{l-i} B_i over the planes, the
-        lagged planes of A side by side against the stacked planes of B."""
+        """One Toeplitz product over the planes: C_l = sum_i A_{l-i} B_i."""
         if self.field != other.field:
             raise MixedStructureError("matrices over different fields")
         (k, n), (n2, m) = self.shape, other.shape
@@ -284,13 +292,8 @@ class PolyMatrix:
         a, b = self.planes(), other.planes()
         if not (a.shape[0] and b.shape[0]):
             return PolyMatrix.zeros(self.field, k, m)
-        depth = a.shape[0] + b.shape[0] - 1
-        padded = la.zeros((depth, k, n))  # lags below 0 wrap round to zeros
-        padded[: a.shape[0]] = a
-        lag = np.subtract.outer(np.arange(depth), np.arange(b.shape[0]))
-        lagged = padded[lag].transpose(0, 2, 1, 3).reshape(depth * k, -1)
-        c = la.mat_mul(self.field, lagged, b.reshape(-1, m))
-        return PolyMatrix._raw(self.field, c.reshape(depth, k, m).transpose(1, 2, 0), m)
+        c = la.toeplitz_mul(self.field, a, b.reshape(-1, m), a.shape[0] + b.shape[0] - 1)
+        return PolyMatrix._raw(self.field, c.transpose(1, 2, 0), m)
 
     def transpose(self) -> "PolyMatrix":
         k, n = self.shape
@@ -368,20 +371,6 @@ def is_unimodular(g: PolyMatrix) -> bool:
 
 # ---- Hermite form ----
 
-def _axpy(fs: FieldSpec, a: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The row a + q b of (width, D) arrays: one gather and add over all
-    columns per term of q."""
-    depth = b.shape[1]
-    out = la.zeros((a.shape[0], max(a.shape[1], depth + q.shape[0] - 1)))
-    out[:, : a.shape[1]] = a
-    for t, c in enumerate(q.tolist()):
-        if c:
-            out[:, t: t + depth] = fs.add_arrays(out[:, t: t + depth], fs.MUL[c, b])
-    if not out[:, -1].any():  # the top planes cancelled
-        out = out[:, : _length(out.any(axis=0))]
-    return out
-
-
 def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
     """The elimination behind hermite_form on the (D, k, n) planes of G:
     (rank, rows of H, rows of U, rows of W), W = (U^{-1})^T if inverse.
@@ -396,7 +385,7 @@ def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
     aug[: planes.shape[0], :, :n] = planes
     aug[0, :, n:] = la.eye(k)
     h = [p.T[:, : _length(p.any(axis=1))] for p in aug.transpose(1, 0, 2)]
-    w = list(la.eye(k)[:, :, None])
+    w = list(la.eye(k)[:, :, None]) if inverse else None
 
     def reduce(i: int, pr: int, col: int) -> None:  # row i -= q row pr
         q, _ = _divmod_arrays(fs, h[i][col, : _length(h[i][col])],
@@ -415,7 +404,9 @@ def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
             if not cands:
                 break
             best = min(cands)[1]  # minimal degree, then the lowest index
-            h[pr], h[best], w[pr], w[best] = h[best], h[pr], w[best], w[pr]
+            h[pr], h[best] = h[best], h[pr]
+            if inverse:
+                w[pr], w[best] = w[best], w[pr]
             for i in range(pr + 1, k):
                 reduce(i, pr, col)
             if not any(h[i][col].any() for i in range(pr + 1, k)):
@@ -425,11 +416,13 @@ def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
             continue
         lead = int(h[pr][col, lead - 1])
         if lead != 1:
-            h[pr], w[pr] = fs.MUL[fs.inv(lead), h[pr]], fs.MUL[lead, w[pr]]
+            h[pr] = fs.MUL[fs.inv(lead), h[pr]]
+            if inverse:
+                w[pr] = fs.MUL[lead, w[pr]]
         for i in range(pr):
             reduce(i, pr, col)
         pr += 1
-    return pr, [r[:n] for r in h], [r[n:] for r in h], w if inverse else None
+    return pr, [r[:n] for r in h], [r[n:] for r in h], w
 
 
 def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:

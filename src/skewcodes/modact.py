@@ -27,7 +27,7 @@ from .skewlaurent import (CoeffLaurent, TruncLaurent, _min_end, laurent_mul,
                           xn_floor, xnegn_direct)
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, SkewPoly, _trim, coefficient_maps, mul_arrays,
-                       poly_mul, toeplitz_mul)
+                       poly_mul)
 from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
                          series_mul, series_times_scalar)
 
@@ -378,7 +378,7 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
         hi = min(hi, end)
     # out_k = sum_j s_{k-j} W_j with W_j = f_j I
     w = la.scale(fs, la.eye(spec.n), fc[:, None, None]).reshape(-1, spec.n)
-    return s._new(lo, toeplitz_mul(fs, s.coeffs, w, max(hi - lo, 0)), end)
+    return s._new(lo, la.toeplitz_mul(fs, s.coeffs, w, max(hi - lo, 0)), end)
 
 
 def central_laurent(ctx: SkewDerivation, f_ord: int, f_coeffs: Sequence,

@@ -30,7 +30,7 @@ from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, _trim, mul_arrays,
-                       toeplitz_mul, xn_arrays)
+                       xn_arrays)
 from .skewseries import CoeffSeries, TruncSeries
 
 
@@ -259,7 +259,7 @@ def xinv_times(s: TruncLaurent) -> TruncLaurent:
         return TruncLaurent(ctx, 0, s.coeffs, end)
     # out_l = sum_i s_{l-i} W_i with W_i = (sigma' delta'^{m'-1-i})^T
     w = np.stack(ctx.xinv_maps()[::-1]).transpose(0, 2, 1).reshape(-1, ctx.algebra.dim)
-    out = toeplitz_mul(spec, s.coeffs, w, L + mp - 1)
+    out = la.toeplitz_mul(spec, s.coeffs, w, L + mp - 1)
     if end is not None:
         out = out[: max(0, end - (s.ord - mp))]
     return TruncLaurent(ctx, s.ord - mp, out, end)

@@ -64,17 +64,6 @@ class RegularCoeffs:
 
 # ---- raw-array engines (shared with the series, Laurent and module layers) ----
 
-def toeplitz_mul(spec, f: np.ndarray, w: np.ndarray, out_len: int) -> np.ndarray:
-    """out_l = sum_i f_{l-i} W_i for l < out_len, f_j = 0 outside the rows of
-    f; the W_i are stacked as w, shape (I r, n).  One kernel call."""
-    (rows, r), taps = f.shape, w.shape[0] // f.shape[1]
-    # zero rows past f: lags beyond f, and negative lags from the end, read them
-    padded = la.zeros((rows + out_len + taps, r))
-    padded[:rows] = f
-    lag = np.subtract.outer(np.arange(out_len), np.arange(taps))
-    return la.mat_mul(spec, padded[lag].reshape(out_len, taps * r), w)
-
-
 def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np.ndarray:
     """W_i = sum_k (N_i^k)^T B_k for i < taps, stacked as (taps r, n): the X^i
     coefficient of g a is the row a W_i for every scalar a.
@@ -107,7 +96,7 @@ def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
         return la.zeros((0, space.n))
     # W_i only reaches rows l >= i
     w = coefficient_maps(space, ctx, g, min(g.shape[0], out_len))
-    return toeplitz_mul(ctx.field, f, w, out_len)
+    return la.toeplitz_mul(ctx.field, f, w, out_len)
 
 
 def x_times_arrays(ctx: SkewDerivation, f: np.ndarray) -> np.ndarray:
@@ -148,7 +137,7 @@ def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
         return la.zeros((0, ctx.algebra.dim))
     r = ctx.algebra.dim
     w = ctx.ntable.rows(n)[n, :min(n + 1, out_len)].transpose(0, 2, 1).reshape(-1, r)
-    return toeplitz_mul(ctx.field, f, w, out_len)
+    return la.toeplitz_mul(ctx.field, f, w, out_len)
 
 
 def apply_map_rows(ctx: SkewDerivation, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
