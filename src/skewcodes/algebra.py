@@ -114,10 +114,10 @@ class Algebra:
         return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Algebra) and self.field == other.field
-                and self.dim == other.dim
-                and np.array_equal(self.tensor, other.tensor)
-                and np.array_equal(self.unit, other.unit))
+        return self is other or isinstance(other, Algebra) and (
+            self.field == other.field and self.dim == other.dim
+            and np.array_equal(self.tensor, other.tensor)
+            and np.array_equal(self.unit, other.unit))
 
     def __hash__(self) -> int:
         return self._hash
@@ -257,8 +257,8 @@ class LinearMap:
         return None if m is None else LinearMap(self.algebra, m)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LinearMap) and self.algebra == other.algebra
-                and np.array_equal(self.matrix, other.matrix))
+        return self is other or isinstance(other, LinearMap) and (
+            self.algebra == other.algebra and np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.matrix.tobytes()))

@@ -256,8 +256,8 @@ class Workspace:
                                  "matrix algebra")
             parent = self.restriction.parent
             nn = parent.meta["n"]
-            if len(pm) != nn or any(not isinstance(r, list) or len(r) != nn
-                                    for r in pm):
+            if not isinstance(pm, list) or len(pm) != nn or any(
+                    not isinstance(r, list) or len(r) != nn for r in pm):
                 raise InputError(f"parent_matrix must be {nn}x{nn}")
             coords = la.zeros(parent.dim)
             flat = [e for row in pm for e in row]

@@ -27,7 +27,7 @@ import numpy as np
 from . import _gflinalg as la
 from .errors import MixedStructureError
 from .fields import DTYPE
-from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
+from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, _stack_rows, closure,
                        hermite_pivots, rank_rational, summand_transform)
 from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
 from .skewmap import SkewDerivation
@@ -55,7 +55,10 @@ def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
 
 
 def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
-    return PolyMatrix(spec.field, [vecpoly_to_polyrow(v) for v in vs], spec.n)
+    vs = list(vs)
+    if any(v.spec.field != spec.field or v.spec.n != spec.n for v in vs):
+        raise MixedStructureError("vector over another field or of another width")
+    return PolyMatrix._raw(spec.field, _stack_rows([v.coeffs for v in vs], spec.n))
 
 
 def matrix_to_vecpolys(spec: RightModuleSpec, ctx: SkewDerivation,

@@ -274,8 +274,8 @@ class FieldSpec:
     # ---- identity ----
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldSpec)
-                and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
+        return self is other or isinstance(other, FieldSpec) and (
+            (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus))
 
     def __hash__(self) -> int:
         return hash((self.p, self.k, self.modulus))

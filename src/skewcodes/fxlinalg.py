@@ -1,10 +1,12 @@
 """Exact linear algebra over the commutative polynomial ring F[X].
 
 Everything here works over the principal ideal domain F[X] for a finite
-field F and rests on one elimination with transform, hermite_form: U G = H
-with U unimodular and H in row echelon form.  It runs on coefficient arrays,
-each row of [G | I] one (width, D) index array, so a row step is one table
-gather per coefficient over all columns; on request it carries U^{-1} too.
+field F.  A PolyMatrix is one read-only (D, rows, cols) array of coefficient
+planes; its Poly entries are a view, built only when read.  All rests on one
+elimination with transform, hermite_form: U G = H with U unimodular and H in
+row echelon form.  It runs on coefficient arrays, each row of [G | I] one
+(width, D) index array, so a row step is one table gather per coefficient
+over all columns; on request it carries U^{-1} too.
 Membership and rank read H.  Purification (the smallest direct summand
 containing a row module) reads the Hermite form of G^T and its carried
 inverse, so closure takes two Hermite forms.  G spans a summand of full
@@ -226,11 +228,21 @@ class Poly:
 
 # ---- polynomial matrices ----
 
-class PolyMatrix:
-    """Rectangular matrix with Poly entries (immutable).  width is the
-    column count of a matrix without rows; otherwise the rows give it."""
+def _stack_rows(blocks, width: int) -> np.ndarray:
+    """The (D, rows, width) planes of one (D_i, width) block per row, D = max D_i."""
+    out = la.zeros((max((b.shape[0] for b in blocks), default=0), len(blocks), width))
+    for i, b in enumerate(blocks):
+        out[: b.shape[0], i] = b
+    return out
 
-    __slots__ = ("field", "rows", "shape")
+
+class PolyMatrix:
+    """Immutable matrix over F[X], stored as read-only (D, rows, cols)
+    coefficient planes, D one past the degree; rows, its Poly entries, is a
+    view built on first use.  width is the column count of a matrix without
+    rows; otherwise the rows give it."""
+
+    __slots__ = ("field", "shape", "_planes", "_rows")
 
     def __init__(self, fieldspec: FieldSpec, rows: Sequence[Sequence[Poly]],
                  width: int = 0):
@@ -242,9 +254,25 @@ class PolyMatrix:
             for e in row:
                 if not isinstance(e, Poly) or e.field != fieldspec:
                     raise MixedStructureError("entry over the wrong field")
-        self.field = fieldspec
-        self.rows = tup
-        self.shape = (len(tup), width)
+        depth = max((e.coeffs.shape[0] for row in tup for e in row), default=0)
+        planes = la.zeros((depth, len(tup), width))
+        for i, row in enumerate(tup):
+            for j, e in enumerate(row):
+                planes[: e.coeffs.shape[0], i, j] = e.coeffs
+        self._store(fieldspec, planes)._rows = tup
+
+    def _store(self, fieldspec: FieldSpec, planes: np.ndarray) -> "PolyMatrix":
+        planes = planes[: _length(planes.any(axis=(1, 2)))]
+        planes.setflags(write=False)
+        self.field, self.shape, self._planes, self._rows = \
+            fieldspec, planes.shape[1:], planes, None
+        return self
+
+    @classmethod
+    def _raw(cls, fieldspec: FieldSpec, planes: np.ndarray) -> "PolyMatrix":
+        """The matrix of (D, rows, cols) planes, unchecked and not copied:
+        nothing may write to planes afterwards."""
+        return object.__new__(cls)._store(fieldspec, planes)
 
     @classmethod
     def from_coeff_lists(cls, fieldspec: FieldSpec,
@@ -253,34 +281,26 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, fieldspec: FieldSpec, n: int) -> "PolyMatrix":
-        one, zero = Poly.one(fieldspec), Poly.zero(fieldspec)
-        return cls(fieldspec, [[one if i == j else zero for j in range(n)]
-                               for i in range(n)])
+        return cls._raw(fieldspec, la.eye(n)[None])
 
     @classmethod
     def zeros(cls, fieldspec: FieldSpec, k: int, n: int) -> "PolyMatrix":
-        zero = Poly.zero(fieldspec)
-        return cls(fieldspec, [[zero] * n for _ in range(k)], n)
+        return cls._raw(fieldspec, la.zeros((0, k, n)))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not self._planes.shape[0]
 
-    @classmethod
-    def _raw(cls, fieldspec: FieldSpec, rows, width: int) -> "PolyMatrix":
-        """The matrix of rows of (width, D) coefficient arrays, unchecked."""
-        m = object.__new__(cls)
-        m.field, m.shape = fieldspec, (len(rows), width)
-        m.rows = tuple(tuple(Poly._raw(fieldspec, e) for e in row) for row in rows)
-        return m
+    @property
+    def rows(self) -> tuple[tuple[Poly, ...], ...]:
+        if self._rows is None:
+            p, fs = self._planes, self.field
+            self._rows = tuple(tuple(Poly._raw(fs, p[:, i, j]) for j in range(self.shape[1]))
+                               for i in range(self.shape[0]))
+        return self._rows
 
     def planes(self) -> np.ndarray:
-        """The (D, rows, cols) coefficient planes, D one past the degree."""
-        depth = max((e.coeffs.shape[0] for row in self.rows for e in row), default=0)
-        out = la.zeros((depth, *self.shape))
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                out[: e.coeffs.shape[0], i, j] = e.coeffs
-        return out
+        """The read-only (D, rows, cols) coefficient planes, D one past the degree."""
+        return self._planes
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         """One Toeplitz product over the planes: C_l = sum_i A_{l-i} B_i."""
@@ -289,35 +309,35 @@ class PolyMatrix:
         (k, n), (n2, m) = self.shape, other.shape
         if n != n2:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        a, b = self.planes(), other.planes()
+        a, b = self._planes, other._planes
         if not (a.shape[0] and b.shape[0]):
             return PolyMatrix.zeros(self.field, k, m)
-        c = la.toeplitz_mul(self.field, a, b.reshape(-1, m), a.shape[0] + b.shape[0] - 1)
-        return PolyMatrix._raw(self.field, c.transpose(1, 2, 0), m)
+        return PolyMatrix._raw(self.field, la.toeplitz_mul(
+            self.field, a, b.reshape(-1, m), a.shape[0] + b.shape[0] - 1))
 
     def transpose(self) -> "PolyMatrix":
-        k, n = self.shape
-        return PolyMatrix(self.field, [[row[j] for row in self.rows] for j in range(n)], k)
+        return PolyMatrix._raw(self.field, self._planes.transpose(0, 2, 1))
 
     def stack(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.field != other.field or self.shape[1] != other.shape[1]:
             raise ValueError("cannot stack")
-        return PolyMatrix(self.field, self.rows + other.rows, self.shape[1])
+        return PolyMatrix._raw(self.field, _stack_rows(
+            [*self._planes.transpose(1, 0, 2), *other._planes.transpose(1, 0, 2)],
+            self.shape[1]))
 
     def take_rows(self, idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(self.field, [self.rows[i] for i in idx], self.shape[1])
+        return PolyMatrix._raw(self.field, self._planes[:, list(idx)])
 
     def drop_zero_rows(self) -> "PolyMatrix":
-        return PolyMatrix(self.field,
-                          [r for r in self.rows if any(not e.is_zero() for e in r)],
-                          self.shape[1])
+        return PolyMatrix._raw(self.field, self._planes[:, self._planes.any(axis=(0, 2))])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyMatrix) and self.field == other.field
-                and self.shape == other.shape and self.rows == other.rows)
+                and self.shape == other.shape
+                and np.array_equal(self._planes, other._planes))
 
     def __hash__(self) -> int:
-        return hash((self.field, self.shape, self.rows))
+        return hash((self.field, self.shape, self._planes.tobytes()))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
@@ -373,7 +393,7 @@ def is_unimodular(g: PolyMatrix) -> bool:
 
 def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
     """The elimination behind hermite_form on the (D, k, n) planes of G:
-    (rank, rows of H, rows of U, rows of W), W = (U^{-1})^T if inverse.
+    (rank, H, U, W), W = (U^{-1})^T if inverse, else None.
 
     Each row of [G | I] is one (n + k, D) coefficient array, so a step on H
     is the same step on U.  W undoes each step on the right: row i -= q row
@@ -422,25 +442,21 @@ def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
         for i in range(pr):
             reduce(i, pr, col)
         pr += 1
-    return pr, [r[:n] for r in h], [r[n:] for r in h], w
+    hu = _stack_rows([r.T for r in h], n + k)
+    w = PolyMatrix._raw(fs, _stack_rows([r.T for r in w], k)) if inverse else None
+    return pr, PolyMatrix._raw(fs, hu[:, :, :n]), PolyMatrix._raw(fs, hu[:, :, n:]), w
 
 
 def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """(H, U) with U unimodular, U G = H row echelon, monic pivots, entries
     above each pivot reduced below the pivot degree."""
-    _, h, u, _ = _hermite(g.field, g.planes(), False)
-    return PolyMatrix._raw(g.field, h, g.shape[1]), PolyMatrix._raw(g.field, u, g.shape[0])
+    return _hermite(g.field, g.planes(), False)[1:3]
 
 
 def hermite_pivots(h: PolyMatrix) -> list[tuple[int, int]]:
     """Pivot positions of an echelon matrix (first nonzero entry per row)."""
-    out = []
-    for i, row in enumerate(h.rows):
-        for j, e in enumerate(row):
-            if not e.is_zero():
-                out.append((i, j))
-                break
-    return out
+    nz = h.planes().any(axis=0)
+    return [(i, int(row.argmax())) for i, row in enumerate(nz) if row.any()]
 
 
 def rank(g: PolyMatrix) -> int:
@@ -619,7 +635,6 @@ def closure(g: PolyMatrix) -> PolyMatrix:
     """
     fs, n = g.field, g.shape[1]
     rho, _, u, uinv_t = _hermite(fs, g.planes().transpose(0, 2, 1), True)
-    u, uinv_t = PolyMatrix._raw(fs, u, n), PolyMatrix._raw(fs, uinv_t, n)
     if u @ uinv_t.transpose() != PolyMatrix.identity(fs, n):
         raise AssertionError("transform from hermite_form is not unimodular")
     basis, _ = hermite_form(uinv_t.take_rows(range(rho)))
@@ -632,8 +647,9 @@ def summand_transform(g: PolyMatrix) -> Optional[PolyMatrix]:
     [x | s] has s = 0 iff v is in the row module, and then v = x G: a right
     inverse and a syndrome former (Forney, IEEE Trans. IT 16(6), 1970)."""
     h, u = hermite_form(g.transpose())
-    piv = hermite_pivots(h)
-    if len(piv) == g.shape[0] and all(h.rows[i][c].is_one() for i, c in piv):
+    piv, p = hermite_pivots(h), h.planes()
+    if len(piv) == g.shape[0] and all(p[0, i, c] == 1 and not p[1:, i, c].any()
+                                      for i, c in piv):
         return u
     return None
 

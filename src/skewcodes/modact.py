@@ -96,8 +96,9 @@ class RightModuleSpec:
         return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, RightModuleSpec) and self.algebra == other.algebra
-                and self.n == other.n and np.array_equal(self.action, other.action))
+        return self is other or isinstance(other, RightModuleSpec) and (
+            self.algebra == other.algebra and self.n == other.n
+            and np.array_equal(self.action, other.action))
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.n, self.action.tobytes()))

@@ -75,8 +75,8 @@ class SkewDerivation:
         return self._xinv_maps
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SkewDerivation) and self.algebra == other.algebra
-                and self.sigma == other.sigma and self.delta == other.delta)
+        return self is other or isinstance(other, SkewDerivation) and (
+            (self.algebra, self.sigma, self.delta) == (other.algebra, other.sigma, other.delta))
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.sigma, self.delta))

@@ -93,6 +93,17 @@ def test_ore_witness():
     assert "X^4 f = g X^1 with" in out
 
 
+@pytest.mark.parametrize("argv", [["mul", "-r", "poly", "bad", "x"],
+                                  ["ore", "-f", "bad"]], ids=["mul", "ore"])
+def test_parent_matrix_that_is_not_a_list_is_input_error(tmp_path, argv):
+    raw = json.load(open(ws("m2f4_e12")))
+    raw["polynomials"]["bad"] = [{"parent_matrix": 5}]
+    path = tmp_path / "parent.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run([argv[0], "-w", str(path), *argv[1:]])
+    assert rc == 2 and out == "" and "parent_matrix must be 2x2" in err, err
+
+
 @pytest.mark.parametrize("name", ["m2f4_e12", "f4c5"])
 def test_code_closure_roundtrip_encode(name):
     rc, out, err = run(["code", "closure", "-w", ws(name)])

@@ -228,6 +228,36 @@ def test_code_path_never_calls_echelon_solver(monkeypatch, m2f4_inner, f4c5_grou
                                                 for _ in range(4)])
 
 
+def test_code_path_creates_no_poly(monkeypatch, m2f4_inner, f4c5_group,
+                                   module_a, module_b, odd_fyz_bundles):
+    """F[X] matrices on the code path stay coefficient planes: building a
+    code makes no Poly, so a per-entry conversion cannot come back unseen."""
+    rng = random.Random(88)
+    fyz3 = odd_fyz_bundles[0]
+    a5, ayz = module_b.algebra, fyz3.ctx.algebra
+    sets = []
+    for spec, ctx, nonunit in [(module_a, m2f4_inner.ctx, None),
+                               (module_b, f4c5_group.ctx, a5.element([1] * 5)),
+                               (regular_module(ayz), fyz3.ctx, ayz.basis_element(1))]:
+        gens = [rand_vecpoly(rng, spec, ctx, 2) for _ in range(2)]
+        sets.append((gens, spec, ctx))
+        if nonunit is not None:  # scaled by a non-unit: a proper code
+            sets.append(([vecpoly_times_scalar(v, nonunit) for v in gens], spec, ctx))
+    made = []
+    raw, init = Poly._raw.__func__, Poly.__init__
+    monkeypatch.setattr(Poly, "_raw", classmethod(
+        lambda cls, *a: made.append("_raw") or raw(cls, *a)))
+    monkeypatch.setattr(Poly, "__init__",
+                        lambda self, *a: made.append("__init__") or init(self, *a))
+    rates = set()
+    for gens, spec, ctx in sets:
+        code = cyclic_closure(gens, spec, ctx)
+        assert code.pure and code.stable
+        assert code_from_generators(gens, spec, ctx).pure
+        rates.add(0 < code.k < code.n)
+    assert made == [] and rates == {False, True}
+
+
 def test_code_basis_derives_its_transform_from_g(m2f4_inner, module_a):
     """ut follows from g: a basis built by hand gets the same transform, and
     one that is not a direct summand of full rank gets none, so the read

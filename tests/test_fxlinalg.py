@@ -293,6 +293,39 @@ def test_matrices_without_rows_keep_their_width():
     assert rows.take_rows([]).shape == (0, 2)
     assert PolyMatrix.zeros(F2, 3, 2).drop_zero_rows().shape == (0, 2)
     assert PolyMatrix(F2, [], 2) != PolyMatrix(F2, [], 3)
+    eye = PolyMatrix.identity(F2, 3)
+    for k in (0, 2):  # no rows, and rows without coefficients (depth 0)
+        z = PolyMatrix.zeros(F2, k, 3)
+        assert z.planes().shape == (0, k, 3)
+        assert z.stack(z).shape == (2 * k, 3)
+        assert z.stack(eye).take_rows(range(k, k + 3)) == eye
+        assert z.take_rows([]).shape == (0, 3) and z.take_rows([0] * k).shape == (k, 3)
+        assert z.drop_zero_rows().shape == (0, 3) and z.transpose().shape == (3, k)
+        assert z.transpose().transpose() == z and z.rows == ((Poly.zero(F2),) * 3,) * k
+
+
+@pytest.mark.parametrize("fs", [F2, F4, F5], ids=["F2", "F4", "F5"])
+def test_dense_store_is_the_entries(fs):
+    """The (D, rows, cols) planes hold exactly the Poly entries: D is one past
+    the degree, extra zero planes and a transposed layout give an equal
+    matrix with an equal hash, the planes are read-only and rows round-trip."""
+    rng = random.Random(81)
+    for _ in range(30):
+        k, n = rng.randrange(0, 4), rng.randrange(0, 4)
+        g = rand_matrix(rng, fs, k, n, 3)
+        p = g.planes()
+        assert p.shape == (max((e.degree + 1 for r in g.rows for e in r), default=0), k, n)
+        with pytest.raises(ValueError, match="read-only"):
+            p[...] = 0
+        padded = np.concatenate([p, np.zeros((2, k, n), dtype=p.dtype)])
+        columns = np.ascontiguousarray(p.transpose(0, 2, 1))
+        for h in (PolyMatrix._raw(fs, padded), PolyMatrix._raw(fs, columns).transpose()):
+            assert h == g and hash(h) == hash(g) and h.planes().shape == p.shape
+            assert h.rows == g.rows
+        assert PolyMatrix(fs, g.rows, n) == g
+        assert [[e.coeffs.tolist() for e in r] for r in g.rows] == \
+            [[p[: e.degree + 1, i, j].tolist() for j, e in enumerate(r)]
+             for i, r in enumerate(g.rows)]
 
 
 # ---- golden digest of the canonical F[X] outputs ----

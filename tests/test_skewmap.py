@@ -6,13 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from skewcodes import (LinearMap, SkewPoly, field, matrix_algebra, n_operator,
-                       nilpotency_index, poly_mul, poly_mul_iterative,
-                       quotient_algebra_yz, restrict_scalars,
-                       verify_skew_derivation)
+from skewcodes import (LinearMap, SkewPoly, field, load_preset, matrix_algebra,
+                       n_operator, natural_module, nilpotency_index, poly_mul,
+                       poly_mul_iterative, quotient_algebra_yz,
+                       restrict_scalars, verify_skew_derivation)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import AxiomError
-from skewcodes.fields import DTYPE
+from skewcodes.fields import DTYPE, FieldSpec
 from skewcodes.skewmap import NOperatorTable
 
 
@@ -46,6 +46,22 @@ def test_fyz_delta_prime_fixes_y(fyz_quotient):
     one, y, z = ctx.algebra.basis()
     assert ctx.delta_prime(y) == y
     assert nilpotency_index(ctx.delta_prime) is None
+
+
+def test_equality_is_structural():
+    """Equality of fields, algebras, maps, contexts and modules checks
+    identity first but stays structural: separately built equal objects
+    compare equal with equal hashes, and a context differing only in delta
+    does not."""
+    a, b = load_preset("m2f4-inner"), load_preset("m2f4-inner")
+    pairs = [(FieldSpec(2, 2), field(2, 2)), (a.ctx.algebra, b.ctx.algebra),
+             (a.ctx.sigma, b.ctx.sigma), (a.ctx.delta, b.ctx.delta), (a.ctx, b.ctx),
+             (natural_module(a.restriction), natural_module(b.restriction))]
+    for x, y in pairs:
+        assert x is not y and x == y and hash(x) == hash(y), type(x)
+    alg = a.ctx.algebra
+    plain = verify_skew_derivation(alg, a.ctx.sigma, LinearMap.zero(alg))
+    assert plain != a.ctx and plain.sigma == a.ctx.sigma and plain.algebra is alg
 
 
 def test_rejects_non_multiplicative_sigma():
