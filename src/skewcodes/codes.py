@@ -26,7 +26,6 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import MixedStructureError
-from .fields import DTYPE
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, _stack_rows, closure,
                        hermite_pivots, rank_rational, summand_transform)
 from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
@@ -47,11 +46,7 @@ def polyrow_to_vecpoly(spec: RightModuleSpec, ctx: SkewDerivation,
     if len(row) != spec.n:
         raise ValueError(f"row length {len(row)} does not match module "
                          f"dimension {spec.n}")
-    L = max((p.degree + 1 for p in row), default=0)
-    arr = np.zeros((L, spec.n), dtype=DTYPE)
-    for j, p in enumerate(row):
-        arr[: p.coeffs.shape[0], j] = p.coeffs
-    return VecPoly(spec, ctx, arr)
+    return VecPoly(spec, ctx, _stack_rows([p.coeffs[:, None] for p in row], 1)[..., 0])
 
 
 def vecpolys_to_matrix(spec: RightModuleSpec, vs) -> PolyMatrix:
@@ -298,7 +293,9 @@ def encode(message, code: ConvCodeBasis) -> VecPoly:
     if not msg:
         return VecPoly.zero(code.module, code.context)
     row = [p if isinstance(p, Poly) else Poly(fs, p) for p in msg]
-    m = PolyMatrix(fs, [row]).planes()[:, 0]
+    if any(p.field != fs for p in row):
+        raise MixedStructureError("entry over the wrong field")
+    m = _stack_rows([p.coeffs[:, None] for p in row], 1)[..., 0]
     planes = code.g.planes()
     out = la.toeplitz_mul(fs, m, planes.reshape(-1, code.n),
                        m.shape[0] + planes.shape[0] - 1)

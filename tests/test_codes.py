@@ -307,6 +307,23 @@ def test_encode_decode_roundtrip(f4c5_group, module_b):
         encode([Poly.one(fs)] * (code.k + 1), code)
 
 
+def test_encode_refuses_a_message_over_another_field(f4c5_group, module_b):
+    """A message entry over another field is refused, wherever it sits; a
+    coefficient list is read over the code's field."""
+    ctx, fs = f4c5_group.ctx, module_b.field
+    code = cyclic_closure([rand_vecpoly(random.Random(89), module_b, ctx, 1)],
+                          module_b, ctx)
+    assert code.k >= 2
+    for other in (field(2), field(3), field(2, 3)):
+        for pos in range(code.k):
+            msg = [Poly.one(fs)] * code.k
+            msg[pos] = Poly.one(other)
+            with pytest.raises(MixedStructureError):
+                encode(msg, code)
+    lists = [[1, 2], [0, 3]] + [[1]] * (code.k - 2)
+    assert encode(lists, code) == encode([Poly(fs, c) for c in lists], code)
+
+
 def test_decode_rejects_noncodeword(m2f4_inner, module_a):
     rng = random.Random(84)
     ctx = m2f4_inner.ctx

@@ -8,8 +8,9 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes.fields import field
-from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
+from skewcodes import fxlinalg
+from skewcodes.fields import FieldSpec, field
+from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, _hermite, closure,
                                 det_poly, hermite_form, hermite_pivots,
                                 is_direct_summand, is_unimodular, membership,
                                 rank, rank_rational, row_module_contains,
@@ -90,6 +91,20 @@ def test_matmul_matches_schoolbook(fs):
             a @ rand_matrix(rng, fs, left, right, 1)
 
 
+def assert_hermite_form(h):
+    """Pivot columns move right, pivots are monic with zeros below and
+    entries above of lower degree, and the zero rows come last."""
+    piv = hermite_pivots(h)
+    assert [i for i, _ in piv] == list(range(len(piv)))
+    cols = [c for (_, c) in piv]
+    assert cols == sorted(set(cols)), "pivot columns must move right"
+    for (i, c) in piv:
+        assert h.rows[i][c].lead() == 1, "pivots are monic"
+        assert all(h.rows[i2][c].is_zero() for i2 in range(i + 1, h.shape[0]))
+        assert all(h.rows[i2][c].degree < h.rows[i][c].degree for i2 in range(i))
+    return piv
+
+
 @pytest.mark.parametrize("fs", [F2, F4, F5], ids=["F2", "F4", "F5"])
 def test_hermite_invariants(fs):
     rng = random.Random(72)
@@ -100,20 +115,56 @@ def test_hermite_invariants(fs):
         h, u = hermite_form(g)
         assert u @ g == h
         assert is_unimodular(u)
-        piv = hermite_pivots(h)
-        cols = [c for (_, c) in piv]
-        assert cols == sorted(cols), "pivot columns must move right"
-        for (i, c) in piv:
-            assert h.rows[i][c].lead() == 1, "pivots are monic"
-            for i2 in range(i):
-                e = h.rows[i2][c]
-                assert e.is_zero() or e.degree < h.rows[i][c].degree
-            for i2 in range(i + 1, h.shape[0]):
-                first = next((j for j, x in enumerate(h.rows[i2])
-                              if not x.is_zero()), None)
-                assert first is None or first > c
+        assert_hermite_form(h)
         assert hermite_form(g) == (h, u), "hermite must be deterministic"
         assert row_module_equal(g, h.drop_zero_rows())
+
+
+@pytest.mark.parametrize("fs", [field(2, 3), field(5, 2), field(2, 6), field(1021)],
+                         ids=["F8", "F25", "F64", "F1021"])
+def test_hermite_invariants_over_more_fields(fs):
+    """Over fields the golden file skips (GF(1021) takes 16-bit lanes):
+    U G = H, U W^T = I for the carried W = (U^{-1})^T, H is a Hermite form
+    and its pivots count the rational rank.  The inputs include no rows, no
+    columns, zero rows, and transforms deeper than G."""
+    rng = random.Random(f"more-fields-{fs!r}")
+    # three or four rows over fewer columns often need a deeper transform
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randrange(1, 5), rng.randrange(1, 5))
+                                         for _ in range(6)] + [(4, 2), (4, 3), (3, 3)] * 3
+    deeper = 0
+    for t, (k, n) in enumerate(shapes):
+        g = rand_matrix(rng, fs, k, n, 2)
+        if t % 3 == 0 and k > 1:  # a zero row in the middle
+            g = PolyMatrix(fs, [*g.rows[:1], [Poly.zero(fs)] * n, *g.rows[2:]], n)
+        rho, h, u, w = _hermite(fs, g.planes(), True)
+        assert u @ g == h and u @ w.transpose() == PolyMatrix.identity(fs, k)
+        assert rho == len(assert_hermite_form(h)) == rank_rational(g)
+        deeper += u.planes().shape[0] > max(g.planes().shape[0], 1)
+    assert deeper, "some transform must grow past the input depth"
+
+
+def test_elimination_makes_no_array_row_steps(monkeypatch):
+    """hermite_form and closure run on packed rows: with the field's array
+    addition and the array long division disabled they still give U G = H
+    and a direct summand.  So a second, array-based row path cannot come
+    back unseen."""
+    cases = []
+    for fs in (F2, F4, F3):
+        rng = random.Random(f"packed-{fs!r}")
+        cases += [rand_matrix(rng, fs, rng.randrange(1, 5), rng.randrange(1, 5), 3)
+                  for _ in range(6)]
+
+    def refuse(*args):
+        raise AssertionError("array row step in the elimination")
+
+    monkeypatch.setattr(FieldSpec, "add_arrays", refuse)
+    monkeypatch.setattr(fxlinalg, "_divmod_arrays", refuse)
+    out = [(g, hermite_form(g), closure(g)) for g in cases]
+    monkeypatch.undo()
+    for g, (h, u), c in out:
+        assert u @ g == h and is_unimodular(u)
+        assert_hermite_form(h)
+        assert c.shape[0] == rank_rational(g) and (c.shape[0] == 0 or is_direct_summand(c))
 
 
 @pytest.mark.parametrize("fs", [F2, F4, F5], ids=["F2", "F4", "F5"])
