@@ -1,10 +1,14 @@
 """Cyclic convolutional codes and the ideal-code correspondence."""
 
+import functools
+import hashlib
+import os
 import random
 
 import numpy as np
 import pytest
 
+from skewcodes import load_preset, natural_module
 from skewcodes.algebra import (LinearMap, group_algebra_cyclic,
                                quotient_algebra_tn)
 from skewcodes.codes import (ConvCodeBasis, code_from_generators,
@@ -22,8 +26,9 @@ from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
                               regular_module, vecpoly_times_ring,
                               vecpoly_times_scalar)
 from skewcodes.skewmap import verify_skew_derivation
+from skewcodes.presets import fyz_quotient as fyz_quotient_over
 from skewcodes.skewpoly import SkewPoly
-from conftest import rand_coords, rand_element
+from conftest import m2_inner_over, rand_coords, rand_element
 
 
 def rand_vecpoly(rng, spec, ctx, maxdeg):
@@ -423,3 +428,85 @@ def test_mixed_context_rejected(m2f4_inner, f4c5_group, f4c5_sigma_only,
     code = code_from_generators([v], module_a, m2f4_inner.ctx)
     with pytest.raises(MixedStructureError):
         stable_under_ring_samples(code, [SkewPoly.one(f4c5_group.ctx)])
+
+
+# ---- seeded generator sets over the code modules ----
+
+@functools.lru_cache(maxsize=None)
+def code_configs():
+    """(name, module, context, scalars) for the modules the code tests draw
+    on: the natural modules of m2f4-inner and its GF(3) analogue, the
+    regular f4c5 module scaled by e0 = sum g^i and by 1 + e0, and the
+    regular fyz modules over GF(3) and GF(5) scaled by the nilpotents."""
+    m2f4, f4c5 = load_preset("m2f4-inner"), load_preset("f4c5-group")
+    m2f9 = m2_inner_over(3)
+    a5 = f4c5.ctx.algebra
+    out = [("m2f4", natural_module(m2f4.restriction), m2f4.ctx, ()),
+           ("m2f9", natural_module(m2f9.restriction), m2f9.ctx, ()),
+           ("f4c5e0", regular_module(a5), f4c5.ctx, (a5.element([1] * 5),)),
+           ("f4c5e1", regular_module(a5), f4c5.ctx, (a5.element([0, 1, 1, 1, 1]),))]
+    for p in (3, 5):
+        fyz = fyz_quotient_over(p).ctx
+        ayz = fyz.algebra
+        out.append((f"fyz{p}", regular_module(ayz), fyz,
+                    (ayz.basis_element(1), ayz.basis_element(2),
+                     ayz.element([0, 1, 1]))))
+    return tuple(out)
+
+
+def rand_generators(rng, spec, ctx, scalars, maxdeg=3):
+    """One to three generators of degree <= maxdeg, each times a scalar
+    drawn from scalars when there are any."""
+    gens = [rand_vecpoly(rng, spec, ctx, maxdeg) for _ in range(rng.randrange(1, 4))]
+    if scalars:
+        gens = [vecpoly_times_scalar(v, rng.choice(scalars)) for v in gens]
+    return gens
+
+
+# ---- golden digest of the code constructions ----
+
+CODES_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "codes.txt")
+
+
+def _code_digest(code):
+    """The g planes (shape and bytes), ut bytes and the two flags."""
+    p, ut = code.g.planes(), code.ut
+    g = hashlib.sha256(f"{p.shape}".encode() + p.tobytes()).hexdigest()[:16]
+    u = "-" if ut is None else \
+        hashlib.sha256(f"{ut.shape}".encode() + ut.tobytes()).hexdigest()[:16]
+    return (f"k={code.k} D={p.shape[0]} G={g} UT={u} "
+            f"pure={int(code.pure)} stable={int(code.stable)}")
+
+
+def codes_golden_lines():
+    """One line per seeded generator set, 30 on each module of code_configs:
+    the cyclic closure, its correspondence round-trip report and the plain
+    purification (code_from_generators).  All are canonical, so every
+    correct implementation prints the same lines."""
+    out = []
+    for name, spec, ctx, scalars in code_configs():
+        rng = random.Random(f"codes-golden-{name}")
+        for t in range(30):
+            gens = rand_generators(rng, spec, ctx, scalars)
+            code = cyclic_closure(gens, spec, ctx)
+            report = " / ".join(correspondence_roundtrip(code).lines())
+            out.append(f"{name} {t:2d} cyclic {_code_digest(code)} | {report}")
+            out.append(f"{name} {t:2d} plain  "
+                       f"{_code_digest(code_from_generators(gens, spec, ctx))}")
+    return out
+
+
+def test_code_outputs_match_golden():
+    """Regenerate with `PYTHONPATH=src python tests/test_codes.py >
+    tests/golden/codes.txt`, only when the canonical outputs are meant to
+    change."""
+    with open(CODES_GOLDEN) as fh:
+        expected = fh.read().splitlines()
+    got = codes_golden_lines()
+    diff = [f"{a}  !=  {b}" for a, b in zip(got, expected) if a != b]
+    assert len(got) == len(expected) and not diff, diff[:5]
+
+
+if __name__ == "__main__":
+    print("\n".join(codes_golden_lines()))
