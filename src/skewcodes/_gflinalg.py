@@ -59,7 +59,9 @@ def toeplitz_mul(spec: FieldSpec, f: np.ndarray, w: np.ndarray, out_len: int) ->
     padded = zeros((rows + out_len + taps, *batch, r))
     padded[:rows] = f
     lag = np.subtract.outer(np.arange(out_len), np.arange(taps))
-    lagged = np.moveaxis(padded[lag], 1, -2) if batch else padded[lag]
+    lagged = padded[lag]
+    if batch:  # the taps axis after the batch axes
+        lagged = lagged.transpose(0, *range(2, f.ndim), 1, f.ndim)
     out = mat_mul(spec, lagged.reshape(-1, taps * r), w)
     return out.reshape(out_len, *batch, w.shape[1])
 

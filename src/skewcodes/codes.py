@@ -15,6 +15,11 @@ F-spanned by the products a X^i, multiplication by X is the coefficient
 shift (so F[X]-closedness covers it), and the identity
 (v X) * a = (v * sigma(a)) X + v * delta(a) pushes A-closedness through
 X-multiples by induction on degree.
+
+The test runs on arrays: the coefficient maps of all rows of g at once give
+every product g*a, and the stored syndrome former flags those outside the
+code. cyclic_closure stacks just those onto g for its next purification;
+the rest already lie in the code and would not change it.
 """
 
 from __future__ import annotations
@@ -142,31 +147,32 @@ def _summand_ut(g: PolyMatrix) -> Optional[np.ndarray]:
     return ut
 
 
-def _products_in(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
-                 context: SkewDerivation, samples=None) -> bool:
-    """True iff row*f has syndrome zero for every row of g and ring element
-    f (coefficient rows over A; default the basis of A).  The f sit at a
-    stride that fits both products: one Toeplitz product with the rows'
-    coefficient maps side by side forms every row*f, one more checks them.
+def _products_outside(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
+                      context: SkewDerivation, samples=None) -> np.ndarray:
+    """The (D, m, n) planes of the products row*f outside the code, for every
+    row of g and ring element f (coefficient rows over A; default the basis
+    of A): m = 0 iff all of them lie in it.  Two kernel calls give the
+    coefficient maps of all rows side by side; row l of W_t is the X^t
+    coefficient of row*a_l, so the basis products are read off them, and
+    other f take one Toeplitz product.  One more gives every syndrome.
     """
     (k, n), r = g.shape, context.algebra.dim
+    if k in (0, n) or (samples is not None and not samples):
+        return la.zeros((0, 0, n))
+    planes, fs = g.planes(), module.field
+    w = coefficient_maps(module, context, planes, planes.shape[0])
     if samples is None:
-        samples = list(la.eye(r)[:, None, :])
-    if k in (0, n) or not samples:
-        return True
-    planes, depth = g.planes(), ut.shape[0] // n
-    stride = max(f.shape[0] for f in samples) + planes.shape[0] + depth - 2
-    stacked = la.zeros((len(samples), stride, r))
-    for j, f in enumerate(samples):
-        stacked[j, : f.shape[0]] = f
-    total = len(samples) * stride
-    w = np.concatenate([coefficient_maps(module, context, planes[:, i],
-                                         planes.shape[0]) for i in range(k)],
-                       axis=1)
-    words = la.toeplitz_mul(module.field, stacked.reshape(total, r), w, total)
-    words = words.reshape(total, k, n).transpose(1, 0, 2).reshape(k * total, n)
+        words = w.reshape(-1, r * k, n)
+    else:
+        stacked = la.zeros((max(f.shape[0] for f in samples), len(samples), r))
+        for j, f in enumerate(samples):
+            stacked[: f.shape[0], j] = f
+        size = stacked.shape[0] + planes.shape[0] - 1
+        words = la.toeplitz_mul(fs, stacked, w, size).reshape(size, len(samples) * k, n)
+    depth = ut.shape[0] // n
     syndrome = ut.reshape(depth, n, n)[:, :, k:].reshape(depth * n, n - k)
-    return not la.toeplitz_mul(module.field, words, syndrome, k * total).any()
+    s = la.toeplitz_mul(fs, words, syndrome, words.shape[0] + depth - 1)
+    return words[:, s.any(axis=(0, 2))]
 
 
 def _syndrome_former(code: ConvCodeBasis) -> np.ndarray:
@@ -176,14 +182,15 @@ def _syndrome_former(code: ConvCodeBasis) -> np.ndarray:
 
 
 def _code(g: PolyMatrix, module: RightModuleSpec,
-          context: SkewDerivation) -> ConvCodeBasis:
-    """The code with basis g, an output of closure and so a direct summand.
-    The stability flag is set before the code is returned, from the stored
-    transform, so that g is brought to Hermite form only once."""
+          context: SkewDerivation) -> tuple[ConvCodeBasis, np.ndarray]:
+    """The code with basis g, an output of closure and so a direct summand,
+    and the planes of its basis products outside it.  The stability flag is
+    set before the code is returned, from the stored transform, so that g is
+    brought to Hermite form only once."""
     code = ConvCodeBasis(g, module, context, True, False)
-    object.__setattr__(code, "stable", _products_in(g, _syndrome_former(code),
-                                                    module, context))
-    return code
+    outside = _products_outside(g, _syndrome_former(code), module, context)
+    object.__setattr__(code, "stable", not outside.shape[1])
+    return code, outside
 
 
 def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
@@ -212,25 +219,25 @@ def code_from_generators(b, module: RightModuleSpec,
     generate a cyclic code without further closing (see cyclic_closure).
     """
     return _code(closure(_generator_matrix(b, module, context)), module,
-                 context)
+                 context)[0]
 
 
 def cyclic_closure(b, module: RightModuleSpec,
                    context: SkewDerivation) -> ConvCodeBasis:
     """Smallest pure, A-stable F[X]-submodule containing the generators.
 
-    Purifies, then adds the products row*basis-element and purifies again
-    until the basis is stable. Two nested pure submodules of equal rank
-    coincide, so the rank strictly increases on every unstable round, and
-    rank n is stable: the loop ends within n+1 rounds.
+    Purifies, then adds the products row*basis-element that the stability
+    test found outside the code and purifies again until the basis is
+    stable. Two nested pure submodules of equal rank coincide, so the rank
+    strictly increases on every unstable round, and rank n is stable: the
+    loop ends within n+1 rounds.
     """
     g = closure(_generator_matrix(b, module, context))
     for _ in range(module.n + 1):
-        code = _code(g, module, context)
+        code, outside = _code(g, module, context)
         if code.stable:
             return code
-        products = [w for v in code.rows() for w in vecpoly_times_basis(v)]
-        g2 = closure(g.stack(vecpolys_to_matrix(module, products)))
+        g2 = closure(g.stack(PolyMatrix._raw(module.field, outside)))
         if g2.shape[0] <= g.shape[0]:
             raise AssertionError("cyclic closure rank failed to increase")
         g = g2
@@ -268,17 +275,16 @@ def correspondence_roundtrip(code: ConvCodeBasis) -> RoundtripReport:
     checks.append((f"F[X]-rank equals rational rank ({kk})",
                    kk == g.shape[0] == rr))
     checks.append(("stability re-verified",
-                   _products_in(g, _syndrome_former(code), code.module,
-                                code.context)))
+                   not _products_outside(g, _syndrome_former(code), code.module,
+                                         code.context).shape[1]))
     return RoundtripReport(tuple(checks))
 
 
 def _transformed(word: VecPoly, code: ConvCodeBasis) -> np.ndarray:
     """The coefficient rows of word U^T = [coordinates | syndrome]."""
+    if (word.spec, word.ctx) != (code.module, code.context):
+        raise MixedStructureError("word over another module or context")
     v, n, ut = word.coeffs, code.n, _syndrome_former(code)
-    if v.shape[1] != n:
-        raise ValueError(f"vector length {v.shape[1]} does not match "
-                         f"width {n}")
     return la.toeplitz_mul(code.module.field, v, ut,
                         v.shape[0] + ut.shape[0] // n - 1)
 
@@ -324,5 +330,5 @@ def stable_under_ring_samples(code: ConvCodeBasis, elements) -> bool:
     elements = list(elements)
     if any(f.ctx != code.context for f in elements):
         raise MixedStructureError("ring element from a different context")
-    return _products_in(code.g, _syndrome_former(code), code.module,
-                        code.context, [f.coeffs for f in elements])
+    return not _products_outside(code.g, _syndrome_former(code), code.module,
+                                 code.context, [f.coeffs for f in elements]).shape[1]

@@ -9,11 +9,11 @@ digits in 8- or 16-bit lanes (_Lanes), so a row step is a few int operations
 however wide the row; on request it carries U^{-1} too.  Membership and rank
 read H.  Purification (the smallest direct summand containing a row module)
 reads the Hermite form of G^T and its carried inverse, so closure takes two
-Hermite forms.  G spans a summand of full rank exactly when every pivot of
-that form is 1; its transform then holds a right inverse and syndrome
-former of G (summand_transform).  smith_form (U G V = D, alternating Hermite
-forms of D and D^T), det_poly and rank_rational are oracles off the code
-path; the last two do not eliminate.
+Hermite forms, or one when G has rank n.  G spans a summand of full rank
+exactly when every pivot of that form is 1; its transform then holds a
+right inverse and syndrome former of G (summand_transform).  smith_form
+(U G V = D, alternating Hermite forms of D and D^T), det_poly and
+rank_rational are oracles off the code path; the last two do not eliminate.
 
 Pivoting is deterministic: among candidate pivots of minimal degree in the
 current column the lowest row index wins, so repeated runs produce identical
@@ -460,6 +460,9 @@ def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
     swap swaps rows, and scaling a row of H by c scales that row of W by c^{-1}.
     """
     _, k, n = planes.shape
+    if planes.shape[0] == 1 and k == n and np.array_equal(planes[0], la.eye(n)):
+        one = PolyMatrix.identity(fs, n)  # already in Hermite form: nothing to pack
+        return n, one, one, one if inverse else None
     aug = la.zeros((max(planes.shape[0], 1), k, n + k))
     aug[: planes.shape[0], :, :n] = planes
     aug[0, :, n:] = la.eye(k)
@@ -694,12 +697,16 @@ def closure(g: PolyMatrix) -> PolyMatrix:
     its first rho columns, so the rows of G lie in the span of the first rho
     rows of (U^{-1})^T: rows of a unimodular matrix, hence a direct summand,
     and of rank rho, hence the smallest one.  The elimination carries
-    U^{-1}, checked by U U^{-1} = I; the basis is one more Hermite form.
+    U^{-1}, checked by U U^{-1} = I; the basis is one more Hermite form,
+    except at rank n: the summand is then F^n[X] itself, with basis I_n.
     """
     fs, n = g.field, g.shape[1]
     rho, _, u, uinv_t = _hermite(fs, g.planes().transpose(0, 2, 1), True)
-    if u @ uinv_t.transpose() != PolyMatrix.identity(fs, n):
+    one = PolyMatrix.identity(fs, n)
+    if u @ uinv_t.transpose() != one:
         raise AssertionError("transform from hermite_form is not unimodular")
+    if rho == n:
+        return one
     basis, _ = hermite_form(uinv_t.take_rows(range(rho)))
     return basis.drop_zero_rows()
 

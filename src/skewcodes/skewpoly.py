@@ -66,14 +66,20 @@ class RegularCoeffs:
 
 def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np.ndarray:
     """W_i = sum_k (N_i^k)^T B_k for i < taps, stacked as (taps r, n): the X^i
-    coefficient of g a is the row a W_i for every scalar a.
+    coefficient of g a is the row a W_i for every scalar a.  A batch g of
+    shape (K, m, n) gives the maps of its m polynomials side by side, column
+    (j, c) for column c of polynomial j: (taps r, m n).
 
     Every block B_k of g comes from one product with the space's flat block
     matrix, and every W_i from one contraction against the stacked N-table
     (none for a constant g, whose W_0 = B_0 as N_0^0 = id).
     """
     spec, r, K = ctx.field, ctx.algebra.dim, g.shape[0]
-    w = la.mat_mul(spec, g, space.flat).reshape(K * r, space.n)  # rows (k, b): B_k
+    if g.ndim == 2:
+        w = la.mat_mul(spec, g, space.flat).reshape(K * r, space.n)  # rows (k, b): B_k
+    else:  # columns (j, c)
+        w = la.mat_mul(spec, g.reshape(-1, g.shape[2]), space.flat)
+        w = w.reshape(K, g.shape[1], r, space.n).transpose(0, 2, 1, 3).reshape(K * r, -1)
     if K > 1:
         # rows (i, a), columns (k, b): N_i^k[b, a]; N_i^k = 0 for i > k
         nt = ctx.ntable.rows(K - 1)[:, :taps].transpose(1, 3, 0, 2).reshape(taps * r, K * r)

@@ -19,12 +19,12 @@ from skewcodes.codes import (ConvCodeBasis, code_from_generators,
                              vecpolys_to_matrix)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE, field
-from skewcodes import fxlinalg
+from skewcodes import codes, fxlinalg, modact
 from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
                                 membership)
 from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
-                              regular_module, vecpoly_times_ring,
-                              vecpoly_times_scalar)
+                              regular_module, vecpoly_times_basis,
+                              vecpoly_times_ring, vecpoly_times_scalar)
 from skewcodes.skewmap import verify_skew_derivation
 from skewcodes.presets import fyz_quotient as fyz_quotient_over
 from skewcodes.skewpoly import SkewPoly
@@ -261,6 +261,106 @@ def test_code_path_creates_no_poly(monkeypatch, m2f4_inner, f4c5_group,
         assert code_from_generators(gens, spec, ctx).pure
         rates.add(0 < code.k < code.n)
     assert made == [] and rates == {False, True}
+
+
+def test_code_path_skips_predetermined_work(monkeypatch, m2f4_inner, module_a):
+    """Work already known is not done: the closure of a rank-n matrix runs
+    one elimination, the identity is never packed, and cyclic_closure reads
+    its products off the stability test instead of vecpoly_times_basis."""
+    eliminations, packed = [], []
+    hermite, lanes = fxlinalg._hermite, fxlinalg._lanes
+    monkeypatch.setattr(fxlinalg, "_hermite",
+                        lambda *a: eliminations.append(1) or hermite(*a))
+    monkeypatch.setattr(fxlinalg, "_lanes", lambda *a: packed.append(1) or lanes(*a))
+    refuse = lambda v: pytest.fail("vecpoly_times_basis on the code path")
+    monkeypatch.setattr(codes, "vecpoly_times_basis", refuse)
+    monkeypatch.setattr(modact, "vecpoly_times_basis", refuse)
+    rng = random.Random(90)
+    for name, spec, ctx, scalars in code_configs():
+        fs, n = spec.field, spec.n
+        one = PolyMatrix.identity(fs, n)
+        eliminations.clear()
+        packed.clear()
+        assert fxlinalg.summand_transform(one) == one and closure(one) == one
+        assert packed == [] and len(eliminations) == 2, name
+        for _ in range(6):
+            gens = rand_generators(rng, spec, ctx, scalars)
+            g = vecpolys_to_matrix(spec, gens)
+            eliminations.clear()
+            c = closure(g)
+            assert len(eliminations) == (1 if c.shape[0] == n else 2), name
+            full = g.stack(one)  # rank n: one elimination, then I_n
+            eliminations.clear()
+            assert closure(full) == one and len(eliminations) == 1, name
+    # k = 0 and k = n through the code constructors, and rounds that grow
+    rounds = []
+    for gens in ([], [VecPoly.zero(module_a, m2f4_inner.ctx)],
+                 [rand_vecpoly(rng, module_a, m2f4_inner.ctx, 3)]):
+        plain = code_from_generators(gens, module_a, m2f4_inner.ctx)
+        packed.clear()
+        code = cyclic_closure(gens, module_a, m2f4_inner.ctx)
+        assert code.k in (0, code.n) and correspondence_roundtrip(code).ok
+        rounds.append(plain.k != code.k)
+        if code.k == code.n:  # I_n and its transform are already known
+            assert packed and code.g == PolyMatrix.identity(module_a.field, 4)
+            packed.clear()
+            assert correspondence_roundtrip(code).ok and packed == []
+    assert rounds == [False, False, True]
+
+
+def test_cyclic_closure_agrees_with_naive_fixpoint():
+    """cyclic_closure against the fixpoint it shortcuts: purify the rows
+    and every vecpoly_times_basis product until is_cyclic_submodule (an
+    EchelonSolver membership test) holds.  Same g, ut and stability flag,
+    and code_from_generators flags stability as is_cyclic_submodule does."""
+    rng = random.Random(91)
+    sets = [(name, spec, ctx, rand_generators(rng, spec, ctx, scalars))
+            for name, spec, ctx, scalars in code_configs() for _ in range(8)]
+    # a Piret-style generator e a + f b X over f4c5 (e = 1, f a degree-2
+    # idempotent): a stable code of rate 3/5 and degree 2
+    _, spec, ctx, _ = code_configs()[2]
+    sets.append(("f4c5-piret", spec, ctx,
+                 [VecPoly.from_rows(spec, ctx, [[3, 1, 1, 2, 3], [0, 3, 2, 2, 3]])]))
+    positive = 0
+    for name, spec, ctx, gens in sets:
+        g = closure(vecpolys_to_matrix(spec, gens))
+        plain_stable = is_cyclic_submodule(g, spec, ctx)
+        for _ in range(spec.n + 1):
+            if is_cyclic_submodule(g, spec, ctx):
+                break
+            products = [w for v in matrix_to_vecpolys(spec, ctx, g)
+                        for w in vecpoly_times_basis(v)]
+            g = closure(g.stack(vecpolys_to_matrix(spec, products)))
+        else:
+            raise AssertionError("the naive fixpoint did not settle")
+        oracle = ConvCodeBasis(g, spec, ctx, True, True)
+        code = cyclic_closure(gens, spec, ctx)
+        assert (code.g, code.stable) == (oracle.g, True), name
+        assert (code.ut is None) == (oracle.ut is None), name
+        assert code.ut is None or np.array_equal(code.ut, oracle.ut), name
+        assert code_from_generators(gens, spec, ctx).stable == plain_stable, name
+        positive += 0 < code.k < code.n and code.g.planes().shape[0] > 1
+        if name == "f4c5-piret":
+            assert (code.k, code.g.planes().shape[0]) == (3, 3)
+    assert positive, "some proper code of positive degree must occur"
+
+
+def test_decode_refuses_a_word_over_another_module(m2f4_inner, module_a,
+                                                   f4c5_sigma_only, module_b):
+    """decode and is_codeword, like encode, refuse a word over another
+    module or context, even one of the same width."""
+    code = cyclic_closure([VecPoly.unit_row(module_a, m2f4_inner.ctx, 0)],
+                          module_a, m2f4_inner.ctx)
+    assert code.rate == (4, 4)
+    m2f9 = m2_inner_over(3)
+    spec3 = natural_module(m2f9.restriction)
+    assert spec3.n == 4
+    words = [VecPoly.from_rows(spec3, m2f9.ctx, [[2, 2, 1, 0]]),
+             VecPoly.unit_row(module_b, f4c5_sigma_only, 0)]
+    for word in words:
+        for read in (decode, is_codeword):
+            with pytest.raises(MixedStructureError):
+                read(word, code)
 
 
 def test_code_basis_derives_its_transform_from_g(m2f4_inner, module_a):

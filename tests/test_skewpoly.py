@@ -11,6 +11,7 @@ from skewcodes import (SkewPoly, left_from_right, poly_mul, poly_mul_iterative,
                        right_from_left, xn_times)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
+from skewcodes.skewpoly import RegularCoeffs, coefficient_maps
 from conftest import rand_coords, rand_element
 
 
@@ -125,6 +126,23 @@ def test_scale_left_matches_constant_product(f4c5_group):
         f = rand_poly(rng, ctx, 4)
         a = rand_element(rng, ctx.algebra)
         assert f.scale_left(a) == SkewPoly.constant(ctx, a) * f
+
+
+def test_coefficient_maps_of_a_batch_sit_side_by_side(all_bundles, module_a):
+    """A (K, m, n) batch gives the maps of its m polynomials as m column
+    blocks, each equal to that polynomial's own maps, on the regular
+    coefficient space and on a module."""
+    rng = random.Random(19)
+    spaces = [(RegularCoeffs(b.ctx.algebra), b.ctx) for b in all_bundles]
+    spaces.append((module_a, all_bundles[0].ctx))
+    for space, ctx in spaces:
+        for K, m in [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2)]:
+            g = np.stack([rand_coords(rng, ctx.field.q, (K, space.n))
+                          for _ in range(m)], axis=1)
+            taps = rng.randrange(1, K + 1)
+            each = [coefficient_maps(space, ctx, g[:, j], taps) for j in range(m)]
+            assert np.array_equal(coefficient_maps(space, ctx, g, taps),
+                                  np.concatenate(each, axis=1))
 
 
 def test_mixed_context_product_rejects(m2f4_inner, f4c5_group):
