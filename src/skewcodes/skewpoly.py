@@ -75,11 +75,11 @@ def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np
     (none for a constant g, whose W_0 = B_0 as N_0^0 = id).
     """
     spec, r, K = ctx.field, ctx.algebra.dim, g.shape[0]
-    if g.ndim == 2:
-        w = la.mat_mul(spec, g, space.flat).reshape(K * r, space.n)  # rows (k, b): B_k
-    else:  # columns (j, c)
-        w = la.mat_mul(spec, g.reshape(-1, g.shape[2]), space.flat)
-        w = w.reshape(K, g.shape[1], r, space.n).transpose(0, 2, 1, 3).reshape(K * r, -1)
+    g = g[:, None] if g.ndim == 2 else g
+    m = g.shape[1]
+    # rows (k, b), columns (j, c): B_k of polynomial j
+    w = la.mat_mul(spec, g.reshape(K * m, g.shape[2]), space.flat)
+    w = w.reshape(K, m, r, space.n).transpose(0, 2, 1, 3).reshape(K * r, m * space.n)
     if K > 1:
         # rows (i, a), columns (k, b): N_i^k[b, a]; N_i^k = 0 for i > k
         nt = ctx.ntable.rows(K - 1)[:, :taps].transpose(1, 3, 0, 2).reshape(taps * r, K * r)
