@@ -86,18 +86,6 @@ def mat_vec(spec: FieldSpec, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(spec, m, v.reshape(-1, 1))[:, 0]
 
 
-def scale(spec: FieldSpec, a: np.ndarray, c: int) -> np.ndarray:
-    return spec.MUL[a, c]
-
-
-def mat_add(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return spec.add_arrays(a, b)
-
-
-def mat_sub(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return spec.add_arrays(a, spec.neg_arrays(b))
-
-
 def mat_pow(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
     out = eye(a.shape[0])
     for _ in range(e):

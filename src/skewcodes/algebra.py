@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import AxiomError, MixedStructureError
-from .fields import DTYPE, FieldElement, FieldSpec, field
+from .fields import DTYPE, FieldSpec, field
 from .fxlinalg import Poly
 
 
@@ -71,9 +71,7 @@ class Algebra:
             if coords.algebra != self:
                 raise MixedStructureError("element from a different algebra")
             return coords
-        arr = np.asarray(
-            [c.idx if isinstance(c, FieldElement) else self.field.element(c).idx
-             for c in coords], dtype=DTYPE)
+        arr = np.asarray([self.field.element(c).idx for c in coords], dtype=DTYPE)
         if arr.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} coordinates, got {arr.shape}")
         return AlgebraElement(self, arr)
@@ -158,8 +156,7 @@ class AlgebraElement:
             self._check(other)
             return AlgebraElement(self.algebra,
                                   self.algebra.mul_coords(self.coords, other.coords))
-        c = self.algebra.field.element(other)
-        return AlgebraElement(self.algebra, la.scale(self.algebra.field, self.coords, c.idx))
+        return self.scale(other)
 
     def __rmul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -168,7 +165,7 @@ class AlgebraElement:
 
     def scale(self, c) -> "AlgebraElement":
         c = self.algebra.field.element(c)
-        return AlgebraElement(self.algebra, la.scale(self.algebra.field, self.coords, c.idx))
+        return AlgebraElement(self.algebra, self.algebra.field.MUL[self.coords, c.idx])
 
     def is_zero(self) -> bool:
         return bool(np.all(self.coords == 0))
@@ -231,17 +228,13 @@ class LinearMap:
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
         return LinearMap(self.algebra,
-                         la.mat_add(self.algebra.field, self.matrix, other.matrix))
+                         self.algebra.field.add_arrays(self.matrix, other.matrix))
 
     def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.algebra,
-                         la.mat_sub(self.algebra.field, self.matrix, other.matrix))
+        return self + (-other)
 
     def __neg__(self) -> "LinearMap":
         return LinearMap(self.algebra, self.algebra.field.neg_arrays(self.matrix))
-
-    def power(self, e: int) -> "LinearMap":
-        return LinearMap(self.algebra, la.mat_pow(self.algebra.field, self.matrix, e))
 
     def is_zero(self) -> bool:
         return la.is_zero(self.matrix)
@@ -269,16 +262,18 @@ class LinearMap:
 
 # ---- verification ----
 
-class AlgebraReport:
+class AxiomReport:
+    """The failed axioms of an algebra or module, by name; ok when none."""
+
     def __init__(self, failures: list[str]):
         self.failures = failures
-        self.valid = not failures
+        self.ok = not failures
 
     def __bool__(self) -> bool:
-        return self.valid
+        return self.ok
 
 
-def verify_algebra(a: Algebra) -> AlgebraReport:
+def verify_algebra(a: Algebra) -> AxiomReport:
     """Check associativity on all basis triples and two-sided unit laws."""
     failures: list[str] = []
     spec, r, c = a.field, a.dim, a.tensor
@@ -301,12 +296,12 @@ def verify_algebra(a: Algebra) -> AlgebraReport:
             failures.append(f"unit * {a.labels[j]} != {a.labels[j]}")
         else:
             failures.append(f"{a.labels[j]} * unit != {a.labels[j]}")
-    return AlgebraReport(failures)
+    return AxiomReport(failures)
 
 
 def check_algebra(a: Algebra) -> Algebra:
     rep = verify_algebra(a)
-    if not rep.valid:
+    if not rep.ok:
         raise AxiomError(rep.failures[0])
     return a
 
@@ -332,7 +327,7 @@ def matrix_algebra(fieldspec: FieldSpec, n: int) -> Algebra:
                                        "name": f"M{n}({fieldspec!r})"}))
 
 
-def group_algebra_cyclic(fieldspec: FieldSpec, n: int, symbol: str = "g") -> Algebra:
+def group_algebra_cyclic(fieldspec: FieldSpec, n: int) -> Algebra:
     """Group algebra of the cyclic group of order n, basis 1, g, ..., g^{n-1}."""
     tensor = la.zeros((n, n, n))
     for i in range(n):
@@ -340,7 +335,7 @@ def group_algebra_cyclic(fieldspec: FieldSpec, n: int, symbol: str = "g") -> Alg
             tensor[i, j, (i + j) % n] = 1
     unit = la.zeros(n)
     unit[0] = 1
-    labels = ["1"] + [symbol if i == 1 else f"{symbol}^{i}" for i in range(1, n)]
+    labels = ["1"] + ["g" if i == 1 else f"g^{i}" for i in range(1, n)]
     return check_algebra(Algebra(fieldspec, tensor, unit, labels,
                                  meta={"kind": "group_cyclic", "n": n,
                                        "name": f"C{n} group algebra"}))
@@ -404,7 +399,7 @@ class ScalarRestriction:
         labels = []
         for lbl in parent.labels:
             for j in range(K.k):
-                gs = K.symbol if j == 1 else f"{K.symbol}^{j}"
+                gs = "a" if j == 1 else f"a^{j}"
                 labels.append(lbl if j == 0 else gs if lbl == "1" else f"{gs}*{lbl}")
         meta = dict(parent.meta)
         meta.update({"kind": "restricted", "parent_kind": parent.meta.get("kind"),
@@ -447,4 +442,5 @@ def inner_derivation(algebra: Algebra, sigma: LinearMap, m: AlgebraElement) -> L
     lm = algebra.left_mult_matrix(m.coords)
     rm = algebra.right_mult_matrix(m.coords)
     spec = algebra.field
-    return LinearMap(algebra, la.mat_sub(spec, lm, la.mat_mul(spec, rm, sigma.matrix)))
+    return LinearMap(algebra, spec.add_arrays(
+        lm, spec.neg_arrays(la.mat_mul(spec, rm, sigma.matrix))))

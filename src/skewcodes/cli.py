@@ -23,7 +23,7 @@ Workspace schema (JSON object; sections marked * are optional):
   prec*      int (default 8)
   elements*, polynomials*, series*, laurent*, vectors*, messages*
              {name: payload, ...}
-  generators* [name, ...]  (default payload for the code subcommands)
+  generators* [name, ...]  (default generators for the code subcommands)
 
 Field elements (fe) are an index int or a list of base-p digits. Algebra
 elements (elem) are a list of dim field elements, or for a scalar-restricted
@@ -95,7 +95,7 @@ class Workspace:
         self.max_n = self.ctx.ntable.max_n
         self.max_prec = (self.max_n + 1) // (self.ctx.m_delta or 1)
         self.prec = raw.get("prec", 8)
-        if not isinstance(self.prec, int) or self.prec < 1:
+        if type(self.prec) is not int or self.prec < 1:
             raise InputError("prec must be a positive integer")
         self.check_prec(self.prec)
         self._module: Optional[RightModuleSpec] = None
@@ -451,39 +451,32 @@ def _generators(ws: Workspace, args) -> list[VecPoly]:
 def cmd_code(args) -> int:
     ws = load_workspace(args.workspace)
     gens = _generators(ws, args)
+    build = code_from_generators if args.action == "check" else cyclic_closure
+    code = build(gens, ws.module, ws.ctx)
+    if args.action == "encode":
+        if args.message is None:
+            raise InputError("encode needs -m MESSAGE")
+        msg = ws.message(ws.payload("messages", args.message))
+        if len(msg) != code.k:
+            raise InputError(f"message length {len(msg)} does not match code "
+                             f"dimension {code.k}")
+        word = encode(msg, code)
+        print(f"rate: {code.k}/{code.n}")
+        print(f"codeword: {word}")
+        back = decode(word, code)
+        ok = back is not None and [str(p) for p in back] == [str(p) for p in msg]
+        print(f"decode returns the message: {'yes' if ok else 'NO'}")
+        return EXIT_OK if ok else EXIT_MATH
+    for line in code.lines():
+        print(line)
     if args.action == "check":
-        code = code_from_generators(gens, ws.module, ws.ctx)
-        for line in code.lines():
-            print(line)
         return EXIT_OK if code.pure and code.stable else EXIT_MATH
-    if args.action == "closure":
-        code = cyclic_closure(gens, ws.module, ws.ctx)
-        for line in code.lines():
-            print(line)
-        return EXIT_OK
     if args.action == "roundtrip":
-        code = cyclic_closure(gens, ws.module, ws.ctx)
-        for line in code.lines():
-            print(line)
         rep = correspondence_roundtrip(code)
         for line in rep.lines():
             print(line)
         return EXIT_OK if rep.ok else EXIT_MATH
-    # encode
-    code = cyclic_closure(gens, ws.module, ws.ctx)
-    if args.message is None:
-        raise InputError("encode needs -m MESSAGE")
-    msg = ws.message(ws.payload("messages", args.message))
-    if len(msg) != code.k:
-        raise InputError(f"message length {len(msg)} does not match code "
-                         f"dimension {code.k}")
-    word = encode(msg, code)
-    print(f"rate: {code.k}/{code.n}")
-    print(f"codeword: {word}")
-    back = decode(word, code)
-    ok = back is not None and [str(p) for p in back] == [str(p) for p in msg]
-    print(f"decode returns the message: {'yes' if ok else 'NO'}")
-    return EXIT_OK if ok else EXIT_MATH
+    return EXIT_OK
 
 
 def cmd_example(args) -> int:

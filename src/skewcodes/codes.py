@@ -33,7 +33,8 @@ from . import _gflinalg as la
 from .errors import MixedStructureError
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, _stack_rows, closure,
                        hermite_pivots, rank_rational, summand_transform)
-from .modact import RightModuleSpec, VecPoly, vecpoly_times_basis
+from .modact import (RightModuleSpec, VecPoly, _module_over,
+                     vecpoly_times_basis)
 from .skewmap import SkewDerivation
 from .skewpoly import coefficient_maps
 
@@ -67,17 +68,11 @@ def matrix_to_vecpolys(spec: RightModuleSpec, ctx: SkewDerivation,
     return [VecPoly(spec, ctx, planes[:, i]) for i in range(g.shape[0])]
 
 
-def _check_context(spec: RightModuleSpec, ctx: SkewDerivation) -> None:
-    if spec.algebra != ctx.algebra:
-        raise MixedStructureError("module and skew context disagree on the "
-                                  "algebra")
-
-
 def _generator_matrix(b, module: RightModuleSpec,
                       context: SkewDerivation) -> PolyMatrix:
     """The generators as the rows of an F[X] matrix, each checked to be a
     vector polynomial over the given module and context."""
-    _check_context(module, context)
+    _module_over(module, context)
     b = list(b)
     if not all(isinstance(v, VecPoly) for v in b):
         raise TypeError("generators must be vector polynomials")
@@ -164,9 +159,7 @@ def _products_outside(g: PolyMatrix, ut: np.ndarray, module: RightModuleSpec,
     if samples is None:
         words = w.reshape(-1, r * k, n)
     else:
-        stacked = la.zeros((max(f.shape[0] for f in samples), len(samples), r))
-        for j, f in enumerate(samples):
-            stacked[: f.shape[0], j] = f
+        stacked = _stack_rows(samples, r)
         size = stacked.shape[0] + planes.shape[0] - 1
         words = la.toeplitz_mul(fs, stacked, w, size).reshape(size, len(samples) * k, n)
     depth = ut.shape[0] // n
@@ -200,7 +193,7 @@ def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
     Checks every row times every algebra basis element for membership;
     sufficiency is the generator lemma in the module docstring.
     """
-    _check_context(module, context)
+    _module_over(module, context)
     solver = EchelonSolver(g)
     rows = matrix_to_vecpolys(module, context, g)
     for v in rows:

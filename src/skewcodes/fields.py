@@ -58,8 +58,7 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """GF(p^k) with index-level tables.  Construct via field()."""
 
-    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None,
-                 symbol: str = "a"):
+    def __init__(self, p: int, k: int = 1, modulus: Optional[Sequence[int]] = None):
         # bound p and k before the primality test and before forming p**k,
         # whose costs grow with them: for p >= 2, k >= 11 gives p**k > 1024
         if p > _MAX_ORDER or (p > 1 and k >= _MAX_ORDER.bit_length()):
@@ -88,7 +87,6 @@ class FieldSpec:
         self.k = k
         self.q = q
         self.modulus = modulus
-        self.symbol = symbol
         self._build_tables()
 
     # ---- table construction ----
@@ -252,9 +250,6 @@ class FieldSpec:
             raise ValueError("prime field has no extension generator")
         return FieldElement(self, self.p)
 
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.q)]
-
     def format_index(self, idx: int) -> str:
         coeffs = self._idx_to_coeffs(idx)
         if self.k == 1:
@@ -267,7 +262,7 @@ class FieldSpec:
             if i == 0:
                 terms.append(str(c))
             else:
-                var = self.symbol if i == 1 else f"{self.symbol}^{i}"
+                var = "a" if i == 1 else f"a^{i}"
                 terms.append(var if c == 1 else f"{c}*{var}")
         return "+".join(terms) if terms else "0"
 
@@ -285,10 +280,9 @@ class FieldSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def field(p: int, k: int = 1, modulus: Optional[tuple[int, ...]] = None,
-          symbol: str = "a") -> FieldSpec:
+def field(p: int, k: int = 1, modulus: Optional[tuple[int, ...]] = None) -> FieldSpec:
     """Cached FieldSpec constructor; tables are built once per field."""
-    return FieldSpec(p, k, modulus, symbol)
+    return FieldSpec(p, k, modulus)
 
 
 class FieldElement:

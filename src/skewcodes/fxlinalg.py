@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import MixedStructureError
-from .fields import DTYPE, FieldElement, FieldSpec
+from .fields import DTYPE, FieldSpec
 
 
 # ---- dense univariate polynomials ----
@@ -41,36 +41,13 @@ def _length(e: np.ndarray) -> int:
     return int(nz[-1]) + 1 if nz.shape[0] else 0
 
 
-def _divmod_arrays(fs: FieldSpec, a: np.ndarray,
-                   b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of coefficient arrays, b trimmed and nonzero;
-    the quotient is trimmed (empty when deg a < deg b)."""
-    d = b.shape[0] - 1
-    if a.shape[0] <= d:
-        return a[:0], a
-    if d == 0:  # a unit divisor: one gather
-        return fs.MUL[fs.inv(int(b[0])), a], a[:0]
-    rem = np.array(a, dtype=DTYPE)
-    q = np.zeros(a.shape[0] - d, dtype=DTYPE)
-    inv_lead = fs.inv(int(b[-1]))
-    for i in range(a.shape[0] - d - 1, -1, -1):
-        c = fs.mul(int(rem[i + d]), inv_lead)
-        if c:
-            q[i] = c
-            rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1],
-                                              fs.MUL[fs.neg(c), b])
-    return q, rem
-
-
 class Poly:
     """Polynomial over a finite field, dense ascending coefficients."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, fieldspec: FieldSpec, coeffs) -> None:
-        arr = np.asarray(
-            [c.idx if isinstance(c, FieldElement) else fieldspec.element(c).idx
-             for c in coeffs], dtype=DTYPE)
+        arr = np.asarray([fieldspec.element(c).idx for c in coeffs], dtype=DTYPE)
         self.field = fieldspec
         self.coeffs = arr[:_length(arr)]
         self.coeffs.setflags(write=False)
@@ -115,9 +92,6 @@ class Poly:
 
     def is_unit(self) -> bool:
         return self.coeffs.shape[0] == 1
-
-    def is_one(self) -> bool:
-        return self.coeffs.shape[0] == 1 and int(self.coeffs[0]) == 1
 
     def lead(self) -> int:
         if self.is_zero():
@@ -171,8 +145,17 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q, rem = _divmod_arrays(self.field, self.coeffs, other.coeffs)
-        return Poly._raw(self.field, q), Poly._raw(self.field, rem)
+        fs, a, b = self.field, self.coeffs, other.coeffs
+        d = b.shape[0] - 1
+        q = np.zeros(max(a.shape[0] - d, 0), dtype=DTYPE)
+        rem = a.copy()
+        inv_lead = fs.inv(int(b[-1]))
+        for i in range(a.shape[0] - d - 1, -1, -1):
+            c = fs.mul(int(rem[i + d]), inv_lead)
+            if c:
+                q[i] = c
+                rem[i: i + d + 1] = fs.add_arrays(rem[i: i + d + 1], fs.MUL[fs.neg(c), b])
+        return Poly._raw(fs, q), Poly._raw(fs, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import Algebra, AlgebraElement
+from .algebra import Algebra, AlgebraElement, AxiomReport
 from .errors import MixedStructureError
 from .fields import DTYPE
 from .skewlaurent import (CoeffLaurent, TruncLaurent, _min_end, laurent_mul,
@@ -33,15 +33,6 @@ from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
 
 
 # ---- the action spec ----
-
-class ModuleReport:
-    def __init__(self, failures: list[str]):
-        self.failures = failures
-        self.ok = not failures
-
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class RightModuleSpec:
     """F^n as a right A-module: one n x n matrix per algebra basis element,
@@ -107,7 +98,7 @@ class RightModuleSpec:
         return f"<right module F^{self.n} over {self.algebra.meta.get('name', '?')}>"
 
 
-def module_verify(spec: RightModuleSpec) -> ModuleReport:
+def module_verify(spec: RightModuleSpec) -> AxiomReport:
     """Check R(1) = I and R(a_i a_j) = R(a_i) R(a_j) on all basis pairs."""
     a, n = spec.algebra, spec.n
     fs = a.field
@@ -123,7 +114,7 @@ def module_verify(spec: RightModuleSpec) -> ModuleReport:
     for i, j in np.argwhere(bad):
         failures.append(
             f"R({a.labels[i]} {a.labels[j]}) != R({a.labels[i]}) R({a.labels[j]})")
-    return ModuleReport(failures)
+    return AxiomReport(failures)
 
 
 def check_module(spec: RightModuleSpec) -> RightModuleSpec:
@@ -378,7 +369,7 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
     if end is not None:
         hi = min(hi, end)
     # out_k = sum_j s_{k-j} W_j with W_j = f_j I
-    w = la.scale(fs, la.eye(spec.n), fc[:, None, None]).reshape(-1, spec.n)
+    w = fs.MUL[la.eye(spec.n), fc[:, None, None]].reshape(-1, spec.n)
     return s._new(lo, la.toeplitz_mul(fs, s.coeffs, w, max(hi - lo, 0)), end)
 
 
@@ -386,5 +377,5 @@ def central_laurent(ctx: SkewDerivation, f_ord: int, f_coeffs: Sequence,
                     f_end: Optional[int] = None) -> TruncLaurent:
     """Embed a Laurent series over F into the ring (coefficients c * 1_A)."""
     fc = np.asarray([ctx.field.element(c).idx for c in f_coeffs], dtype=DTYPE)
-    rows = la.scale(ctx.field, ctx.algebra.unit, fc[:, None])
+    rows = ctx.field.MUL[ctx.algebra.unit, fc[:, None]]
     return TruncLaurent(ctx, f_ord, rows, f_end)

@@ -25,13 +25,11 @@ class ExampleBundle:
 
     def __init__(self, name: str, ctx: SkewDerivation,
                  checks: Callable[["ExampleBundle"], list[tuple[str, bool]]],
-                 restriction: Optional[ScalarRestriction] = None,
-                 inner_element: Optional[AlgebraElement] = None):
+                 restriction: Optional[ScalarRestriction] = None):
         self.name = name
         self.ctx = ctx
         self.algebra = ctx.algebra
         self.restriction = restriction
-        self.inner_element = inner_element
         self._checks = checks
 
     def checks(self) -> list[tuple[str, bool]]:
@@ -56,14 +54,10 @@ def _parent_matrix(res: ScalarRestriction, entries) -> AlgebraElement:
     return res.to_restricted(parent.element(coords))
 
 
-def _frob_idx(f4, x: int) -> int:
-    return f4.frob(x, 1)
-
-
 def _m2f4_delta_formula(f4, entries) -> list[list[int]]:
     """The closed form for the E12-inner derivation on M2(F4)."""
     x0, x1, x2, x3 = entries[0][0], entries[0][1], entries[1][0], entries[1][1]
-    return [[x2, f4.add(_frob_idx(f4, x0), x3)], [0, _frob_idx(f4, x2)]]
+    return [[x2, f4.add(f4.frob(x0), x3)], [0, f4.frob(x2)]]
 
 
 def m2f4_inner() -> ExampleBundle:
@@ -95,8 +89,7 @@ def m2f4_inner() -> ExampleBundle:
                     avail.laurent and b.ctx.m_delta_prime == 2))
         return out
 
-    return ExampleBundle("m2f4-inner", ctx, checks, restriction=res,
-                         inner_element=m_el)
+    return ExampleBundle("m2f4-inner", ctx, checks, restriction=res)
 
 
 def f4c5_group() -> ExampleBundle:
@@ -135,7 +128,7 @@ def f4c5_group() -> ExampleBundle:
         chain.append(("laurent ring exists", avail.laurent))
         return chain
 
-    return ExampleBundle("f4c5-group", ctx, checks, inner_element=a.one)
+    return ExampleBundle("f4c5-group", ctx, checks)
 
 
 def m2f4_diag() -> ExampleBundle:
@@ -160,8 +153,7 @@ def m2f4_diag() -> ExampleBundle:
         out.append(("laurent ring refused", not avail.laurent))
         return out
 
-    return ExampleBundle("m2f4-diag", ctx, checks, restriction=res,
-                         inner_element=m_el)
+    return ExampleBundle("m2f4-diag", ctx, checks, restriction=res)
 
 
 def fyz_quotient(p: int = 2) -> ExampleBundle:

@@ -146,10 +146,6 @@ def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
     return la.toeplitz_mul(ctx.field, f, w, out_len)
 
 
-def apply_map_rows(ctx: SkewDerivation, m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return la.mat_mul(ctx.field, rows, m.T)
-
-
 # ---- the polynomial classes ----
 
 class CoeffRows:
@@ -302,13 +298,12 @@ class SkewPoly(CoeffPoly):
         return poly_mul(self, other)
 
     def scale_left(self, a: AlgebraElement) -> "SkewPoly":
-        """a * f, coefficientwise left multiplication."""
-        lm = self.ctx.algebra.left_mult_matrix(a.coords)
-        return SkewPoly(self.ctx, apply_map_rows(self.ctx, lm, self.coeffs))
+        """a * f, coefficientwise left multiplication: the product with the
+        constant a."""
+        return poly_mul(SkewPoly.constant(self.ctx, a), self)
 
 
-def format_poly_arr(algebra, coeffs: np.ndarray, var: str = "X",
-                    offset: int = 0) -> str:
+def format_poly_arr(algebra, coeffs: np.ndarray, offset: int = 0) -> str:
     terms = []
     for i in range(coeffs.shape[0]):
         row = coeffs[i]
@@ -319,7 +314,7 @@ def format_poly_arr(algebra, coeffs: np.ndarray, var: str = "X",
         if e == 0:
             terms.append(f"({cs})" if " + " in cs else cs)
             continue
-        xs = var if e == 1 else f"{var}^{e}"
+        xs = "X" if e == 1 else f"X^{e}"
         if np.array_equal(row, algebra.unit):
             terms.append(xs)
         elif " + " in cs:

@@ -148,21 +148,13 @@ def series_mul(s: CoeffSeries, t: TruncSeries, prec: Optional[int] = None) -> Co
 
 def series_times_scalar(s: CoeffSeries, a: AlgebraElement,
                         prec: Optional[int] = None) -> CoeffSeries:
-    """s * a for a scalar a: coefficient i is sum_{j=i}^{(i+1)m-1} s_j N_i^j(a)."""
+    """s * a for a scalar a: the product with the constant series a, whose
+    window s.prec // m_delta is all the left factor supports."""
     ctx = s.ctx
-    m = require_series_ring(ctx)
+    n = s.prec // require_series_ring(ctx)
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    n_max = s.prec // m
-    if prec is None:
-        prec = n_max
-    elif prec > n_max:
-        raise PrecisionError(
-            f"requested {prec} output coefficients; series precision {s.prec} "
-            f"supports {n_max} (needs {prec * m})")
-    # the product with the constant series a: coefficient i reads s_i .. s_{(i+1)m-1}
-    out = mul_arrays(s.space, ctx, s.coeffs[: prec * m], a.coords[None, :], out_limit=prec)
-    return s._new(prec, _pad(out, prec))
+    return series_mul(s, TruncSeries(ctx, n, _pad(a.coords[None, :], n)), prec)
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:
@@ -256,25 +248,15 @@ def solve_right_permutable(f: TruncSeries, n_max: int,
     r = ctx.algebra.dim
     system = _chain_system(ctx, n, n)
     for m in range(n_max + 1):
-        rhs = la.zeros(n * r)
-        for j in range(m, n):
-            rhs[j * r:(j + 1) * r] = f.coeffs[j - m]
-        x = la.solve(ctx.field, system, rhs)
+        shifted = la.zeros((n, r))  # the window of f X^m
+        shifted[m:] = f.coeffs[:max(n - m, 0)]
+        x = la.solve(ctx.field, system, shifted.reshape(-1))
         if x is None:
             continue
         s = TruncSeries(ctx, n, x.reshape(n, r))
-        shifted_f = TruncSeries(ctx, n, _pad_shift(f.coeffs, m, n))
-        if x_times_series(s).agrees_with(shifted_f):
+        if x_times_series(s).agrees_with(TruncSeries(ctx, n, shifted)):
             return PermutabilityWitness(m, s)
     return None
-
-
-def _pad_shift(coeffs: np.ndarray, m: int, n: int) -> np.ndarray:
-    out = la.zeros((n, coeffs.shape[1]))
-    upto = min(n - m, coeffs.shape[0])
-    if upto > 0:
-        out[m: m + upto] = coeffs[:upto]
-    return out
 
 
 def kernel_left_x(ctx: SkewDerivation, n: int) -> list[TruncSeries]:

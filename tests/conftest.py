@@ -75,8 +75,7 @@ def m2_inner_over(p: int) -> ExampleBundle:
     e12 = res.to_restricted(res.parent.basis_element(1))
     ctx = verify_skew_derivation(res.algebra, sigma,
                                  inner_derivation(res.algebra, sigma, e12))
-    return ExampleBundle(f"m2f{p * p}-inner", ctx, lambda b: [],
-                         restriction=res, inner_element=e12)
+    return ExampleBundle(f"m2f{p * p}-inner", ctx, lambda b: [], restriction=res)
 
 
 @pytest.fixture(scope="session")

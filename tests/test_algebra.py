@@ -12,7 +12,7 @@ from skewcodes import (Algebra, LinearMap, field, group_algebra_cyclic,
                        verify_skew_derivation)
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE
-from conftest import rand_element
+from conftest import rand_coords, rand_element
 
 
 def test_matrix_algebra_unit_rule():
@@ -80,7 +80,7 @@ def test_verify_algebra_catches_broken_tensor():
     tensor[1, 2, 0] ^= 1  # corrupt E12 * E21
     bad = Algebra(good.field, tensor, good.unit, good.labels)
     report = verify_algebra(bad)
-    assert not report.valid
+    assert not report.ok
     assert report.failures
 
 
@@ -142,6 +142,25 @@ def test_linear_map_images_and_inverse():
     assert m.compose(inv).is_identity()
     sing = LinearMap.from_images(a, [one, y, y])
     assert sing.inverse() is None
+
+
+@pytest.mark.parametrize("fs", [field(3), field(5), field(3, 2)], ids=["F3", "F5", "F9"])
+def test_signed_maps_in_odd_characteristic(fs):
+    """LinearMap subtraction entry by entry in field arithmetic, and the inner
+    derivation x -> m x - sigma(x) m element by element: in characteristic 2
+    a dropped minus sign would pass unseen."""
+    rng = random.Random(14)
+    a = matrix_algebra(fs, 2)
+    for _ in range(10):
+        f, g, sigma = (LinearMap(a, rand_coords(rng, fs.q, (a.dim, a.dim)))
+                       for _ in range(3))
+        want = [[(fs.element(int(x)) - fs.element(int(y))).idx for x, y in zip(*rows)]
+                for rows in zip(f.matrix, g.matrix)]
+        assert np.array_equal((f - g).matrix, want)
+        m = rand_element(rng, a)
+        delta = inner_derivation(a, sigma, m)
+        for x in a.basis() + [rand_element(rng, a)]:
+            assert delta(x) == m * x - sigma(x) * m
 
 
 def test_inner_derivation_satisfies_twisted_leibniz():

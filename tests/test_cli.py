@@ -210,6 +210,12 @@ def test_message_of_the_wrong_length_is_input_error(tmp_path):
     assert "code dimension 5" in err
 
 
+@pytest.mark.parametrize("prec", [True, 0, 2.5, "8"])
+def test_prec_that_is_not_a_positive_integer_is_input_error(tmp_path, prec):
+    rc, out, err = run(["verify", "-w", _edited_f4c5(tmp_path, "prec", prec)])
+    assert (rc, out, err) == (2, "", "input error: prec must be a positive integer\n")
+
+
 @pytest.mark.parametrize("payload", [
     '{"ord": -1, "coeffs": [[1, 0, 0, 0, 0]], "end": -1}',
     '{"ord": "-1", "coeffs": [[1, 0, 0, 0, 0]]}',
@@ -294,6 +300,18 @@ def test_huge_fields_exit_2_at_once(tmp_path, run_python, fs):
                    "verify", "-w", str(path))
     assert r.returncode == 2 and r.stdout == "", r.stderr
     assert r.stderr.startswith("input error: bad field: "), r.stderr
+
+
+def test_workspace_schema_reads_the_same_in_readme_and_cli_help():
+    """The schema block of the cli docstring and the one in README agree up
+    to whitespace, so neither can drift from the other."""
+    def words(text):
+        return " ".join(text.split())
+
+    doc = cli.__doc__.split("are optional):\n\n", 1)[1].split("\n\n", 1)[0]
+    readme = open(os.path.join(HERE, "README.md"), encoding="utf-8").read()
+    block = readme.split("### Workspace schema", 1)[1].split("```\n", 2)[1]
+    assert words(doc).startswith("field {") and words(doc) == words(block)
 
 
 def test_prec_override():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes import field
+from skewcodes import Poly, field, group_algebra_cyclic
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import _DEFAULT_MODULI, DTYPE, FieldSpec
 
@@ -112,6 +112,12 @@ def test_mixed_field_operations_reject():
     b = field(3).element(1)
     with pytest.raises(MixedStructureError):
         a + b
+    # coefficients of an F[X] polynomial and of an algebra element go
+    # through the same field check, FieldElement or not
+    with pytest.raises(MixedStructureError):
+        Poly(field(2), [field(3).element(2), 1])
+    with pytest.raises(MixedStructureError):
+        group_algebra_cyclic(field(2), 3).element([field(2, 2).element(3), 0, 1])
 
 
 def test_same_parameters_same_spec():

@@ -98,16 +98,24 @@ def test_mixed_context_product_rejected(m2f4_inner, f4c5_group):
         series_mul(s, t)
 
 
-def test_scalar_product_matches_constant_series(series_bundles):
+def test_scalar_product_matches_constant_series(series_bundles, odd_fyz_bundles,
+                                                odd_laurent_bundles):
+    """s a is the exact product of s and the constant a on the window the
+    q bound allows, s.prec // m_delta coefficients, whatever the tail of s
+    past its precision holds (iterative oracle on a longer s)."""
     rng = random.Random(34)
-    for b in series_bundles:
+    for b in series_bundles + odd_fyz_bundles + odd_laurent_bundles:
         ctx = b.ctx
-        for _ in range(20):
-            s = rand_series(rng, ctx, 12)
+        q, r, m = ctx.field.q, ctx.algebra.dim, ctx.m_delta
+        for _ in range(12):
+            prec = rng.randrange(0, 13)
+            longer = rand_coords(rng, q, (prec + 4, r))
             a = rand_element(rng, ctx.algebra)
-            direct = series_times_scalar(s, a)
-            const = TruncSeries.from_elements(ctx, [a], direct.prec)
-            assert direct == series_mul(s, const), b.name
+            got = series_times_scalar(TruncSeries(ctx, prec, longer[:prec]), a)
+            exact = poly_mul_iterative(SkewPoly(ctx, longer), SkewPoly.constant(ctx, a))
+            n = prec // m
+            assert got.prec == n, b.name
+            assert got.agrees_with(TruncSeries.from_poly(exact, n)), b.name
 
 
 def test_x_times_matches_polynomial_layer(series_bundles):
