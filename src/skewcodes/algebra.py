@@ -221,12 +221,16 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
+        if other.algebra != self.algebra:
+            raise MixedStructureError("maps on different algebras")
         return LinearMap(self.algebra,
                          la.mat_mul(self.algebra.field, self.matrix, other.matrix))
 
     __matmul__ = compose
 
     def __add__(self, other: "LinearMap") -> "LinearMap":
+        if other.algebra != self.algebra:
+            raise MixedStructureError("maps on different algebras")
         return LinearMap(self.algebra,
                          self.algebra.field.add_arrays(self.matrix, other.matrix))
 

@@ -258,8 +258,7 @@ def xinv_times(s: TruncLaurent) -> TruncLaurent:
     if L == 0:
         return TruncLaurent(ctx, 0, s.coeffs, end)
     # out_l = sum_i s_{l-i} W_i with W_i = (sigma' delta'^{m'-1-i})^T
-    w = np.stack(ctx.xinv_maps()[::-1]).transpose(0, 2, 1).reshape(-1, ctx.algebra.dim)
-    out = la.toeplitz_mul(spec, s.coeffs, w, L + mp - 1)
+    out = la.toeplitz_mul(spec, s.coeffs, ctx.xinv_taps, L + mp - 1)
     if end is not None:
         out = out[: max(0, end - (s.ord - mp))]
     return TruncLaurent(ctx, s.ord - mp, out, end)

@@ -11,6 +11,7 @@ N_{n+1}^n = 0.  In particular N_0^n = delta^n and N_n^n = sigma^n.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Optional
@@ -74,6 +75,13 @@ class SkewDerivation:
             self._xinv_maps = out
         return self._xinv_maps
 
+    @functools.cached_property
+    def xinv_taps(self) -> np.ndarray:
+        """Read-only Toeplitz taps of X^{-1}, block i = (sigma' delta'^{m'-1-i})^T."""
+        taps = np.stack(self.xinv_maps()[::-1]).transpose(0, 2, 1).reshape(-1, self.algebra.dim)
+        taps.flags.writeable = False
+        return taps
+
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, SkewDerivation) and (
             (self.algebra, self.sigma, self.delta) == (other.algebra, other.sigma, other.delta))
@@ -124,21 +132,24 @@ MAX_TABLE_ENTRIES = 2**25
 
 
 class NOperatorTable:
-    """The N_i^n maps as one stacked read-only array: entry [n, i] = N_i^n.
+    """The N_i^n maps as one 2D read-only array in the layout the products
+    contract with: entry [(i, a), (k, b)] = N_i^k[b, a], zero for i > k.
 
-    Entries with i > n are zero.  ensure(n) builds the missing rows, one
-    whole row per kernel call: row n+1 = sigma (row n shifted by one) +
-    delta (row n).  Storage grows geometrically up to the entry budget and
-    is writable only inside ensure, under the lock; readers index a
-    read-only view of it, published before n_max advances, so a reader
-    that sees n_max >= n finds row n built.
+    Column block k is C_k, the (N_i^k)^T stacked over i.  coefficient_maps
+    reads the first block rows of stacked(n) and xn_arrays its column block
+    n, both as views; rows(n) and matrix(i, n) are views of the same storage.
+    ensure(n) builds the missing column blocks, one per kernel call:
+    C_{k+1} = shift(C_k sigma^T) + C_k delta^T, the shift moving block i to
+    i + 1.  Storage grows geometrically up to the entry budget and is
+    writable only inside ensure, under the lock; readers index a read-only
+    view of it, published before n_max advances, so a reader that sees
+    n_max >= n finds column block n built.
     """
 
     def __init__(self, ctx: SkewDerivation):
         self.ctx = ctx
-        buf = la.zeros((1, 1, ctx.algebra.dim, ctx.algebra.dim))
-        buf[0, 0] = la.eye(ctx.algebra.dim)
-        self._publish(buf)
+        self._r = ctx.algebra.dim
+        self._publish(la.eye(self._r))
         self._n_max = 0
         self._lock = threading.Lock()
 
@@ -149,14 +160,13 @@ class NOperatorTable:
 
     @property
     def n_max(self) -> int:
-        """Largest n whose row is built."""
+        """Largest n whose column block is built."""
         return self._n_max
 
     @property
     def max_n(self) -> int:
         """Largest n the entry budget admits."""
-        r = self.ctx.algebra.dim
-        return math.isqrt(MAX_TABLE_ENTRIES // (r * r)) - 1
+        return math.isqrt(MAX_TABLE_ENTRIES // self._r**2) - 1
 
     def ensure(self, n: int) -> None:
         if n <= self._n_max:
@@ -168,36 +178,39 @@ class NOperatorTable:
             top = self._n_max
             if n <= top:
                 return
-            r, buf = self.ctx.algebra.dim, self._buf
-            cap = buf.shape[0] - 1
+            r, buf = self._r, self._buf
+            cap, end = buf.shape[0] // r - 1, (top + 1) * r
             if n > cap:
                 cap = min(max(n, 2 * cap), self.max_n)
-                buf = la.zeros((cap + 1, cap + 1, r, r))
-                buf[:top + 1, :top + 1] = self._buf[:top + 1, :top + 1]
+                buf = la.zeros(((cap + 1) * r, (cap + 1) * r))
+                buf[:end, :end] = self._buf[:end, :end]
             else:
                 buf.flags.writeable = True
             spec = self.ctx.field
-            maps = np.concatenate([self.ctx.sigma.matrix, self.ctx.delta.matrix])
+            maps = np.concatenate([self.ctx.sigma.matrix.T, self.ctx.delta.matrix.T], axis=1)
             for m in range(top, n):
-                # [sigma N_i^m, delta N_i^m] for every i at once
-                flat = buf[m, :m + 1].transpose(1, 0, 2).reshape(r, (m + 1) * r)
-                prod = la.mat_mul(spec, maps, flat).reshape(2, r, m + 1, r)
-                row = buf[m + 1]
-                row[1:m + 2] = prod[0].transpose(1, 0, 2)
-                row[:m + 1] = spec.add_arrays(row[:m + 1], prod[1].transpose(1, 0, 2))
+                # [C_m sigma^T, C_m delta^T] for every block i at once
+                prod = la.mat_mul(spec, buf[:(m + 1) * r, m * r:(m + 1) * r], maps)
+                col = buf[:, (m + 1) * r:(m + 2) * r]
+                col[r:(m + 2) * r] = prod[:, :r]
+                col[:(m + 1) * r] = spec.add_arrays(col[:(m + 1) * r], prod[:, r:])
             self._publish(buf)
             self._n_max = n
 
+    def stacked(self, n: int) -> np.ndarray:
+        """Read-only ((n+1) r, (n+1) r) view: entry [(i, a), (k, b)] = N_i^k[b, a]."""
+        self.ensure(n)
+        return self._stack[:(n + 1) * self._r, :(n + 1) * self._r]
+
     def rows(self, n: int) -> np.ndarray:
         """Read-only (n+1, n+1, r, r) view: entry [k, i] = N_i^k, zero for i > k."""
-        self.ensure(n)
-        return self._stack[:n + 1, :n + 1]
+        r = self._r
+        return self.stacked(n).reshape(n + 1, r, n + 1, r).transpose(2, 0, 3, 1)
 
     def matrix(self, i: int, n: int) -> np.ndarray:
         if not (0 <= i <= n):
             raise IndexError(f"N_{i}^{n} undefined: need 0 <= i <= n")
-        self.ensure(n)
-        return self._stack[n, i]
+        return self.stacked(n)[i * self._r:(i + 1) * self._r, n * self._r:].T
 
     def map(self, i: int, n: int) -> LinearMap:
         return LinearMap(self.ctx.algebra, self.matrix(i, n))

@@ -81,9 +81,8 @@ def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np
     w = la.mat_mul(spec, g.reshape(K * m, g.shape[2]), space.flat)
     w = w.reshape(K, m, r, space.n).transpose(0, 2, 1, 3).reshape(K * r, m * space.n)
     if K > 1:
-        # rows (i, a), columns (k, b): N_i^k[b, a]; N_i^k = 0 for i > k
-        nt = ctx.ntable.rows(K - 1)[:, :taps].transpose(1, 3, 0, 2).reshape(taps * r, K * r)
-        w = la.mat_mul(spec, nt, w)
+        # the table's first taps block rows, a view: [(i, a), (k, b)] = N_i^k[b, a]
+        w = la.mat_mul(spec, ctx.ntable.stacked(K - 1)[:taps * r], w)
     return w
 
 
@@ -135,14 +134,14 @@ def mul_iterative_arrays(ctx: SkewDerivation, g: np.ndarray, f: np.ndarray) -> n
 def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
               out_limit: Optional[int] = None) -> np.ndarray:
     """X^n f = sum_k N_k^n(f) X^k on coefficient rows: one Toeplitz product
-    with W_k = (N_k^n)^T read from row n of the stacked table."""
+    with W_k = (N_k^n)^T, a view of column block n of the stacked table."""
     f = _trim(f)
     full = n + f.shape[0]
     out_len = full if out_limit is None else min(out_limit, full)
     if f.shape[0] == 0 or out_len <= 0:
         return la.zeros((0, ctx.algebra.dim))
     r = ctx.algebra.dim
-    w = ctx.ntable.rows(n)[n, :min(n + 1, out_len)].transpose(0, 2, 1).reshape(-1, r)
+    w = ctx.ntable.stacked(n)[:min(n + 1, out_len) * r, n * r:]
     return la.toeplitz_mul(ctx.field, f, w, out_len)
 
 

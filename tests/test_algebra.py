@@ -178,7 +178,12 @@ def test_inner_derivation_satisfies_twisted_leibniz():
 
 
 def test_mixed_algebra_operations_reject():
-    x = matrix_algebra(field(2), 2).one
-    y = group_algebra_cyclic(field(2), 4).one
+    """Both algebras have dimension 4 over GF(2), so their maps' matrices
+    alone would combine."""
+    a, b = matrix_algebra(field(2), 2), group_algebra_cyclic(field(2), 4)
     with pytest.raises(MixedStructureError):
-        x * y
+        a.one * b.one
+    f, g = LinearMap.identity(a), LinearMap.identity(b)
+    for combine in (f.__add__, f.__sub__, f.compose):
+        with pytest.raises(MixedStructureError):
+            combine(g)

@@ -170,11 +170,14 @@ def _recurrence_entries(ctx, n_max):
     return rows
 
 
-def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz_bundles):
-    for b in series_bundles + odd_fyz_bundles[1:]:
+def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz_bundles,
+                                                         odd_laurent_bundles):
+    """Steps that grow the storage to capacity 3, double it twice, extend it
+    in place and grow it to fit, in characteristic 2, 3 and 5."""
+    for b in series_bundles + odd_fyz_bundles + odd_laurent_bundles[1:]:
         table = NOperatorTable(b.ctx)
         want = _recurrence_entries(b.ctx, 64)
-        for n in (3, 10, 64):
+        for n in (3, 5, 10, 11, 64):
             table.ensure(n)
             assert table.n_max == n
             stack = table.rows(n)

@@ -11,7 +11,8 @@ from skewcodes import (SkewPoly, left_from_right, poly_mul, poly_mul_iterative,
                        right_from_left, xn_times)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
-from skewcodes.skewpoly import RegularCoeffs, coefficient_maps
+from skewcodes import _gflinalg as la
+from skewcodes.skewpoly import RegularCoeffs, coefficient_maps, xn_arrays
 from conftest import rand_coords, rand_element
 
 
@@ -64,9 +65,9 @@ def test_product_matches_iterated_left_shift_oracle(all_bundles):
             assert poly_mul(g, f) == poly_mul_iterative(g, f), b.name
 
 
-def test_xn_times_is_iterated_x(all_bundles):
+def test_xn_times_is_iterated_x(all_bundles, odd_fyz_bundles, odd_laurent_bundles):
     rng = random.Random(29)
-    for b in all_bundles:
+    for b in all_bundles + odd_fyz_bundles + odd_laurent_bundles:
         ctx = b.ctx
         x = SkewPoly.x_power(ctx)
         for _ in range(25):
@@ -90,10 +91,10 @@ def test_unit_and_zero_behave(all_bundles):
             assert f - f == zero
 
 
-def test_left_right_coefficient_round_trip(laurent_bundles):
+def test_left_right_coefficient_round_trip(laurent_bundles, odd_laurent_bundles):
     """Sum a_i X^i versus sum X^i b_i, converted both ways, exact."""
     rng = random.Random(37)
-    for b in laurent_bundles:
+    for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
         for _ in range(100):
             f = rand_poly(rng, ctx, 5)
@@ -146,6 +147,31 @@ def test_coefficient_maps_of_a_batch_sit_side_by_side(all_bundles, module_a):
             each = [coefficient_maps(space, ctx, g[:, j], taps) for j in range(m)]
             assert np.array_equal(coefficient_maps(space, ctx, g, taps),
                                   np.concatenate(each, axis=1))
+
+
+def test_products_read_the_n_table_in_place(monkeypatch, f4c5_group, m2f4_inner):
+    """coefficient_maps and xn_arrays hand the kernel a read-only view of the
+    N-table's storage, not a per-call copy of it."""
+    seen = []
+
+    def record(real):
+        def kernel(spec, a, b, *rest):
+            seen.extend([a, b])
+            return real(spec, a, b, *rest)
+        return kernel
+
+    monkeypatch.setattr(la, "mat_mul", record(la.mat_mul))
+    monkeypatch.setattr(la, "toeplitz_mul", record(la.toeplitz_mul))
+    rng = random.Random(53)
+    for b in (f4c5_group, m2f4_inner):
+        ctx = b.ctx
+        for call in (lambda g: coefficient_maps(RegularCoeffs(ctx.algebra), ctx, g, 3),
+                     lambda g: xn_arrays(ctx, g, 6)):
+            ctx.ntable.ensure(8)
+            seen.clear()
+            call(rand_coords(rng, ctx.field.q, (5, ctx.algebra.dim)))
+            table = [op for op in seen if np.shares_memory(op, ctx.ntable.rows(8))]
+            assert table and not any(op.flags.writeable for op in table), b.name
 
 
 def test_mixed_context_product_rejects(m2f4_inner, f4c5_group):
