@@ -122,12 +122,6 @@ def _eliminate(spec: FieldSpec, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def rank(spec: FieldSpec, m: np.ndarray) -> int:
-    if m.size == 0:
-        return 0
-    return len(_eliminate(spec, m)[1])
-
-
 def inv(spec: FieldSpec, m: np.ndarray) -> Optional[np.ndarray]:
     """Inverse of a square matrix, or None if singular."""
     n = m.shape[0]

@@ -246,9 +246,6 @@ class LinearMap:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, la.eye(self.algebra.dim)))
 
-    def rank(self) -> int:
-        return la.rank(self.algebra.field, self.matrix)
-
     def inverse(self) -> Optional["LinearMap"]:
         m = la.inv(self.algebra.field, self.matrix)
         return None if m is None else LinearMap(self.algebra, m)

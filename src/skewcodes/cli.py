@@ -118,6 +118,8 @@ class Workspace:
     def _build_algebra(self, spec: dict) -> Algebra:
         kind = _get(spec, "kind", str)
         restrict = spec.get("restrict_scalars", False)
+        if type(restrict) is not bool:
+            raise InputError("restrict_scalars must be true or false")
         if restrict and self.fs.k == 1:
             raise InputError("restrict_scalars needs a non-prime field")
 
@@ -214,6 +216,9 @@ class Workspace:
                 self._module = natural_module(self.restriction)
             elif kind == "trivial":
                 n = _get(spec, "n", int)
+                if not 1 <= n <= MAX_ALGEBRA_DIM:
+                    raise InputError(f"trivial module size n must lie in "
+                                     f"[1, {MAX_ALGEBRA_DIM}]")
                 act = np.broadcast_to(np.eye(n, dtype=DTYPE),
                                       (self.algebra.dim, n, n)).copy()
                 self._module = check_module(

@@ -9,8 +9,9 @@ left multiplications replaced by the action:
     (sum m_i X^i)(sum f_j X^j) = sum_j sum_i (sum_{k >= i} m_k N_i^k(f_j)) X^{i+j}
 
 and, Laurent-side, right multiplication by X^l is a plain coefficient shift
-for every integer l (positive or negative), while the scalar action at
-negative orders is the Laurent product with the scalar as a constant.
+for every integer l (positive or negative), while the scalar action is the
+Laurent product with the scalar as a constant, windowed nonnegative orders
+apart, which embed into the series layer.
 """
 
 from __future__ import annotations
@@ -310,9 +311,9 @@ def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
 def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
     """s a (production path).
 
-    Nonnegative orders embed into the series layer.  Negative orders are the
-    Laurent product with the exact constant a, which moves X^{ord} across a
-    by iterated X^{-1} expansion.
+    A windowed s of nonnegative order embeds into the series layer.  Every
+    other s is the Laurent product with the exact constant a, built
+    unchecked: only negative orders need the Laurent ring.
     """
     ctx = s.ctx
     if a.algebra != ctx.algebra:
@@ -321,12 +322,9 @@ def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
     if s.is_zero():
         # the unknown tail from X^end on contaminates from xn_floor(end) upward
         return s._zero(None if s.end is None else xn_floor(ctx, s.end))
-    if s.ord >= 0:
-        if s.end is None:
-            v = VecPoly(s.spec, ctx, s.coeffs).shift(s.ord)
-            return VecLaurent.from_poly(vecpoly_times_scalar(v, a))
+    if s.ord >= 0 and s.end is not None:
         return VecLaurent.from_series(series_times_scalar(s.to_series(), a))
-    return laurent_mul(s, TruncLaurent(ctx, 0, a.coords[None, :], None))
+    return laurent_mul(s, CoeffLaurent(ctx, 0, a.coords[None, :], None))
 
 
 def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaurent:

@@ -29,7 +29,7 @@ from . import _gflinalg as la
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, _trim, mul_arrays,
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _trim, mul_arrays,
                        xn_arrays)
 from .skewseries import CoeffSeries, TruncSeries
 
@@ -40,7 +40,6 @@ from .skewseries import CoeffSeries, TruncSeries
 class LaurentAvailability:
     series: bool
     laurent: bool
-    sigma_invertible: bool
     m_delta: Optional[int]
     m_delta_prime: Optional[int]
     series_witness: Optional[str]
@@ -79,7 +78,7 @@ def laurent_ring_exists(ctx: SkewDerivation) -> LaurentAvailability:
     series = ctx.m_delta is not None
     s_wit = None if series else _non_nilpotent_witness(ctx, ctx.delta.matrix, "delta")
     if ctx.sigma_inv is None:
-        return LaurentAvailability(series, False, False, ctx.m_delta, None,
+        return LaurentAvailability(series, False, ctx.m_delta, None,
                                    s_wit, "sigma is not invertible")
     l_wit = None
     laurent = series and ctx.m_delta_prime is not None
@@ -87,7 +86,7 @@ def laurent_ring_exists(ctx: SkewDerivation) -> LaurentAvailability:
         l_wit = s_wit
     elif ctx.m_delta_prime is None:
         l_wit = _non_nilpotent_witness(ctx, ctx.delta_prime.matrix, "delta'")
-    return LaurentAvailability(series, laurent, True, ctx.m_delta,
+    return LaurentAvailability(series, laurent, ctx.m_delta,
                                ctx.m_delta_prime, s_wit, l_wit)
 
 
@@ -331,13 +330,14 @@ def xn_floor(ctx: SkewDerivation, n: int) -> int:
     return n * require_laurent_ring(ctx)
 
 
-def laurent_mul(s: CoeffLaurent, t: TruncLaurent) -> CoeffLaurent:
+def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
     """s t on the largest window the operands support; s over any
-    coefficient space.
+    coefficient space, t over A.
 
     Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
-    t_hat (xn expansion for o_s >= 0, iterated X^{-1} otherwise), multiplies
-    the series parts truncated, and shifts.
+    t_hat (xn expansion for o_s >= 0, iterated X^{-1} otherwise) to w,
+    multiplies the series parts on the window min(n_w, n_s // m_delta),
+    None standing for an exact side, and shifts.
     """
     if s.ctx != t.ctx:
         raise MixedStructureError("operands built over different contexts")
@@ -359,24 +359,14 @@ def laurent_mul(s: CoeffLaurent, t: TruncLaurent) -> CoeffLaurent:
     n_t = None if t.end is None else t.end - o_t
     if o_s >= 0:
         arr = xn_arrays(ctx, t.coeffs, o_s, out_limit=n_t)
-        w = TruncLaurent(ctx, 0, arr, n_t)
+        w = CoeffLaurent(ctx, 0, arr, n_t)
     else:
         w = xnegn_times(TruncLaurent(ctx, 0, t.coeffs, n_t), -o_s)
     shift = w.ord + o_t
     n_s = None if s.end is None else s.end - o_s
     n_w = None if w.end is None else w.end - w.ord
-    if w.is_zero():
-        return s._zero(None if w.end is None else w.end + o_t)
     # series product of s_hat (window n_s) and w_hat (window n_w)
-    if n_s is None and n_w is None:
-        return s._new(shift, mul_arrays(s.space, ctx, s.coeffs, w.coeffs), None)
-    if n_s is None:
-        n_out = n_w
-    elif n_w is None:
-        n_out = n_s // m
-    else:
-        n_out = min(n_w, n_s // m)
-    w_arr = w._window_arr(w.ord, w.ord + n_out)
+    n_out = _min_end(n_w, None if n_s is None else n_s // m)
     s_arr = s.coeffs if n_s is None else s.coeffs[: n_out * m]
-    prod = mul_arrays(s.space, ctx, s_arr, w_arr, out_limit=n_out)
-    return s._new(shift, _pad(prod, n_out), shift + n_out)
+    prod = mul_arrays(s.space, ctx, s_arr, w.coeffs[:n_out], out_limit=n_out)
+    return s._new(shift, prod, None if n_out is None else shift + n_out)

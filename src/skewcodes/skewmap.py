@@ -1,12 +1,16 @@
-"""Skew derivation pairs (sigma, delta) on an Algebra and the N operator table.
+"""Skew derivation pairs (sigma, delta) on an Algebra and their N operator tables.
 
 sigma must be a unital ring endomorphism and delta a sigma-derivation:
-delta(x y) = sigma(x) delta(y) + delta(x) y.  When sigma is invertible the
-right-hand pair is sigma' = sigma^{-1}, delta' = -delta o sigma^{-1}.
+delta(x y) = sigma(x) delta(y) + delta(x) y, so that X a = sigma(a) X + delta(a).
+When sigma is invertible the right-hand pair is sigma' = sigma^{-1},
+delta' = -delta o sigma^{-1}, and b X = X sigma'(b) + delta'(b) mirrors it.
 
-N_i^n are the maps collecting the X^i coefficient of X^n acting on scalars:
-N_i^{n+1} = sigma N_{i-1}^n + delta N_i^n, N_0^0 = id, with N_{-1}^n = 0 and
-N_{n+1}^n = 0.  In particular N_0^n = delta^n and N_n^n = sigma^n.
+N_i^n of a pair are the maps collecting the X^i coefficient of X^n acting on
+scalars: N_i^{n+1} = sigma N_{i-1}^n + delta N_i^n, N_0^0 = id, with
+N_{-1}^n = 0 and N_{n+1}^n = 0.  In particular N_0^n = delta^n and
+N_n^n = sigma^n.  A context keeps one table for (sigma, delta), where
+X^n a = sum_i N_i^n(a) X^i, and one for (sigma', delta'), where
+b X^n = sum_i X^i N'_i^n(b).
 """
 
 from __future__ import annotations
@@ -49,16 +53,14 @@ class SkewDerivation:
         self.m_delta = nilpotency_index(delta)
         self.m_delta_prime = (None if self.delta_prime is None
                               else nilpotency_index(self.delta_prime))
-        self._ntable = NOperatorTable(self)
+        self.ntable = NOperatorTable(sigma, delta)
+        self.ntable_right = (None if self.sigma_inv is None
+                             else NOperatorTable(self.sigma_inv, self.delta_prime))
         self._xinv_maps: Optional[list[np.ndarray]] = None
 
     @property
     def field(self):
         return self.algebra.field
-
-    @property
-    def ntable(self) -> "NOperatorTable":
-        return self._ntable
 
     def xinv_maps(self) -> list[np.ndarray]:
         """Matrices of sigma' delta'^k for k = 0 .. m_delta_prime - 1."""
@@ -132,8 +134,9 @@ MAX_TABLE_ENTRIES = 2**25
 
 
 class NOperatorTable:
-    """The N_i^n maps as one 2D read-only array in the layout the products
-    contract with: entry [(i, a), (k, b)] = N_i^k[b, a], zero for i > k.
+    """The N_i^n maps of a pair (sigma, delta) as one 2D read-only array in
+    the layout the products contract with: entry [(i, a), (k, b)] = N_i^k[b, a],
+    zero for i > k.
 
     Column block k is C_k, the (N_i^k)^T stacked over i.  coefficient_maps
     reads the first block rows of stacked(n) and xn_arrays its column block
@@ -146,9 +149,12 @@ class NOperatorTable:
     n_max >= n finds column block n built.
     """
 
-    def __init__(self, ctx: SkewDerivation):
-        self.ctx = ctx
-        self._r = ctx.algebra.dim
+    def __init__(self, sigma: LinearMap, delta: LinearMap):
+        if sigma.algebra != delta.algebra:
+            raise MixedStructureError("sigma and delta act on different algebras")
+        self.algebra = sigma.algebra
+        self._r = self.algebra.dim
+        self._maps = np.concatenate([sigma.matrix.T, delta.matrix.T], axis=1)
         self._publish(la.eye(self._r))
         self._n_max = 0
         self._lock = threading.Lock()
@@ -173,7 +179,7 @@ class NOperatorTable:
             return
         if n > self.max_n:
             raise ValueError(f"N-table up to n = {n} exceeds the limit {self.max_n} "
-                             f"for an algebra of dimension {self.ctx.algebra.dim}")
+                             f"for an algebra of dimension {self._r}")
         with self._lock:
             top = self._n_max
             if n <= top:
@@ -186,11 +192,10 @@ class NOperatorTable:
                 buf[:end, :end] = self._buf[:end, :end]
             else:
                 buf.flags.writeable = True
-            spec = self.ctx.field
-            maps = np.concatenate([self.ctx.sigma.matrix.T, self.ctx.delta.matrix.T], axis=1)
+            spec = self.algebra.field
             for m in range(top, n):
                 # [C_m sigma^T, C_m delta^T] for every block i at once
-                prod = la.mat_mul(spec, buf[:(m + 1) * r, m * r:(m + 1) * r], maps)
+                prod = la.mat_mul(spec, buf[:(m + 1) * r, m * r:(m + 1) * r], self._maps)
                 col = buf[:, (m + 1) * r:(m + 2) * r]
                 col[r:(m + 2) * r] = prod[:, :r]
                 col[:(m + 1) * r] = spec.add_arrays(col[:(m + 1) * r], prod[:, r:])
@@ -212,10 +217,7 @@ class NOperatorTable:
             raise IndexError(f"N_{i}^{n} undefined: need 0 <= i <= n")
         return self.stacked(n)[i * self._r:(i + 1) * self._r, n * self._r:].T
 
-    def map(self, i: int, n: int) -> LinearMap:
-        return LinearMap(self.ctx.algebra, self.matrix(i, n))
-
 
 def n_operator(ctx: SkewDerivation, i: int, n: int) -> LinearMap:
     """The map N_i^n of the context."""
-    return ctx.ntable.map(i, n)
+    return LinearMap(ctx.algebra, ctx.ntable.matrix(i, n))

@@ -345,44 +345,34 @@ def xn_times(f: SkewPoly, n: int) -> SkewPoly:
     return SkewPoly(f.ctx, xn_arrays(f.ctx, f.coeffs, n))
 
 
+def _contract(table, coeffs: np.ndarray) -> np.ndarray:
+    """c_i = sum_{j >= i} N_i^j(a_j) for the rows a_j of coeffs: one
+    contraction against the table of either pair."""
+    n, r = coeffs.shape
+    # rows (i, x), columns (j, b): N_i^j[x, b]
+    maps = table.rows(n - 1).transpose(1, 2, 0, 3).reshape(n * r, n * r)
+    return la.mat_mul(table.algebra.field, maps, coeffs.reshape(n * r, 1)).reshape(n, r)
+
+
 def left_from_right(ctx: SkewDerivation,
                     right_coeffs: Sequence[AlgebraElement]) -> SkewPoly:
-    """Convert sum_i X^i a_i to left-coefficient form.
-
-    The X^i coefficient is sum_{j >= i} N_i^j(a_j): one contraction against
-    the stacked N-table.
-    """
+    """Convert sum_j X^j a_j to left-coefficient form: X^j a = sum_i N_i^j(a) X^i,
+    so the X^i coefficient is sum_{j >= i} N_i^j(a_j)."""
     for a in right_coeffs:
         if a.algebra != ctx.algebra:
             raise MixedStructureError("coefficient from a different algebra")
-    n, r = len(right_coeffs), ctx.algebra.dim
-    if not n:
+    if not right_coeffs:
         return SkewPoly.zero(ctx)
-    coords = np.stack([a.coords for a in right_coeffs]).reshape(n * r, 1)
-    # rows (i, x), columns (j, b): N_i^j[x, b]
-    table = ctx.ntable.rows(n - 1).transpose(1, 2, 0, 3).reshape(n * r, n * r)
-    return SkewPoly(ctx, la.mat_mul(ctx.field, table, coords).reshape(n, r))
+    return SkewPoly(ctx, _contract(ctx.ntable, np.stack([a.coords for a in right_coeffs])))
 
 
 def right_from_left(f: SkewPoly) -> list[AlgebraElement]:
-    """Right coefficients a_i with f = sum_i X^i a_i; needs sigma invertible."""
+    """Right coefficients a_i with f = sum_i X^i a_i; needs sigma invertible.
+
+    b X^j = sum_i X^i N'_i^j(b) on the right-hand pair, so a_i is
+    sum_{j >= i} N'_i^j(f_j): the same contraction on the right-hand table.
+    """
     ctx = f.ctx
-    if ctx.sigma_inv is None:
+    if ctx.ntable_right is None:
         raise ValueError("right coefficients need an invertible sigma")
-    rem = f.coeffs.copy()
-    d = rem.shape[0] - 1
-    out: list[np.ndarray] = [la.zeros(ctx.algebra.dim) for _ in range(d + 1)]
-    inv_pows: dict[int, np.ndarray] = {}
-    while d >= 0:
-        rem = _trim(rem)
-        d = rem.shape[0] - 1
-        if d < 0:
-            break
-        if d not in inv_pows:
-            inv_pows[d] = la.mat_pow(ctx.field, ctx.sigma_inv.matrix, d)
-        b = la.mat_vec(ctx.field, inv_pows[d], rem[d])
-        out[d] = b
-        piece = xn_arrays(ctx, b.reshape(1, -1), d)
-        rem = ctx.field.add_arrays(_pad(rem, piece.shape[0]),
-                                   ctx.field.neg_arrays(piece))
-    return [AlgebraElement(ctx.algebra, v) for v in out]
+    return [AlgebraElement(ctx.algebra, v) for v in _contract(ctx.ntable_right, f.coeffs)]

@@ -210,6 +210,36 @@ def test_message_of_the_wrong_length_is_input_error(tmp_path):
     assert "code dimension 5" in err
 
 
+@pytest.mark.parametrize("n", [0, -1, 10**9])
+def test_trivial_module_size_is_refused_before_building(tmp_path, monkeypatch, n):
+    """Refusal path only: a size outside [1, MAX_ALGEBRA_DIM] exits 2 before
+    any action array is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("trivial action built before its size was checked")
+
+    monkeypatch.setattr(cli.np, "broadcast_to", never)
+    path = _edited_f4c5(tmp_path, "module", {"kind": "trivial", "n": n})
+    rc, out, err = run(["code", "closure", "-w", path])
+    assert (rc, out) == (2, "") and err == (
+        f"input error: trivial module size n must lie in [1, {MAX_ALGEBRA_DIM}]\n"), err
+
+
+def test_trivial_module_of_a_valid_size_builds(tmp_path):
+    path = _edited_f4c5(tmp_path, "module", {"kind": "trivial", "n": 5})
+    rc, out, err = run(["code", "closure", "-w", path])
+    assert rc == 0 and out.startswith("rate: 1/5\n"), err
+
+
+@pytest.mark.parametrize("value", ["false", 0, None])
+def test_restrict_scalars_that_is_not_a_boolean_is_input_error(tmp_path, value):
+    doc = json.load(open(ws("m2f4_e12")))
+    doc["algebra"]["restrict_scalars"] = value
+    path = tmp_path / "restrict.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["verify", "-w", str(path)])
+    assert (rc, out, err) == (2, "", "input error: restrict_scalars must be true or false\n")
+
+
 @pytest.mark.parametrize("prec", [True, 0, 2.5, "8"])
 def test_prec_that_is_not_a_positive_integer_is_input_error(tmp_path, prec):
     rc, out, err = run(["verify", "-w", _edited_f4c5(tmp_path, "prec", prec)])

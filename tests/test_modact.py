@@ -8,7 +8,7 @@ import pytest
 from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, field, matrix_algebra,
                        poly_mul_iterative, restrict_scalars)
 from skewcodes import _gflinalg as la
-from skewcodes.errors import MixedStructureError
+from skewcodes.errors import MixedStructureError, RingUnavailableError
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import laurent_mul, xinv_times
 from skewcodes.skewseries import series_mul, series_times_scalar
@@ -466,3 +466,20 @@ def test_mixed_structures_rejected(m2f4_inner, f4c5_group):
     g = SkewPoly.one(f4c5_group.ctx)
     with pytest.raises(MixedStructureError):
         vecpoly_times_ring(v, g)
+
+
+def test_exact_scalar_action_of_nonnegative_order_needs_no_laurent_ring(fyz_quotient):
+    """On a series-only context an exact vector of nonnegative order times a
+    scalar is the polynomial product; negative orders need the Laurent ring."""
+    ctx = fyz_quotient.ctx
+    spec = regular_module(ctx.algebra)
+    rng = random.Random(61)
+    for ord_ in range(3):
+        rows = rand_coords(rng, ctx.field.q, (3, spec.n))
+        rows[0, 0] = 1
+        a = rand_element(rng, ctx.algebra)
+        got = veclaurent_times_scalar(VecLaurent(spec, ctx, ord_, rows, None), a)
+        want = vecpoly_times_scalar(VecPoly(spec, ctx, rows).shift(ord_), a)
+        assert got == VecLaurent.from_poly(want)
+    with pytest.raises(RingUnavailableError):
+        veclaurent_times_scalar(VecLaurent(spec, ctx, -1, rows, None), a)

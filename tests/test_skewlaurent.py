@@ -1,19 +1,23 @@
 """Truncated skew Laurent series: availability, shuttles, windows."""
 
+import hashlib
+import os
 import random
 
 import numpy as np
 import pytest
 
 from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent,
-                       regular_module)
+                       load_preset, natural_module, regular_module,
+                       right_from_left, veclaurent_times_ring,
+                       veclaurent_times_scalar)
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import (laurent_mul, laurent_ring_exists,
                                    require_laurent_ring, xinv_times,
                                    xnegn_direct, xnegn_times)
-from conftest import rand_coords, rand_element
+from conftest import m2_inner_over, rand_coords, rand_element
 
 
 def rand_laurent(rng, ctx, ord_, length):
@@ -221,3 +225,84 @@ def test_zero_class_below_zero_is_not_a_power_series(m2f4_inner):
         assert x.is_zero() and x.end == -2
         with pytest.raises(ValueError, match="not a power series"):
             x.to_series()
+
+
+# ---- golden digest of the Laurent windows ----
+
+LAURENT_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                              "laurent.txt")
+
+
+def _rand_operand(rng, new, width, q):
+    """A zero, exact or windowed operand of order -4..4 built by new(ord, rows, end)."""
+    kind = rng.choice(("zero-exact", "zero-window", "exact", "window", "window"))
+    ord_ = rng.randrange(-4, 5)
+    if kind == "zero-exact":
+        return new(0, np.zeros((0, width), dtype=DTYPE), None)
+    if kind == "zero-window":
+        return new(0, np.zeros((0, width), dtype=DTYPE), ord_)
+    rows = rand_coords(rng, q, (rng.randrange(1, 5), width))
+    rows[0, rng.randrange(width)] = rng.randrange(1, q)
+    end = None if kind == "exact" else ord_ + rows.shape[0] + rng.randrange(3)
+    return new(ord_, rows, end)
+
+
+def _laurent_line(name, op, t, x):
+    if isinstance(x, list):  # right coefficients of a polynomial
+        rows = np.stack([a.coords for a in x]) if x else np.zeros((0, 0), dtype=DTYPE)
+        window = "ord=0 end=-"
+    else:
+        rows = x.coeffs
+        window = f"ord={x.ord} end={'-' if x.end is None else x.end}"
+    digest = hashlib.sha256(f"{rows.shape}".encode() + rows.tobytes()).hexdigest()[:16]
+    return f"{name} {op:<23} {t:2d} {window} {digest}"
+
+
+def laurent_golden_lines(reps: int = 32):
+    """Seeded Laurent products, module actions, X^{-n} steps and right
+    coefficients on three Laurent contexts, one (ord, end, digest) line each,
+    with zero, exact and windowed operands of order -4..4."""
+    out = []
+    for name in ("m2f4-inner", "f4c5-group", "m2f9-inner"):
+        b = m2_inner_over(3) if name == "m2f9-inner" else load_preset(name)
+        ctx = b.ctx
+        q, r = ctx.field.q, ctx.algebra.dim
+        spec = (regular_module(ctx.algebra) if b.restriction is None
+                else natural_module(b.restriction))
+        rng = random.Random(f"laurent-golden-{name}")
+
+        def ring():
+            return _rand_operand(rng, lambda o, c, e: TruncLaurent(ctx, o, c, e), r, q)
+
+        def vec():
+            return _rand_operand(rng, lambda o, c, e: VecLaurent(spec, ctx, o, c, e),
+                                 spec.n, q)
+
+        for t in range(reps):
+            scalar = ctx.algebra.from_coords(rand_coords(rng, q, r))
+            poly = SkewPoly(ctx, rand_coords(rng, q, (rng.randrange(1, 8), r)))
+            results = [
+                ("laurent_mul", laurent_mul(ring(), ring())),
+                ("veclaurent_times_ring", veclaurent_times_ring(vec(), ring())),
+                ("veclaurent_times_scalar", veclaurent_times_scalar(vec(), scalar)),
+                ("xinv_times", xinv_times(ring())),
+                ("xnegn_times", xnegn_times(ring(), rng.randrange(4))),
+                ("right_from_left", right_from_left(poly)),
+            ]
+            out += [_laurent_line(name, op, t, x) for op, x in results]
+    return out
+
+
+def test_laurent_outputs_match_golden():
+    """Regenerate with `PYTHONPATH=src python tests/test_skewlaurent.py >
+    tests/golden/laurent.txt`, only when the Laurent outputs are meant to
+    change."""
+    with open(LAURENT_GOLDEN) as fh:
+        expected = fh.read().splitlines()
+    got = laurent_golden_lines()
+    diff = [f"{a}  !=  {b}" for a, b in zip(got, expected) if a != b]
+    assert len(got) == len(expected) and not diff, diff[:5]
+
+
+if __name__ == "__main__":
+    print("\n".join(laurent_golden_lines()))

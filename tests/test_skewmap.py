@@ -11,7 +11,7 @@ from skewcodes import (LinearMap, SkewPoly, field, load_preset, matrix_algebra,
                        poly_mul_iterative, quotient_algebra_yz,
                        restrict_scalars, verify_skew_derivation)
 from skewcodes import _gflinalg as la
-from skewcodes.errors import AxiomError
+from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE, FieldSpec
 from skewcodes.skewmap import NOperatorTable
 
@@ -155,19 +155,28 @@ def test_non_invertible_sigma_is_allowed_without_mirror():
     assert ctx.delta_prime is None and ctx.m_delta_prime is None
 
 
-def _recurrence_entries(ctx, n_max):
-    """N_i^n entry by entry from the recurrence, with lookup-table products."""
+def _recurrence_entries(sigma, delta, n_max):
+    """N_i^n of the pair entry by entry from the recurrence, with
+    lookup-table products."""
     from test_gflinalg import table_mat_mul
-    spec, r = ctx.field, ctx.algebra.dim
+    spec, r = sigma.algebra.field, sigma.algebra.dim
     zero = la.zeros((r, r))
     rows = [[la.eye(r)]]
     for n in range(n_max):
         prev = rows[-1]
         rows.append([spec.add_arrays(
-            table_mat_mul(spec, ctx.sigma.matrix, prev[i - 1] if i else zero),
-            table_mat_mul(spec, ctx.delta.matrix, prev[i] if i <= n else zero))
+            table_mat_mul(spec, sigma.matrix, prev[i - 1] if i else zero),
+            table_mat_mul(spec, delta.matrix, prev[i] if i <= n else zero))
             for i in range(n + 2)])
     return rows
+
+
+def _assert_table_matches(table, want, n, name):
+    stack = table.rows(n)
+    for k in range(n + 1):
+        for i in range(n + 1):
+            expect = want[k][i] if i <= k else la.zeros(stack.shape[2:])
+            assert np.array_equal(stack[k, i], expect), (name, k, i)
 
 
 def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz_bundles,
@@ -175,16 +184,30 @@ def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz
     """Steps that grow the storage to capacity 3, double it twice, extend it
     in place and grow it to fit, in characteristic 2, 3 and 5."""
     for b in series_bundles + odd_fyz_bundles + odd_laurent_bundles[1:]:
-        table = NOperatorTable(b.ctx)
-        want = _recurrence_entries(b.ctx, 64)
+        table = NOperatorTable(b.ctx.sigma, b.ctx.delta)
+        want = _recurrence_entries(b.ctx.sigma, b.ctx.delta, 64)
         for n in (3, 5, 10, 11, 64):
             table.ensure(n)
             assert table.n_max == n
-            stack = table.rows(n)
-            for k in range(n + 1):
-                for i in range(n + 1):
-                    expect = want[k][i] if i <= k else la.zeros(stack.shape[2:])
-                    assert np.array_equal(stack[k, i], expect), (b.name, k, i)
+            _assert_table_matches(table, want, n, b.name)
+
+
+def test_right_hand_table_matches_recurrence(all_bundles, odd_fyz_bundles,
+                                             odd_laurent_bundles):
+    """ctx.ntable_right is the table of (sigma', delta'), in characteristic
+    2, 3 and 5, and is absent exactly when sigma is not invertible."""
+    for b in all_bundles + odd_fyz_bundles + odd_laurent_bundles:
+        ctx = b.ctx
+        want = _recurrence_entries(ctx.sigma_inv, ctx.delta_prime, 12)
+        _assert_table_matches(ctx.ntable_right, want, 12, b.name)
+    a = quotient_algebra_yz(field(2))
+    sigma = LinearMap.from_images(a, [a.one, a.zero, a.zero])
+    assert verify_skew_derivation(a, sigma, LinearMap.zero(a)).ntable_right is None
+
+
+def test_table_refuses_maps_on_different_algebras(m2f4_inner, f4c5_group):
+    with pytest.raises(MixedStructureError):
+        NOperatorTable(m2f4_inner.ctx.sigma, f4c5_group.ctx.delta)
 
 
 def test_table_memory_is_read_only(f4c5_group):
@@ -208,7 +231,7 @@ def test_table_memory_is_read_only(f4c5_group):
 
 
 def test_table_refuses_sizes_over_its_budget(m2f4_inner):
-    table = NOperatorTable(m2f4_inner.ctx)
+    table = NOperatorTable(m2f4_inner.ctx.sigma, m2f4_inner.ctx.delta)
     with pytest.raises(ValueError, match="exceeds the limit"):
         table.ensure(table.max_n + 1)
     assert table.n_max == 0
@@ -218,7 +241,7 @@ def test_concurrent_ensure_and_matrix_agree_with_one_thread(f4c5_group):
     """Threads race to extend fresh tables row by row while reading the
     newest entries; every read must equal the table built on one thread."""
     ctx = f4c5_group.ctx
-    ref = NOperatorTable(ctx)
+    ref = NOperatorTable(ctx.sigma, ctx.delta)
     ref.ensure(40)
     errors = []
 
@@ -237,7 +260,7 @@ def test_concurrent_ensure_and_matrix_agree_with_one_thread(f4c5_group):
     sys.setswitchinterval(1e-6)
     try:
         for round_ in range(25):
-            table = NOperatorTable(ctx)
+            table = NOperatorTable(ctx.sigma, ctx.delta)
             threads = [threading.Thread(target=worker, args=(table, 4 * round_ + s))
                        for s in range(4)]
             for t in threads:

@@ -91,10 +91,19 @@ def test_unit_and_zero_behave(all_bundles):
             assert f - f == zero
 
 
-def test_left_right_coefficient_round_trip(laurent_bundles, odd_laurent_bundles):
+@pytest.fixture(scope="module")
+def invertible_sigma_bundles(laurent_bundles, odd_laurent_bundles, m2f4_diag,
+                             fyz_quotient, odd_fyz_bundles):
+    """Contexts with sigma invertible: Laurent rings, and contexts whose
+    delta' is not nilpotent, so the right-hand table has no band."""
+    return laurent_bundles + odd_laurent_bundles + [m2f4_diag, fyz_quotient] \
+        + odd_fyz_bundles
+
+
+def test_left_right_coefficient_round_trip(invertible_sigma_bundles):
     """Sum a_i X^i versus sum X^i b_i, converted both ways, exact."""
     rng = random.Random(37)
-    for b in laurent_bundles + odd_laurent_bundles:
+    for b in invertible_sigma_bundles:
         ctx = b.ctx
         for _ in range(100):
             f = rand_poly(rng, ctx, 5)
@@ -108,16 +117,47 @@ def test_left_right_coefficient_round_trip(laurent_bundles, odd_laurent_bundles)
                 x == y for x, y in zip(back, elems))
 
 
-def test_right_coefficients_reconstruct_by_explicit_sum(m2f4_inner):
-    ctx = m2f4_inner.ctx
+def test_right_coefficients_reconstruct_by_explicit_sum(invertible_sigma_bundles):
     rng = random.Random(41)
-    for _ in range(25):
-        f = rand_poly(rng, ctx, 4)
-        rights = right_from_left(f)
-        total = SkewPoly.zero(ctx)
-        for i, a in enumerate(rights):
-            total = total + xn_times(SkewPoly.constant(ctx, a), i)
-        assert total == f
+    for b in invertible_sigma_bundles:
+        ctx = b.ctx
+        for _ in range(25):
+            f = rand_poly(rng, ctx, 4)
+            rights = right_from_left(f)
+            total = SkewPoly.zero(ctx)
+            for i, a in enumerate(rights):
+                total = total + xn_times(SkewPoly.constant(ctx, a), i)
+            assert total == f, b.name
+
+
+def test_coefficient_conversions_are_one_contraction(monkeypatch, laurent_bundles,
+                                                     fyz_quotient):
+    """Once the tables are built, each conversion is one kernel call, whatever
+    the degree."""
+    calls = []
+    real = la.mat_mul
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    rng = random.Random(59)
+    for b in laurent_bundles + [fyz_quotient]:
+        ctx = b.ctx
+        ctx.ntable.ensure(8)
+        ctx.ntable_right.ensure(8)
+        monkeypatch.setattr(la, "mat_mul", counted)
+        for deg in range(9):
+            coeffs = rand_coords(rng, ctx.field.q, (deg + 1, ctx.algebra.dim))
+            coeffs[deg, 0] = 1  # degree exactly deg
+            f = SkewPoly(ctx, coeffs)
+            calls.clear()
+            rights = right_from_left(f)
+            assert len(calls) == 1, (b.name, deg, calls)
+            calls.clear()
+            assert left_from_right(ctx, rights) == f
+            assert len(calls) == 1, (b.name, deg, calls)
+        monkeypatch.setattr(la, "mat_mul", real)
 
 
 def test_scale_left_matches_constant_product(series_bundles, odd_fyz_bundles,
