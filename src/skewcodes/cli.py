@@ -94,6 +94,8 @@ class Workspace:
         # sizes that drive the N-table are refused before it is built
         self.max_n = self.ctx.ntable.max_n
         self.max_prec = (self.max_n + 1) // (self.ctx.m_delta or 1)
+        # X^{-n} reads the right-hand table up to column block n m' - 1
+        self.min_ord = -((self.max_n + 1) // (self.ctx.m_delta_prime or 1))
         self.prec = raw.get("prec", 8)
         if type(self.prec) is not int or self.prec < 1:
             raise InputError("prec must be a positive integer")
@@ -300,9 +302,10 @@ class Workspace:
         end = ord_ + len(coeffs)
         if "end" in spec:
             end = None if spec["end"] is None else _get(spec, "end", int)
-        if abs(ord_) > self.max_n or (end is not None and end - ord_ > self.max_n + 1):
-            raise InputError(f"laurent window [{ord_}, {end}) exceeds the limit "
-                             f"{self.max_n} for this context")
+        if not self.min_ord <= ord_ <= self.max_n or (
+                end is not None and end - ord_ > self.max_n + 1):
+            raise InputError(f"laurent window [{ord_}, {end}) exceeds the limits: ord in "
+                             f"[{self.min_ord}, {self.max_n}], length <= {self.max_n + 1}")
         try:
             return TruncLaurent.from_elements(self.ctx, ord_, coeffs, end)
         except RingUnavailableError:

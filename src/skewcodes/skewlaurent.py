@@ -7,13 +7,14 @@ nilpotency index of delta' and sigma' = sigma^{-1}:
     X^{-1} s = sum_{k=0}^{m'-1} sigma' delta'^k(s) X^{-1-k}
 
 (the k = m' term vanishes), and right multiplication by X^l is a plain shift
-for every integer l.
+for every integer l.  n steps compose to X^{-n} s = sum_k sigma'
+N'_{n-1}^{n-1+k}(s) X^{-n-k}, N' from the right-hand table ctx.ntable_right.
 
 A TruncLaurent stores (ord, coeffs, end): the series is known exactly modulo
 X^end, coefficients live on exponents [ord, ord + len(coeffs)), and the slots
 from there up to end are known zeros.  end = None means the element is exact
 (a Laurent polynomial).  Every operation returns the largest window its
-inputs support: X^{-1} maps window [o, e) to [o - m', e - m'), left
+inputs support: X^{-n} maps window [o, e) to [o - n m', e - n m'), left
 multiplication by X^n and shifts preserve window length, and products use
 N_out = min(N_right, floor(N_left / m_delta)) on the series parts.
 """
@@ -59,34 +60,28 @@ class LaurentAvailability:
 
 
 def _non_nilpotent_witness(ctx: SkewDerivation, mat: np.ndarray, name: str) -> str:
-    a = ctx.algebra
-    r = a.dim
+    a, r = ctx.algebra, ctx.algebra.dim
     full = la.mat_pow(ctx.field, mat, r)
-    for j in range(r):
-        col = la.mat_vec(ctx.field, full, la.eye(r)[j])
-        if col.any():
-            img = la.mat_vec(ctx.field, mat, la.eye(r)[j])
-            lbl = a.labels[j]
-            if np.array_equal(img, la.eye(r)[j]):
-                return f"{name}({lbl}) = {lbl}"
-            return f"{name}^{r}({lbl}) = {a.format_coords(col)} != 0"
-    raise AssertionError("witness requested for a nilpotent map")
+    # the first basis element a_j with mat^r(a_j) != 0, mat not being nilpotent
+    j = int(np.flatnonzero(full.any(axis=0))[0])
+    lbl = a.labels[j]
+    if np.array_equal(mat[:, j], la.eye(r)[j]):
+        return f"{name}({lbl}) = {lbl}"
+    return f"{name}^{r}({lbl}) = {a.format_coords(full[:, j])} != 0"
 
 
 def laurent_ring_exists(ctx: SkewDerivation) -> LaurentAvailability:
     """Existence report for the polynomial, series and Laurent rings."""
     series = ctx.m_delta is not None
     s_wit = None if series else _non_nilpotent_witness(ctx, ctx.delta.matrix, "delta")
-    if ctx.sigma_inv is None:
-        return LaurentAvailability(series, False, ctx.m_delta, None,
-                                   s_wit, "sigma is not invertible")
     l_wit = None
-    laurent = series and ctx.m_delta_prime is not None
-    if not series:
+    if ctx.sigma_inv is None:
+        l_wit = "sigma is not invertible"
+    elif not series:
         l_wit = s_wit
     elif ctx.m_delta_prime is None:
         l_wit = _non_nilpotent_witness(ctx, ctx.delta_prime.matrix, "delta'")
-    return LaurentAvailability(series, laurent, ctx.m_delta,
+    return LaurentAvailability(series, l_wit is None, ctx.m_delta,
                                ctx.m_delta_prime, s_wit, l_wit)
 
 
@@ -247,29 +242,39 @@ class TruncLaurent(CoeffLaurent):
 
 # ---- core operations ----
 
-def xinv_times(s: TruncLaurent) -> TruncLaurent:
-    """X^{-1} s = sum_{k<m'} sigma' delta'^k(s) X^{-1-k}; window drops by m'."""
-    ctx = s.ctx
+def xnegn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
+                 out_limit: Optional[int] = None) -> np.ndarray:
+    """X^{-n} f for n >= 1 on coefficient rows, row 0 at exponent -n m'.
+    The X^{-n-k} map sums the words sigma' delta'^{k_1} ... sigma' delta'^{k_n}
+    with k_1 + .. + k_n = k, that is sigma' N'_{n-1}^{n-1+k}: one Toeplitz
+    product with row block n - 1 of ntable_right, one sigma' product."""
     mp = require_laurent_ring(ctx)
-    spec = ctx.field
-    L = s.coeffs.shape[0]
-    end = None if s.end is None else s.end - mp
-    if L == 0:
-        return TruncLaurent(ctx, 0, s.coeffs, end)
-    # out_l = sum_i s_{l-i} W_i with W_i = (sigma' delta'^{m'-1-i})^T
-    out = la.toeplitz_mul(spec, s.coeffs, ctx.xinv_taps, L + mp - 1)
-    if end is not None:
-        out = out[: max(0, end - (s.ord - mp))]
-    return TruncLaurent(ctx, s.ord - mp, out, end)
+    r, width = ctx.algebra.dim, n * (mp - 1)
+    full = width + f.shape[0]
+    out_len = full if out_limit is None else min(out_limit, full)
+    if f.shape[0] == 0 or out_len <= 0:
+        return la.zeros((0, r))
+    # tap i = (N'_{n-1}^{n m'-1-i})^T: column blocks n - 1 .. n m' - 1, reversed
+    row = ctx.ntable_right.stacked(n * mp - 1)[(n - 1) * r:n * r, (n - 1) * r:]
+    w = row.reshape(r, width + 1, r)[:, ::-1].transpose(1, 0, 2).reshape(-1, r)
+    out = la.toeplitz_mul(ctx.field, f, w, out_len)
+    return la.mat_mul(ctx.field, out, ctx.sigma_inv.matrix.T)
 
 
 def xnegn_times(s: TruncLaurent, n: int) -> TruncLaurent:
-    """X^{-n} s by iterating xinv_times (production path)."""
+    """X^{-n} s; the window [o, e) drops to [o - n m', e - n m')."""
     if n < 0:
         raise ValueError("xnegn_times needs n >= 0")
-    for _ in range(n):
-        s = xinv_times(s)
-    return s
+    if n == 0:
+        return s
+    drop = xn_floor(s.ctx, -n)
+    arr = xnegn_arrays(s.ctx, s.coeffs, n, None if s.end is None else s.end - s.ord)
+    return s._new(s.ord + drop, arr, None if s.end is None else s.end + drop)
+
+
+def xinv_times(s: TruncLaurent) -> TruncLaurent:
+    """X^{-1} s = sum_{k<m'} sigma' delta'^k(s) X^{-1-k}; window drops by m'."""
+    return xnegn_times(s, 1)
 
 
 def _composition_maps(ctx: SkewDerivation, n: int) -> list[np.ndarray]:
@@ -293,8 +298,8 @@ def _composition_maps(ctx: SkewDerivation, n: int) -> list[np.ndarray]:
 def xnegn_direct(s: TruncLaurent, n: int) -> TruncLaurent:
     """X^{-n} s via the closed multinomial expansion (test oracle).
 
-    X^{-n} s = sum_{k=0}^{n(m'-1)} C_{n,k}(s) X^{-n-k}; windows match the
-    iterated path exactly.
+    X^{-n} s = sum_{k=0}^{n(m'-1)} C_{n,k}(s) X^{-n-k}, the composed maps
+    built from xinv_maps(); windows match xnegn_times exactly.
     """
     if n < 0:
         raise ValueError("xnegn_direct needs n >= 0")
@@ -335,9 +340,9 @@ def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
     coefficient space, t over A.
 
     Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
-    t_hat (xn expansion for o_s >= 0, iterated X^{-1} otherwise) to w,
-    multiplies the series parts on the window min(n_w, n_s // m_delta),
-    None standing for an exact side, and shifts.
+    t_hat to w (xn_arrays for o_s >= 0, xnegn_arrays otherwise), multiplies
+    the series parts on the window min(n_w, n_s // m_delta), None standing
+    for an exact side, and shifts.
     """
     if s.ctx != t.ctx:
         raise MixedStructureError("operands built over different contexts")
@@ -358,10 +363,10 @@ def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
     o_s, o_t = s.ord, t.ord
     n_t = None if t.end is None else t.end - o_t
     if o_s >= 0:
-        arr = xn_arrays(ctx, t.coeffs, o_s, out_limit=n_t)
-        w = CoeffLaurent(ctx, 0, arr, n_t)
+        lo, arr = 0, xn_arrays(ctx, t.coeffs, o_s, out_limit=n_t)
     else:
-        w = xnegn_times(TruncLaurent(ctx, 0, t.coeffs, n_t), -o_s)
+        lo, arr = xn_floor(ctx, o_s), xnegn_arrays(ctx, t.coeffs, -o_s, out_limit=n_t)
+    w = CoeffLaurent(ctx, lo, arr, None if n_t is None else lo + n_t)
     shift = w.ord + o_t
     n_s = None if s.end is None else s.end - o_s
     n_w = None if w.end is None else w.end - w.ord

@@ -15,7 +15,6 @@ b X^n = sum_i X^i N'_i^n(b).
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from typing import Optional
@@ -63,7 +62,7 @@ class SkewDerivation:
         return self.algebra.field
 
     def xinv_maps(self) -> list[np.ndarray]:
-        """Matrices of sigma' delta'^k for k = 0 .. m_delta_prime - 1."""
+        """sigma' delta'^k for k < m_delta_prime: the X^{-1} step xnegn_direct composes."""
         if self.delta_prime is None or self.m_delta_prime is None:
             raise AxiomError("right-hand maps unavailable: sigma not invertible "
                              "or delta' not nilpotent")
@@ -76,13 +75,6 @@ class SkewDerivation:
                 cur = la.mat_mul(spec, self.delta_prime.matrix, cur)
             self._xinv_maps = out
         return self._xinv_maps
-
-    @functools.cached_property
-    def xinv_taps(self) -> np.ndarray:
-        """Read-only Toeplitz taps of X^{-1}, block i = (sigma' delta'^{m'-1-i})^T."""
-        taps = np.stack(self.xinv_maps()[::-1]).transpose(0, 2, 1).reshape(-1, self.algebra.dim)
-        taps.flags.writeable = False
-        return taps
 
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, SkewDerivation) and (

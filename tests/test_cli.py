@@ -77,6 +77,16 @@ def test_laurent_refused_without_delta_prime_nilpotency():
     assert "check failed:" in err
 
 
+@pytest.mark.parametrize("name", ["fyz_quotient", "m2f4_diag"])
+def test_negative_order_without_laurent_ring_is_a_check_failure(name):
+    """With no m_delta', the negative-order bound takes m' = 1, and a
+    payload inside it meets the missing ring: exit 1, not a TypeError."""
+    dim = load_workspace(ws(name)).algebra.dim
+    payload = json.dumps({"ord": -3, "coeffs": [[1] + [0] * (dim - 1)]})
+    rc, out, err = run(["mul", "-w", ws(name), "-r", "laurent", payload, payload])
+    assert rc == 1 and out == "" and "laurent ring unavailable" in err, err
+
+
 def test_nop_table():
     rc, out, err = run(["nop", "-w", ws("f4c5"), "-i", "1", "-n", "3"])
     assert rc == 0, err
@@ -268,6 +278,9 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
     limits = load_workspace(ws("f4c5"))
     ore_k = limits.max_n // limits.algebra.dim
     too_far = limits.max_n + 1
+    # X^{-n} reads the right-hand table up to column block n m' - 1 <= max_n
+    too_low = -((limits.max_n + 1) // limits.ctx.m_delta_prime + 1)
+    assert too_low == -290
     raw = json.load(open(ws("f4c5")))
     raw["prec"] = limits.max_prec + 1
     big_prec = tmp_path / "big_prec.json"
@@ -279,6 +292,8 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
                   json.dumps({"coeffs": [[1, 0, 0, 0, 0]], "prec": limits.max_prec + 1})],
                  ["mul", "-w", ws("f4c5"), "-r", "laurent",
                   json.dumps({"ord": too_far, "coeffs": [[1, 0, 0, 0, 0]]}), "x"],
+                 ["mul", "-w", ws("f4c5"), "-r", "laurent",
+                  json.dumps({"ord": too_low, "coeffs": [[1, 0, 0, 0, 0]]}), "x"],
                  ["mul", "-w", ws("f4c5"), "-r", "laurent",
                   json.dumps({"ord": 0, "coeffs": [[1, 0, 0, 0, 0]], "end": too_far + 1}), "x"],
                  ["verify", "-w", str(big_prec)],

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from skewcodes import _gflinalg as la
 from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent,
                        load_preset, natural_module, regular_module,
                        right_from_left, veclaurent_times_ring,
@@ -93,18 +94,49 @@ def test_xinv_window_drop(laurent_bundles):
         assert xinv_times(exact).end is None
 
 
-def test_xnegn_direct_equals_iterated(laurent_bundles):
-    """Closed multinomial expansion vs repeated single steps, windows too."""
+def test_xnegn_direct_equals_iterated(laurent_bundles, odd_laurent_bundles):
+    """The closed multinomial expansion, the one product on the right-hand
+    table and n chained X^{-1} steps agree, windows too; in odd
+    characteristic the sign of delta' = -delta sigma^{-1} shows."""
     rng = random.Random(43)
-    for b in laurent_bundles:
+    for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
         for _ in range(15):
             s = rand_laurent(rng, ctx, rng.randrange(-2, 3), 10)
-            for n in range(4):
+            for n in range(6):
                 d = xnegn_direct(s, n)
-                it = xnegn_times(s, n)
-                assert d.ord == it.ord and d.end == it.end, b.name
-                assert np.array_equal(d.coeffs, it.coeffs), b.name
+                chained = s
+                for _ in range(n):
+                    chained = xinv_times(chained)
+                for got in (xnegn_times(s, n), chained):
+                    assert (got.ord, got.end) == (d.ord, d.end), (b.name, n)
+                    assert np.array_equal(got.coeffs, d.coeffs), (b.name, n)
+
+
+def test_xnegn_is_one_product_on_a_warm_table(laurent_bundles, odd_laurent_bundles,
+                                              monkeypatch):
+    """Once the right-hand table holds its column blocks, X^{-n} is the same
+    two kernel calls for every n: one Toeplitz product, one sigma' product."""
+    calls = []
+    real = la.mat_mul
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return real(*args)
+
+    rng = random.Random(61)
+    for b in laurent_bundles + odd_laurent_bundles:
+        ctx = b.ctx
+        s = rand_laurent(rng, ctx, rng.randrange(-2, 3), 10)
+        ctx.ntable_right.ensure(4 * ctx.m_delta_prime - 1)
+        monkeypatch.setattr(la, "mat_mul", counted)
+        counts = []
+        for n in range(1, 5):
+            calls.clear()
+            xnegn_times(s, n)
+            counts.append(len(calls))
+        monkeypatch.setattr(la, "mat_mul", real)
+        assert counts == [2] * 4, (b.name, counts)
 
 
 def test_associativity_on_wide_windows(laurent_bundles):
