@@ -17,7 +17,7 @@ from .fields import FieldElement, FieldSpec, field
 from .algebra import (Algebra, AlgebraElement, LinearMap, ScalarRestriction,
                       group_algebra_cyclic, inner_derivation, matrix_algebra,
                       quotient_algebra_tn, quotient_algebra_yz,
-                      restrict_scalars, verify_algebra)
+                      verify_algebra)
 from .skewmap import (NOperatorTable, SkewDerivation, n_operator,
                       nilpotency_index, verify_skew_derivation)
 from .skewpoly import (SkewPoly, left_from_right, poly_mul,
@@ -32,12 +32,10 @@ from .modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                      check_module, flsx_scalar_action, module_verify,
                      natural_module, regular_module, restrict_module,
                      veclaurent_times_ring, veclaurent_times_scalar,
-                     vecpoly_times_ring, vecpoly_times_scalar,
-                     vecseries_times_ring, vecseries_times_scalar)
+                     vecpoly_times_scalar, vecseries_times_ring)
 from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, SmithDecomposition,
                        closure, det_poly, hermite_form, hermite_pivots,
-                       is_direct_summand, is_unimodular, membership, rank,
-                       rank_rational, row_module_contains, row_module_equal,
+                       is_direct_summand, is_unimodular, rank, rank_rational,
                        smith_form)
 from .codes import (ConvCodeBasis, RoundtripReport, code_from_generators,
                     correspondence_roundtrip, cyclic_closure, decode, encode,
@@ -54,8 +52,7 @@ __all__ = [
     "FieldElement", "FieldSpec", "field",
     "Algebra", "AlgebraElement", "LinearMap", "ScalarRestriction",
     "group_algebra_cyclic", "inner_derivation", "matrix_algebra",
-    "quotient_algebra_tn", "quotient_algebra_yz", "restrict_scalars",
-    "verify_algebra",
+    "quotient_algebra_tn", "quotient_algebra_yz", "verify_algebra",
     "NOperatorTable", "SkewDerivation", "n_operator", "nilpotency_index",
     "verify_skew_derivation",
     "SkewPoly", "left_from_right", "poly_mul", "poly_mul_iterative",
@@ -68,12 +65,10 @@ __all__ = [
     "RightModuleSpec", "VecLaurent", "VecPoly", "VecSeries", "check_module",
     "flsx_scalar_action", "module_verify", "natural_module", "regular_module",
     "restrict_module", "veclaurent_times_ring", "veclaurent_times_scalar",
-    "vecpoly_times_ring", "vecpoly_times_scalar", "vecseries_times_ring",
-    "vecseries_times_scalar",
+    "vecpoly_times_scalar", "vecseries_times_ring",
     "EchelonSolver", "Poly", "PolyMatrix", "SmithDecomposition", "closure",
     "det_poly", "hermite_form", "hermite_pivots", "is_direct_summand",
-    "is_unimodular", "membership", "rank", "rank_rational",
-    "row_module_contains", "row_module_equal", "smith_form",
+    "is_unimodular", "rank", "rank_rational", "smith_form",
     "ConvCodeBasis", "RoundtripReport", "code_from_generators",
     "correspondence_roundtrip", "cyclic_closure", "decode", "encode",
     "is_codeword", "is_cyclic_submodule", "matrix_to_vecpolys",

@@ -163,7 +163,3 @@ def nullspace(spec: FieldSpec, a: np.ndarray) -> list[np.ndarray]:
             x[pc] = spec.neg(int(red[i, fc]))
         basis.append(x)
     return basis
-
-
-def is_zero(m: np.ndarray) -> bool:
-    return bool(np.all(m == 0))

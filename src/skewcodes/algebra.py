@@ -21,6 +21,8 @@ from .fxlinalg import Poly
 class Algebra:
     def __init__(self, fieldspec: FieldSpec, tensor: np.ndarray, unit: np.ndarray,
                  labels: Optional[Sequence[str]] = None, meta: Optional[dict] = None):
+        tensor = fieldspec.indices(tensor, "structure tensor")
+        unit = fieldspec.indices(unit, "unit")
         r = tensor.shape[0]
         if tensor.shape != (r, r, r):
             raise ValueError(f"structure tensor must be (r, r, r), got {tensor.shape}")
@@ -28,8 +30,8 @@ class Algebra:
             raise ValueError(f"unit must have shape ({r},)")
         self.field = fieldspec
         self.dim = r
-        self.tensor = tensor.astype(DTYPE)
-        self.unit = unit.astype(DTYPE)
+        self.tensor = tensor
+        self.unit = unit
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(r)]
         if len(self.labels) != r:
             raise ValueError("label count does not match dimension")
@@ -37,10 +39,6 @@ class Algebra:
         self._hash = hash((self.field, r, self.tensor.tobytes(), self.unit.tobytes()))
 
     # ---- raw coordinate ops ----
-
-    def mul_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        w = self.field.mul_arrays(x[:, None], y[None, :]).reshape(1, -1)
-        return la.mat_mul(self.field, w, self.tensor.reshape(-1, self.dim))[0]
 
     def mul_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Every product x_i y_j of coordinate rows, shape (len(x), len(y), r)."""
@@ -55,13 +53,6 @@ class Algebra:
         """Matrix of y -> x * y in column convention."""
         r = self.dim
         rows = la.mat_mul(self.field, x[None, :], self.tensor.reshape(r, r * r))
-        return rows.reshape(r, r).T.copy()
-
-    def right_mult_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Matrix of x -> x * y in column convention."""
-        r = self.dim
-        rows = la.mat_mul(self.field, y[None, :],
-                          self.tensor.transpose(1, 0, 2).reshape(r, r * r))
         return rows.reshape(r, r).T.copy()
 
     # ---- element constructors ----
@@ -154,14 +145,11 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check(other)
-            return AlgebraElement(self.algebra,
-                                  self.algebra.mul_coords(self.coords, other.coords))
+            return AlgebraElement(self.algebra, self.algebra.mul_rows(
+                self.coords[None, :], other.coords[None, :])[0, 0])
         return self.scale(other)
 
-    def __rmul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return other.__mul__(self)
-        return self.__mul__(other)
+    __rmul__ = __mul__  # reached only for a field scalar, which is central
 
     def scale(self, c) -> "AlgebraElement":
         c = self.algebra.field.element(c)
@@ -190,7 +178,7 @@ class LinearMap:
     __slots__ = ("algebra", "matrix")
 
     def __init__(self, algebra: Algebra, matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=DTYPE)
+        matrix = algebra.field.indices(matrix, "map matrix")
         if matrix.shape != (algebra.dim, algebra.dim):
             raise ValueError(f"matrix must be {algebra.dim} x {algebra.dim}")
         self.algebra = algebra
@@ -210,14 +198,11 @@ class LinearMap:
     def zero(cls, algebra: Algebra) -> "LinearMap":
         return cls(algebra, la.zeros((algebra.dim, algebra.dim)))
 
-    def apply(self, x: AlgebraElement) -> AlgebraElement:
+    def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.algebra:
             raise MixedStructureError("map applied to element of a different algebra")
         return AlgebraElement(self.algebra,
                               la.mat_vec(self.algebra.field, self.matrix, x.coords))
-
-    def __call__(self, x: AlgebraElement) -> AlgebraElement:
-        return self.apply(x)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -241,7 +226,7 @@ class LinearMap:
         return LinearMap(self.algebra, self.algebra.field.neg_arrays(self.matrix))
 
     def is_zero(self) -> bool:
-        return la.is_zero(self.matrix)
+        return not self.matrix.any()
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.matrix, la.eye(self.algebra.dim)))
@@ -430,18 +415,14 @@ class ScalarRestriction:
         return LinearMap(self.algebra, np.kron(np.eye(self.parent.dim), block))
 
 
-def restrict_scalars(parent: Algebra) -> ScalarRestriction:
-    return ScalarRestriction(parent)
-
-
 # ---- derivations ----
 
 def inner_derivation(algebra: Algebra, sigma: LinearMap, m: AlgebraElement) -> LinearMap:
     """The sigma-twisted inner derivation x -> m x - sigma(x) m."""
     if m.algebra != algebra or sigma.algebra != algebra:
         raise MixedStructureError("mismatched algebra in inner_derivation")
-    lm = algebra.left_mult_matrix(m.coords)
-    rm = algebra.right_mult_matrix(m.coords)
-    spec = algebra.field
-    return LinearMap(algebra, spec.add_arrays(
-        lm, spec.neg_arrays(la.mat_mul(spec, rm, sigma.matrix))))
+    spec, x = algebra.field, m.coords[None, :]
+    # row j is the image of a_j: m a_j - sigma(a_j) m, sigma(a_j) row j of sigma^T
+    rows = spec.add_arrays(algebra.mul_rows(x, la.eye(algebra.dim))[0],
+                           spec.neg_arrays(algebra.mul_rows(sigma.matrix.T, x)[:, 0]))
+    return LinearMap(algebra, rows.T)

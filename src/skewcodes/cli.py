@@ -48,8 +48,7 @@ import numpy as np
 from . import _gflinalg as la
 from .algebra import (Algebra, AlgebraElement, LinearMap, ScalarRestriction,
                       group_algebra_cyclic, inner_derivation, matrix_algebra,
-                      quotient_algebra_tn, quotient_algebra_yz,
-                      restrict_scalars)
+                      quotient_algebra_tn, quotient_algebra_yz)
 from .codes import (code_from_generators, correspondence_roundtrip,
                     cyclic_closure, decode, encode)
 from .errors import (AxiomError, MixedStructureError, PrecisionError,
@@ -151,7 +150,7 @@ class Workspace:
             raise InputError(f"unknown algebra kind {kind!r}")
         if restrict:
             self.parent = a
-            self.restriction = restrict_scalars(a)
+            self.restriction = ScalarRestriction(a)
             a = self.restriction.algebra
         return a
 
@@ -247,7 +246,7 @@ class Workspace:
             if len(spec) > fs.k or not all(
                     type(c) is int and 0 <= c < fs.p for c in spec):
                 raise ValueError(f"need at most {fs.k} digits in [0, {fs.p})")
-            return fs.from_coeffs(spec).idx
+            return fs.element(spec).idx
         except (ValueError, TypeError) as e:
             raise InputError(f"bad field element {spec!r}: {e}") from e
 

@@ -198,7 +198,7 @@ def is_cyclic_submodule(g: PolyMatrix, module: RightModuleSpec,
     rows = matrix_to_vecpolys(module, context, g)
     for v in rows:
         for w in vecpoly_times_basis(v):
-            if not solver.contains(vecpoly_to_polyrow(w)):
+            if solver.solve(vecpoly_to_polyrow(w)) is None:
                 return False
     return True
 

@@ -44,6 +44,11 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
+def _is_integer(c) -> bool:
+    """An int or numpy integer: a float, string or bool would be cut or parsed."""
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -77,8 +82,7 @@ class FieldSpec:
                 modulus = _DEFAULT_MODULI[(p, k)]
             else:
                 raise ValueError(f"no built-in modulus for GF({p}^{k}); pass one explicitly")
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool)
-                   for c in modulus):
+        if not all(map(_is_integer, modulus)):
             raise ValueError(f"modulus entries must be integers: got {modulus!r}")
         modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
         if len(modulus) != k + 1 or modulus[-1] != 1:
@@ -178,9 +182,6 @@ class FieldSpec:
             return a.copy()
         return self.NEG[a]
 
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.MUL[a, b]
-
     def sum_axis(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Field sum along one axis: digit sums reduced mod p."""
         return self.from_digits(np.take(self.DIGITS, a, axis=0).sum(axis=axis % a.ndim))
@@ -224,17 +225,29 @@ class FieldSpec:
     # ---- element helpers ----
 
     def element(self, value) -> "FieldElement":
-        """Coerce an index, int, coefficient list or FieldElement."""
+        """Coerce an index, int, digit list or FieldElement; an int reduces
+        mod p in a prime field, and a float, string or bool is refused."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise MixedStructureError("element from a different field")
             return value
-        if isinstance(value, (list, tuple)):
+        digits = isinstance(value, (list, tuple))
+        if not all(map(_is_integer, value if digits else [value])):
+            raise ValueError(f"field values and digits must be integers: got {value!r}")
+        if digits:
             return FieldElement(self, self._coeffs_to_idx(value))
         return FieldElement(self, int(value) % self.p if self.k == 1 else int(value))
 
-    def from_coeffs(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, self._coeffs_to_idx(coeffs))
+    def indices(self, values, what: str) -> np.ndarray:
+        """values as an index array, refusing with the first entry not in [0, q)."""
+        raw = np.asarray(values)
+        arr = raw.astype(DTYPE)
+        bad = (arr != raw) | (arr < 0) | (arr >= self.q)
+        if bad.any():
+            at = np.argwhere(bad)[0].tolist()
+            raise ValueError(f"{what} entry {at} = {raw[tuple(at)].item()!r} is not an "
+                             f"index of {self!r} in [0, {self.q})")
+        return arr
 
     @property
     def zero(self) -> "FieldElement":

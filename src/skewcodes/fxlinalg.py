@@ -654,23 +654,6 @@ class EchelonSolver:
             return None
         return list((PolyMatrix(fs, [y], k) @ u).rows[0])
 
-    def contains(self, v: Sequence[Poly]) -> bool:
-        return self.solve(v) is not None
-
-
-def membership(v: Sequence[Poly], g: PolyMatrix) -> Optional[list[Poly]]:
-    """Coordinates x over F[X] with x G = v, or None."""
-    return EchelonSolver(g).solve(v)
-
-
-def row_module_contains(g: PolyMatrix, h: PolyMatrix) -> bool:
-    """True iff every row of h lies in the row module of g."""
-    return all(membership(row, g) is not None for row in h.rows)
-
-
-def row_module_equal(g: PolyMatrix, h: PolyMatrix) -> bool:
-    return row_module_contains(g, h) and row_module_contains(h, g)
-
 
 def closure(g: PolyMatrix) -> PolyMatrix:
     """Canonical basis (Hermite form, zero rows dropped) of the smallest

@@ -43,7 +43,7 @@ class RightModuleSpec:
     __slots__ = ("algebra", "n", "action", "flat", "name")
 
     def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "module"):
-        action = np.asarray(action, dtype=DTYPE)
+        action = algebra.field.indices(action, "action")
         if action.ndim != 3 or action.shape[0] != algebra.dim \
                 or action.shape[1] != action.shape[2]:
             raise ValueError(
@@ -216,7 +216,7 @@ class VecPoly(_OverModule, CoeffPoly):
 
     def __mul__(self, other):
         if isinstance(other, SkewPoly):
-            return vecpoly_times_ring(self, other)
+            return poly_mul(self, other)
         if isinstance(other, AlgebraElement):
             return vecpoly_times_scalar(self, other)
         return NotImplemented
@@ -237,7 +237,7 @@ class VecSeries(_OverModule, CoeffSeries):
         if isinstance(other, TruncSeries):
             return vecseries_times_ring(self, other)
         if isinstance(other, AlgebraElement):
-            return vecseries_times_scalar(self, other)
+            return series_times_scalar(self, other)
         return NotImplemented
 
 
@@ -269,10 +269,6 @@ def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
     return mul_arrays(spec, ctx, v, f, out_limit)
 
 
-def vecpoly_times_ring(v: VecPoly, f: SkewPoly) -> VecPoly:
-    return poly_mul(v, f)
-
-
 def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
@@ -288,16 +284,9 @@ def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
     return [v._new(w[:, l]) for l in range(v.ctx.algebra.dim)]
 
 
-def vecseries_times_ring(s: VecSeries, t: TruncSeries,
-                         prec: Optional[int] = None) -> VecSeries:
-    """s t truncated; needs s.prec >= prec * m_delta and t.prec >= prec."""
-    return series_mul(s, t, prec)
-
-
-def vecseries_times_scalar(s: VecSeries, a: AlgebraElement,
-                           prec: Optional[int] = None) -> VecSeries:
-    """s a: coefficient i is sum_{j=i}^{(i+1)m-1} s_j N_i^j(a)."""
-    return series_times_scalar(s, a, prec)
+def vecseries_times_ring(s: VecSeries, t: TruncSeries) -> VecSeries:
+    """s t on min(t.prec, s.prec // m_delta) coefficients."""
+    return series_mul(s, t)
 
 
 def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:

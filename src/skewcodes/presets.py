@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from . import _gflinalg as la
 from .algebra import (AlgebraElement, LinearMap, ScalarRestriction,
                       group_algebra_cyclic, inner_derivation, matrix_algebra,
-                      quotient_algebra_yz, restrict_scalars)
+                      quotient_algebra_yz)
 from .fields import field
 from .skewlaurent import laurent_ring_exists
 from .skewmap import SkewDerivation, verify_skew_derivation
@@ -40,7 +40,7 @@ def _m2f4_restricted():
     """M2(F4) over F2, with the componentwise-Frobenius automorphism."""
     f4 = field(2, 2)
     parent = matrix_algebra(f4, 2)
-    res = restrict_scalars(parent)
+    res = ScalarRestriction(parent)
     return f4, parent, res
 
 

@@ -95,9 +95,6 @@ def require_laurent_ring(ctx: SkewDerivation) -> int:
 
 # ---- the truncated Laurent class ----
 
-_WINDOW_DEFAULT = object()
-
-
 def _min_end(*ends):
     finite = [e for e in ends if e is not None]
     return min(finite) if finite else None
@@ -146,14 +143,11 @@ class CoeffLaurent(CoeffRows):
         """The zero class modulo X^end, in the same space."""
         return self._new(0, self.coeffs[:0], end)
 
-    def to_series(self, prec: Optional[int] = None) -> CoeffSeries:
-        """View as a power series; needs ord >= 0 (zeros pad below ord)."""
+    def to_series(self) -> CoeffSeries:
+        """View as a power series mod X^end (X^support_end if exact); needs ord >= 0."""
         if self.ord < 0:
             raise ValueError(f"order {self.ord} < 0: not a power series")
-        if prec is None:
-            prec = self.end if self.end is not None else self.support_end
-        if self.end is not None and prec > self.end:
-            raise PrecisionError(f"requested precision {prec} beyond window end {self.end}")
+        prec = self.end if self.end is not None else self.support_end
         return self._series(*self._structure(), prec, self._window_arr(0, prec))
 
     @property
@@ -225,12 +219,9 @@ class TruncLaurent(CoeffLaurent):
 
     @classmethod
     def from_elements(cls, ctx: SkewDerivation, ord_: int, elems,
-                      end: Optional[int] = _WINDOW_DEFAULT) -> "TruncLaurent":
-        """end omitted: window covering the given coefficients; end=None: exact."""
-        elems = list(elems)
-        if end is _WINDOW_DEFAULT:
-            end = ord_ + len(elems)
-        return cls(ctx, ord_, SkewPoly.from_elements(ctx, elems).coeffs, end)
+                      end: Optional[int]) -> "TruncLaurent":
+        """Coefficients elems from X^ord_ on, modulo X^end (end = None: exact)."""
+        return cls(ctx, ord_, SkewPoly.from_elements(ctx, list(elems)).coeffs, end)
 
     @classmethod
     def exact_zero(cls, ctx: SkewDerivation) -> "TruncLaurent":
@@ -316,7 +307,7 @@ def xnegn_direct(s: TruncLaurent, n: int) -> TruncLaurent:
     width = n * (mp - 1)
     out = la.zeros((L + width, ctx.algebra.dim))
     for k in range(width + 1):
-        if la.is_zero(comps[k]):
+        if not comps[k].any():
             continue
         rows = la.mat_mul(spec, s.coeffs, comps[k].T)
         pos = width - k

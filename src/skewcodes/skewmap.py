@@ -32,7 +32,7 @@ def nilpotency_index(m: LinearMap) -> Optional[int]:
     cur = la.eye(m.algebra.dim)
     for e in range(1, m.algebra.dim + 1):
         cur = la.mat_mul(spec, cur, m.matrix)
-        if la.is_zero(cur):
+        if not cur.any():
             return e
     return None
 

@@ -116,45 +116,33 @@ class TruncSeries(CoeffSeries):
         super().__init__(ctx, prec, coeffs)
 
     @classmethod
-    def from_elements(cls, ctx: SkewDerivation, elems, prec: Optional[int] = None) -> "TruncSeries":
-        elems = list(elems)
-        return cls.from_poly(SkewPoly.from_elements(ctx, elems[:prec]),
-                             len(elems) if prec is None else prec)
+    def from_elements(cls, ctx: SkewDerivation, elems, prec: int) -> "TruncSeries":
+        return cls.from_poly(SkewPoly.from_elements(ctx, list(elems)[:prec]), prec)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         return series_mul(self, other)
 
 
-def series_mul(s: CoeffSeries, t: TruncSeries, prec: Optional[int] = None) -> CoeffSeries:
-    """Product truncated to prec coefficients (largest supported by default);
-    s over any coefficient space.
-
-    Needs s.prec >= prec * m_delta and t.prec >= prec.
-    """
+def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
+    """Product on the largest window the operands support, min(t.prec,
+    s.prec // m_delta) coefficients (truncate for fewer); s over any space."""
     if s.ctx != t.ctx:
         raise MixedStructureError("operands built over different contexts")
     ctx = s.ctx
     m = require_series_ring(ctx)
-    n_max = min(t.prec, s.prec // m)
-    if prec is None:
-        prec = n_max
-    elif prec > n_max:
-        raise PrecisionError(
-            f"requested {prec} output coefficients; operands support {n_max} "
-            f"(left has {s.prec}, needs {prec * m}; right has {t.prec})")
+    prec = min(t.prec, s.prec // m)
     out = mul_arrays(s.space, ctx, s.coeffs[: prec * m], t.coeffs[:prec], out_limit=prec)
     return s._new(prec, _pad(out, prec))
 
 
-def series_times_scalar(s: CoeffSeries, a: AlgebraElement,
-                        prec: Optional[int] = None) -> CoeffSeries:
+def series_times_scalar(s: CoeffSeries, a: AlgebraElement) -> CoeffSeries:
     """s * a for a scalar a: the product with the constant series a, whose
     window s.prec // m_delta is all the left factor supports."""
     ctx = s.ctx
     n = s.prec // require_series_ring(ctx)
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    return series_mul(s, TruncSeries(ctx, n, _pad(a.coords[None, :], n)), prec)
+    return series_mul(s, TruncSeries(ctx, n, _pad(a.coords[None, :], n)))
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:
@@ -233,16 +221,12 @@ def _chain_system(ctx: SkewDerivation, n_eqs: int, n_unknowns: int) -> np.ndarra
     return m
 
 
-def solve_right_permutable(f: TruncSeries, n_max: int,
-                           prec: Optional[int] = None) -> Optional[PermutabilityWitness]:
-    """Smallest m <= n_max with f X^m = X s solvable to the window, if any.
+def solve_right_permutable(f: TruncSeries, n_max: int) -> Optional[PermutabilityWitness]:
+    """Smallest m <= n_max with f X^m = X s solvable on f's window, if any.
 
     The solution is verified coefficientwise before being returned.
     """
-    ctx = f.ctx
-    n = f.prec if prec is None else prec
-    if n > f.prec:
-        raise PrecisionError(f"requested window {n} exceeds stored precision {f.prec}")
+    ctx, n = f.ctx, f.prec
     if n == 0:
         return PermutabilityWitness(0, TruncSeries(ctx, 0, la.zeros((0, ctx.algebra.dim))))
     r = ctx.algebra.dim

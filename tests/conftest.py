@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import skewcodes
-from skewcodes import (LinearMap, field, inner_derivation, load_preset,
-                       matrix_algebra, natural_module, regular_module,
-                       restrict_scalars, verify_skew_derivation)
+from skewcodes import (LinearMap, ScalarRestriction, field, inner_derivation,
+                       load_preset, matrix_algebra, natural_module,
+                       regular_module, verify_skew_derivation)
 from skewcodes.presets import ExampleBundle, fyz_quotient as fyz_quotient_over
 from skewcodes.fields import DTYPE
 
@@ -70,7 +70,7 @@ def odd_fyz_bundles():
 def m2_inner_over(p: int) -> ExampleBundle:
     """M2(GF(p^2)) restricted to GF(p), sigma the componentwise Frobenius and
     delta inner by E12: the odd-characteristic analogue of m2f4-inner."""
-    res = restrict_scalars(matrix_algebra(field(p, 2), 2))
+    res = ScalarRestriction(matrix_algebra(field(p, 2), 2))
     sigma = res.frobenius()
     e12 = res.to_restricted(res.parent.basis_element(1))
     ctx = verify_skew_derivation(res.algebra, sigma,

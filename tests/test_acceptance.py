@@ -24,9 +24,9 @@ from skewcodes.cli import main as cli_main
 from skewcodes.codes import (code_from_generators, correspondence_roundtrip,
                              cyclic_closure, stable_under_ring_samples)
 from skewcodes.fields import DTYPE
-from skewcodes.fxlinalg import (Poly, PolyMatrix, closure, hermite_form,
-                                is_direct_summand, membership, rank_rational,
-                                row_module_contains, smith_form)
+from skewcodes.fxlinalg import (EchelonSolver, Poly, PolyMatrix, closure,
+                                hermite_form, is_direct_summand, rank_rational,
+                                smith_form)
 from skewcodes.modact import VecPoly
 from skewcodes.skewlaurent import (laurent_mul, xinv_times, xnegn_direct,
                                    xnegn_times)
@@ -158,8 +158,8 @@ def test_criterion_3_truncated_series():
             for _ in range(50):
                 s = rand_series(rng, ctx, q + 5)
                 t = rand_series(rng, ctx, N + 5)
-                p_short = series_mul(s.truncate(q), t.truncate(N), prec=N)
-                p_long = series_mul(s, t, prec=N)
+                p_short = series_mul(s.truncate(q), t.truncate(N))
+                p_long = series_mul(s, t).truncate(N)
                 assert np.array_equal(p_short.coeffs, p_long.coeffs)
                 pairs += 1
         assert pairs == 100
@@ -254,7 +254,8 @@ def test_criterion_5_fx_linear_algebra():
                                 for _ in range(k)])
             c = closure(g)
             assert closure(c) == c, "idempotent"
-            assert row_module_contains(c, g.drop_zero_rows()), "extensive"
+            solver = EchelonSolver(c)
+            assert all(solver.solve(row) is not None for row in g.rows), "extensive"
             assert c.shape[0] == 0 or is_direct_summand(c)
         for fs in (field(2), field(2, 2)):
             B = 2
@@ -275,10 +276,10 @@ def test_criterion_5_fx_linear_algebra():
                 for i, x in enumerate(xs):
                     for j in range(3):
                         v[j] = v[j] + x * g.rows[i][j]
-                sol = membership(v, g)
+                sol = EchelonSolver(g).solve(v)
                 assert sol is not None, "enumerated member rejected"
                 w = [rand_fxpoly(rng, fs, B + 2) for _ in range(3)]
-                sol_w = membership(w, g)
+                sol_w = EchelonSolver(g).solve(w)
                 brute = tuple(p.coeffs.tobytes() for p in w) in reachable
                 if sol_w is not None and all(p.degree <= B for p in sol_w):
                     assert brute

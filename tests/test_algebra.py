@@ -6,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from skewcodes import (Algebra, LinearMap, field, group_algebra_cyclic,
-                       inner_derivation, matrix_algebra, quotient_algebra_tn,
-                       quotient_algebra_yz, restrict_scalars, verify_algebra,
+from skewcodes import (Algebra, LinearMap, ScalarRestriction, field,
+                       group_algebra_cyclic, inner_derivation, matrix_algebra,
+                       quotient_algebra_tn, quotient_algebra_yz, verify_algebra,
                        verify_skew_derivation)
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE
+from skewcodes.modact import RightModuleSpec
 from conftest import rand_coords, rand_element
 
 
@@ -91,7 +92,7 @@ def restriction_cases():
     """M2 and C3 over GF(4), GF(8), GF(9), GF(25) and GF(27), restricted."""
     for p, k in RESTRICTION_FIELDS:
         for parent in (matrix_algebra(field(p, k), 2), group_algebra_cyclic(field(p, k), 3)):
-            yield parent, restrict_scalars(parent)
+            yield parent, ScalarRestriction(parent)
 
 
 def test_scalar_restriction_round_trip():
@@ -166,7 +167,7 @@ def test_signed_maps_in_odd_characteristic(fs):
 def test_inner_derivation_satisfies_twisted_leibniz():
     f4 = field(2, 2)
     parent = matrix_algebra(f4, 2)
-    res = restrict_scalars(parent)
+    res = ScalarRestriction(parent)
     a = res.algebra
     sigma = res.frobenius()
     rng = random.Random(13)
@@ -187,3 +188,29 @@ def test_mixed_algebra_operations_reject():
     for combine in (f.__add__, f.__sub__, f.compose):
         with pytest.raises(MixedStructureError):
             combine(g)
+
+
+def test_raw_index_arrays_outside_the_field_are_refused():
+    """An entry outside [0, q) names itself instead of acting as another
+    element (-1 as a + 1 over GF(4)), failing a true axiom with a false
+    witness, or ending in a numpy IndexError."""
+    f4 = field(2, 2)
+    c1 = group_algebra_cyclic(f4, 1)
+    m2 = matrix_algebra(f4, 2)
+    cases = [
+        (lambda: LinearMap(c1, [[-1]]), r"map matrix entry \[0, 0\] = -1 "),
+        (lambda: LinearMap(m2, np.diag([1, 1, 7, 1])), r"entry \[2, 2\] = 7 "),
+        (lambda: LinearMap(c1, np.array([[65537]])), r"= 65537 "),
+        (lambda: LinearMap(c1, [[0.5]]), r"= 0.5 "),
+        (lambda: RightModuleSpec(c1, [[[-3]]]), r"action entry \[0, 0, 0\] = -3 "),
+        (lambda: Algebra(field(3), np.array([[[-2]]]), np.array([1])),
+         r"structure tensor entry \[0, 0, 0\] = -2 is not an index of GF\(3\)"),
+        (lambda: Algebra(field(3), np.array([[[1]]]), np.array([3])), r"unit entry"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()
+    # in range, the same constructors accept
+    assert LinearMap(c1, [[3]]).matrix[0, 0] == 3
+    assert RightModuleSpec(c1, [[[1]]]).n == 1
+    assert Algebra(field(3), np.array([[[1]]]), np.array([1])).dim == 1

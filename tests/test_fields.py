@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes import Poly, field, group_algebra_cyclic
+from skewcodes import Poly, field, group_algebra_cyclic, matrix_algebra
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import _DEFAULT_MODULI, DTYPE, FieldSpec
 
@@ -76,7 +76,7 @@ def test_array_ops_match_scalar_ops(data):
     b = np.array(data.draw(st.lists(st.integers(0, fs.q - 1),
                                     min_size=n, max_size=n)), dtype=DTYPE)
     add = fs.add_arrays(a, b)
-    mul = fs.mul_arrays(a, b)
+    mul = fs.MUL[a, b]
     neg = fs.neg_arrays(a)
     for i in range(n):
         assert add[i] == fs.add(int(a[i]), int(b[i]))
@@ -97,7 +97,7 @@ def test_element_wrappers_round_trip():
     for idx in range(4):
         e = fs.element(idx)
         assert e.idx == idx
-        assert fs.from_coeffs(e.coeffs).idx == idx
+        assert fs.element(e.coeffs).idx == idx
     a, b = fs.element(2), fs.element(3)
     assert (a + b).idx == fs.add(2, 3)
     assert (a * b).idx == fs.mul(2, 3)
@@ -254,3 +254,28 @@ def test_modulus_entries_that_are_not_integers_are_refused(p, k, modulus):
 
 def test_numpy_integer_modulus_is_accepted():
     assert FieldSpec(2, 2, tuple(np.array([1, 1, 1]))) == field(2, 2)
+
+
+@pytest.mark.parametrize("value", [2.5, 1.0, "1", True, [1.0, 0], ["1"], (False, 1)])
+def test_field_values_that_are_not_integers_are_refused(value):
+    """A float, string or bool, as a value or as a digit, is refused: it would
+    otherwise be truncated or parsed into some field element."""
+    with pytest.raises(ValueError, match="must be integers"):
+        field(3, 2).element(value)
+
+
+def test_coefficients_that_are_not_integers_are_refused():
+    with pytest.raises(ValueError, match="must be integers"):
+        Poly(field(3), [2.5, 1])
+    with pytest.raises(ValueError, match="must be integers"):
+        matrix_algebra(field(3), 2).element([0.5, 1, 2, "1"])
+    with pytest.raises(ValueError, match="must be integers"):
+        field(3).element(True)
+
+
+def test_integer_values_still_reduce():
+    """numpy integers pass, and an int reduces mod p in a prime field."""
+    assert field(3).element(5).idx == 2
+    assert field(3).element(np.int64(-1)).idx == 2
+    assert field(2, 2).element(np.int16(3)).idx == 3
+    assert field(3, 2).element([np.int8(2), 4]).idx == 2 + 3 * 1

@@ -80,3 +80,37 @@ def test_every_private_definition_is_referenced():
                       if isinstance(node, defs) and node.name.startswith("_")
                       and not node.name.endswith("__") and node.name not in referenced]
     assert not offenders, offenders
+
+
+# perfbench reaches these by name (ROADMAP item 1 moves its call sites)
+RENAME_WRAPPERS_KEPT = {"modact.py: vec_mul_arrays", "modact.py: vecseries_times_ring",
+                        "modact.py: veclaurent_times_ring"}
+
+
+def _rename_wrappers(tree: ast.Module) -> list[str]:
+    """Module-level, undecorated public functions whose body after the
+    docstring is one `return g(<their own parameters, in order>)`."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.decorator_list \
+                or node.name.startswith("_"):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) \
+                or not isinstance(body[0].value, ast.Call):
+            continue
+        call, params = body[0].value, [a.arg for a in node.args.args]
+        if not call.keywords and [getattr(a, "id", None) for a in call.args] == params:
+            found.append(node.name)
+    return found
+
+
+def test_no_function_only_renames_another():
+    """Each operation has one public name: a function that only passes its
+    own parameters on to another is a second name for it."""
+    found = {f"{path.name}: {name}"
+             for path in sorted(Path(skewcodes.__file__).parent.glob("*.py"))
+             for name in _rename_wrappers(ast.parse(path.read_text()))}
+    assert found == RENAME_WRAPPERS_KEPT, found ^ RENAME_WRAPPERS_KEPT

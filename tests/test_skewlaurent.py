@@ -194,10 +194,11 @@ def test_zero_class_normalization(m2f4_inner):
 
 
 def test_exactness_sentinel(m2f4_inner):
-    """Omitted end means a minimal window; end=None means exact."""
+    """A finite end is a window, printed with its O(X^end); end=None means
+    exact."""
     ctx = m2f4_inner.ctx
     one = [ctx.algebra.one]
-    windowed = TruncLaurent.from_elements(ctx, -1, one)
+    windowed = TruncLaurent.from_elements(ctx, -1, one, 0)
     assert windowed.end == 0
     assert "O(X^" in str(windowed)
     exact = TruncLaurent.from_elements(ctx, -1, one, None)
@@ -244,9 +245,9 @@ def test_reading_past_the_window_raises_precision_error(m2f4_inner):
         x.coeff(2)
         with pytest.raises(PrecisionError):
             x.coeff(3)
-        assert x.to_series(3).prec == 3
+        assert x.to_series().prec == 3
         with pytest.raises(PrecisionError):
-            x.to_series(4)
+            x.to_series().coeff(3)
 
 
 def test_zero_class_below_zero_is_not_a_power_series(m2f4_inner):

@@ -9,7 +9,7 @@ import pytest
 from skewcodes import (LinearMap, SkewPoly, field, load_preset, matrix_algebra,
                        n_operator, natural_module, nilpotency_index, poly_mul,
                        poly_mul_iterative, quotient_algebra_yz,
-                       restrict_scalars, verify_skew_derivation)
+                       verify_skew_derivation)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE, FieldSpec

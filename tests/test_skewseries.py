@@ -53,8 +53,8 @@ def test_q_independence_of_left_truncation(series_bundles):
             s_short = s_long.truncate(q)
             t_long = rand_series(rng, ctx, N + 5)
             t_short = t_long.truncate(N)
-            p1 = series_mul(s_short, t_short, prec=N)
-            p2 = series_mul(s_long, t_long, prec=N)
+            p1 = series_mul(s_short, t_short)
+            p2 = series_mul(s_long, t_long).truncate(N)
             assert p1.prec == N == p2.prec
             assert np.array_equal(p1.coeffs, p2.coeffs), b.name
 
@@ -82,9 +82,6 @@ def test_mul_window_accounting(m2f4_inner):
     s = rand_series(rng, ctx, 12)
     t = rand_series(rng, ctx, 9)
     assert series_mul(s, t).prec == min(9, 12 // ctx.m_delta)
-    assert series_mul(s, t, prec=4).prec == 4
-    with pytest.raises(PrecisionError):
-        series_mul(s, t, prec=7)
     with pytest.raises(PrecisionError):
         s.truncate(13)
     with pytest.raises(ValueError):
