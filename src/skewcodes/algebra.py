@@ -68,7 +68,7 @@ class Algebra:
         return AlgebraElement(self, arr)
 
     def from_coords(self, arr: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(arr, dtype=DTYPE))
+        return AlgebraElement(self, self.field.indices(arr, "coordinate"))
 
     @property
     def zero(self) -> "AlgebraElement":
@@ -187,6 +187,8 @@ class LinearMap:
 
     @classmethod
     def from_images(cls, algebra: Algebra, images: Sequence[AlgebraElement]) -> "LinearMap":
+        if any(im.algebra != algebra for im in images):
+            raise MixedStructureError("image in a different algebra")
         cols = np.stack([im.coords for im in images], axis=1)
         return cls(algebra, cols)
 

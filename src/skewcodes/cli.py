@@ -162,7 +162,7 @@ class Workspace:
             if self.restriction is None:
                 raise InputError("frobenius sigma needs restrict_scalars")
             t = spec.get("t", 1)
-            if not isinstance(t, int) or t < 1:
+            if type(t) is not int or t < 1:
                 raise InputError("frobenius power t must be a positive integer")
             return self.restriction.frobenius(t)
         if kind == "group_power":

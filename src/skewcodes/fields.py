@@ -98,9 +98,6 @@ class FieldSpec:
     def _idx_to_coeffs(self, idx: int) -> list[int]:
         return [(idx // self.p**i) % self.p for i in range(self.k)]
 
-    def _coeffs_to_idx(self, coeffs: Sequence[int]) -> int:
-        return sum((int(c) % self.p) * self.p**i for i, c in enumerate(coeffs[: self.k]))
-
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.q
         powers = p ** np.arange(k, dtype=np.int64)
@@ -226,7 +223,8 @@ class FieldSpec:
 
     def element(self, value) -> "FieldElement":
         """Coerce an index, int, digit list or FieldElement; an int reduces
-        mod p in a prime field, and a float, string or bool is refused."""
+        mod p in a prime field, and a float, string or bool, or a digit list
+        longer than k, is refused."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise MixedStructureError("element from a different field")
@@ -235,7 +233,10 @@ class FieldSpec:
         if not all(map(_is_integer, value if digits else [value])):
             raise ValueError(f"field values and digits must be integers: got {value!r}")
         if digits:
-            return FieldElement(self, self._coeffs_to_idx(value))
+            if len(value) > self.k:
+                raise ValueError(f"digit list {value!r} is longer than k = {self.k}")
+            return FieldElement(self, sum(int(c) % self.p * self.p**i
+                                          for i, c in enumerate(value)))
         return FieldElement(self, int(value) % self.p if self.k == 1 else int(value))
 
     def indices(self, values, what: str) -> np.ndarray:

@@ -4,16 +4,17 @@ Everything here works over the principal ideal domain F[X] for a finite
 field F.  A PolyMatrix is one read-only (D, rows, cols) array of coefficient
 planes; its Poly entries are a view, built only when read.  All rests on one
 elimination with transform, hermite_form: U G = H with U unimodular and H in
-row echelon form.  Each row of [G | I] is packed into one Python int, base-p
-digits in 8- or 16-bit lanes (_Lanes), so a row step is a few int operations
-however wide the row; on request it carries U^{-1} too.  Membership and rank
-read H.  Purification (the smallest direct summand containing a row module)
-reads the Hermite form of G^T and its carried inverse, so closure takes two
-Hermite forms, or one when G has rank n.  G spans a summand of full rank
-exactly when every pivot of that form is 1; its transform then holds a
-right inverse and syndrome former of G (summand_transform).  smith_form
-(U G V = D, alternating Hermite forms of D and D^T), det_poly and
-rank_rational are oracles off the code path; the last two do not eliminate.
+row echelon form, by the field kernel's elimination: each row of [G | I] is
+one Python int, base-p digits in 8- or 16-bit lanes, so a row step is a few
+int operations however wide the row; on request it carries U^{-1} too.
+Membership and rank read H.  Purification (the smallest direct summand
+containing a row module) reads the Hermite form of G^T and its carried
+inverse, so closure takes two Hermite forms, or one when G has rank n.  G
+spans a summand of full rank exactly when every pivot of that form is 1; its
+transform then holds a right inverse and syndrome former of G
+(summand_transform).  smith_form (U G V = D, alternating Hermite forms of D
+and D^T), det_poly and rank_rational are oracles off the code path; the last
+two do not eliminate.
 
 Pivoting is deterministic: among candidate pivots of minimal degree in the
 current column the lowest row index wins, so repeated runs produce identical
@@ -22,7 +23,6 @@ output.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,6 +81,8 @@ class Poly:
 
     @classmethod
     def x_power(cls, fieldspec: FieldSpec, n: int = 1) -> "Poly":
+        if n < 0:
+            raise ValueError(f"exponent n = {n} is negative")
         return cls(fieldspec, [0] * n + [1])
 
     @property
@@ -363,137 +365,14 @@ def is_unimodular(g: PolyMatrix) -> bool:
 
 # ---- Hermite form ----
 
-class _Lanes:
-    """Packed rows over GF(p^k) with `width` columns: a row is one int whose
-    lane (t width + j) k + s, w bits wide, holds base-p digit s of the X^t
-    coefficient of column j.  X^t is a shift by t planes, addition is XOR for
-    p = 2 and a lane-wise (SWAR) mod-p add otherwise, and a column's lanes
-    under a mask give its degree by bit_length (M4RIE-style packing:
-    Albrecht, Bard & Hart, ACM TOMS 37(1), 2010)."""
-
-    def __init__(self, fs: FieldSpec, width: int) -> None:
-        self.fs, self.width, self.w = fs, width, 8 if fs.p < 128 else 16
-        self.dtype = np.uint8 if self.w == 8 else np.dtype("<u2")
-        self.elem, self.plane = fs.k * self.w, width * fs.k * self.w  # bits
-        self.digits = fs.DIGITS.astype(self.dtype)
-        self.index = {int.from_bytes(d.tobytes(), "little"): i
-                      for i, d in enumerate(self.digits)}
-        # [c][bit b of a digit, high first][s]: bit b of each digit of c a^s
-        nb = (fs.p - 1).bit_length()
-        bits = fs.REG.astype(np.int64)[:, None] >> np.arange(nb - 1, -1, -1)[:, None, None]
-        self.levels = ((bits & 1).astype(object) << np.arange(fs.k) * self.w).sum(-1).tolist()
-        self._consts: dict = {}  # per plane count
-
-    def consts(self, planes: int) -> tuple[int, int, int, int]:
-        """Over that many planes: the low lane of every element, the bias
-        2^(w-1) - p and the top bit of every lane, and bit 0 of every plane."""
-        if planes not in self._consts:
-            ones, w = (1 << self.plane * planes) - 1, self.w
-            lanes = ones // ((1 << w) - 1)
-            self._consts[planes] = (ones // ((1 << self.elem) - 1) * ((1 << w) - 1),
-                                    lanes * ((1 << w - 1) - self.fs.p), lanes << w - 1,
-                                    ones // ((1 << self.plane) - 1))
-        return self._consts[planes]
-
-    def add(self, a: int, b: int) -> int:
-        if self.fs.p == 2:
-            return a ^ b
-        s = a + b  # lanes below 2p: subtract p where lane + 2^(w-1) - p carries
-        _, bias, top, _ = self.consts(s.bit_length() // self.plane + 1)
-        return s - (((s + bias) & top) >> self.w - 1) * self.fs.p
-
-    def scale(self, c: int, r: int) -> int:
-        """c r by double-and-add over the levels of c: digit s of each
-        element of r times the bits of the digits of c a^s."""
-        if c == 1:
-            return r
-        low = self.consts(r.bit_length() // self.plane + 1)[0]
-        digit = [(r >> s * self.w) & low for s in range(self.fs.k)]
-        acc = 0
-        for level in self.levels[c]:
-            acc = self.add(acc, acc)
-            for d, v in zip(digit, level):
-                if v:
-                    acc = self.add(acc, d * v) if acc else d * v
-        return acc
-
-    def lead(self, r: int, bits: int) -> int:  # the element holding bit bits - 1
-        return self.index[(r >> (bits - 1) // self.elem * self.elem) & ((1 << self.elem) - 1)]
-
-    def unpack(self, rows: list[int]) -> np.ndarray:
-        """One int per row -> (D, rows, width) indices, D one past the degree."""
-        depth = max((-(-r.bit_length() // self.plane) for r in rows), default=0)
-        buf = b"".join(r.to_bytes(depth * self.plane // 8, "little") for r in rows)
-        d = np.frombuffer(buf, self.dtype).reshape(len(rows), depth, self.width, self.fs.k)
-        return (d @ self.fs.POWERS).astype(DTYPE).transpose(1, 0, 2)
-
-
-_lanes = functools.lru_cache(maxsize=256)(_Lanes)  # lane constants per (field, width)
-
-
 def _hermite(fs: FieldSpec, planes: np.ndarray, inverse: bool):
-    """The elimination behind hermite_form on the (D, k, n) planes of G:
-    (rank, H, U, W), W = (U^{-1})^T if inverse, else None.
-
-    Each row of [G | I] is one int of _Lanes, packed once and unpacked once,
-    so a step on H is the same step on U.  Row i -= q row pr is long division
-    in the pivot column on the packed row: each term c X^t of q adds
-    -c row pr (scaled copies cached per pivot) shifted by t planes.  W undoes
-    each step on the right: the same terms add q row i to row pr of W, a
-    swap swaps rows, and scaling a row of H by c scales that row of W by c^{-1}.
-    """
-    _, k, n = planes.shape
-    if planes.shape[0] == 1 and k == n and np.array_equal(planes[0], la.eye(n)):
-        one = PolyMatrix.identity(fs, n)  # already in Hermite form: nothing to pack
-        return n, one, one, one if inverse else None
-    aug = la.zeros((max(planes.shape[0], 1), k, n + k))
-    aug[: planes.shape[0], :, :n] = planes
-    aug[0, :, n:] = la.eye(k)
-    lh, lw = _lanes(fs, n + k), _lanes(fs, k)
-    step, digits = lh.plane, np.take(lh.digits, aug.transpose(1, 0, 2), axis=0)
-    h = [int.from_bytes(r.tobytes(), "little") for r in digits]  # packed once
-    w = [1 << i * lw.elem for i in range(k)] if inverse else None
-
-    def reduce(rows: range, pr: int, mask: int) -> None:
-        """Each row i -= q row pr, q by long division in the masked column."""
-        bits = (h[pr] & mask).bit_length()
-        deg, inv_lead, scaled = (bits - 1) // step, fs.inv(lh.lead(h[pr], bits)), {}
-        for i in rows:
-            while (bits := (h[i] & mask).bit_length()) and (t := (bits - 1) // step - deg) >= 0:
-                c = fs.mul(lh.lead(h[i], bits), inv_lead)  # row i -= c X^t row pr
-                if c not in scaled:
-                    scaled[c] = lh.scale(fs.neg(c), h[pr])
-                h[i] = lh.add(h[i], scaled[c] << t * step)
-                if inverse:
-                    w[pr] = lw.add(w[pr], lw.scale(c, w[i]) << t * lw.plane)
-
-    pr = 0
-    for col in range(n):
-        if pr >= k:
-            break
-        depth = max(r.bit_length() for r in h) // step + 1
-        mask = lh.consts(depth)[3] * (((1 << lh.elem) - 1) << col * lh.elem)
-        while cands := [((b - 1) // step, i) for i in range(pr, k)
-                        if (b := (h[i] & mask).bit_length())]:
-            best = min(cands)[1]  # minimal degree, then the lowest index
-            h[pr], h[best] = h[best], h[pr]
-            if inverse:
-                w[pr], w[best] = w[best], w[pr]
-            reduce(range(pr + 1, k), pr, mask)
-            if not any(h[i] & mask for i in range(pr + 1, k)):
-                break
-        bits = (h[pr] & mask).bit_length()
-        if not bits:
-            continue
-        lead = lh.lead(h[pr], bits)  # scale the pivot to 1
-        h[pr] = lh.scale(fs.inv(lead), h[pr])
-        if inverse:
-            w[pr] = lw.scale(lead, w[pr])
-        reduce(range(pr), pr, mask)
-        pr += 1
-    hu = lh.unpack(h)
-    w = PolyMatrix._raw(fs, lw.unpack(w)) if inverse else None
-    return pr, PolyMatrix._raw(fs, hu[:, :, :n]), PolyMatrix._raw(fs, hu[:, :, n:]), w
+    """The elimination behind hermite_form (_gflinalg._eliminate) on the
+    (D, k, n) planes of G, as matrices: (rank, H, U, W), W = (U^{-1})^T if
+    inverse, else None."""
+    n = planes.shape[2]
+    rank, hu, w = la._eliminate(fs, planes, inverse)
+    return (rank, PolyMatrix._raw(fs, hu[:, :, :n]), PolyMatrix._raw(fs, hu[:, :, n:]),
+            None if w is None else PolyMatrix._raw(fs, w))
 
 
 def hermite_form(g: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:

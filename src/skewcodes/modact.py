@@ -142,7 +142,7 @@ def restrict_module(res, parent_action: np.ndarray,
     algebra; its action matrices come from the field's regular-representation
     tables (FieldSpec.restrict_stack).
     """
-    parent_action = np.asarray(parent_action, dtype=DTYPE)
+    parent_action = res.parent.field.indices(parent_action, "parent action")
     if parent_action.ndim != 3 or parent_action.shape[0] != res.parent.dim:
         raise ValueError("parent action has the wrong shape")
     action = res.parent.field.restrict_stack(parent_action)

@@ -282,6 +282,8 @@ class SkewPoly(CoeffPoly):
     def monomial(cls, ctx: SkewDerivation, a: AlgebraElement, n: int) -> "SkewPoly":
         if a.algebra != ctx.algebra:
             raise MixedStructureError("coefficient from a different algebra")
+        if n < 0:
+            raise ValueError(f"exponent n = {n} is negative")
         arr = la.zeros((n + 1, ctx.algebra.dim))
         arr[n] = a.coords
         return cls(ctx, arr)

@@ -230,13 +230,17 @@ def solve_right_permutable(f: TruncSeries, n_max: int) -> Optional[Permutability
     if n == 0:
         return PermutabilityWitness(0, TruncSeries(ctx, 0, la.zeros((0, ctx.algebra.dim))))
     r = ctx.algebra.dim
-    system = _chain_system(ctx, n, n)
+    # one elimination, U system = [R; 0]: system x = b is solvable iff U b
+    # is 0 below the rank, and then x = U b on the pivots, 0 elsewhere
+    _, pivots, u = la.rref(ctx.field, _chain_system(ctx, n, n))
     for m in range(n_max + 1):
         shifted = la.zeros((n, r))  # the window of f X^m
         shifted[m:] = f.coeffs[:max(n - m, 0)]
-        x = la.solve(ctx.field, system, shifted.reshape(-1))
-        if x is None:
+        ub = la.mat_vec(ctx.field, u, shifted.reshape(-1))
+        if ub[len(pivots):].any():
             continue
+        x = la.zeros(n * r)
+        x[pivots] = ub[: len(pivots)]
         s = TruncSeries(ctx, n, x.reshape(n, r))
         if x_times_series(s).agrees_with(TruncSeries(ctx, n, shifted)):
             return PermutabilityWitness(m, s)

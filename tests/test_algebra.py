@@ -12,7 +12,7 @@ from skewcodes import (Algebra, LinearMap, ScalarRestriction, field,
                        verify_skew_derivation)
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE
-from skewcodes.modact import RightModuleSpec
+from skewcodes.modact import RightModuleSpec, restrict_module
 from conftest import rand_coords, rand_element
 
 
@@ -206,6 +206,10 @@ def test_raw_index_arrays_outside_the_field_are_refused():
         (lambda: Algebra(field(3), np.array([[[-2]]]), np.array([1])),
          r"structure tensor entry \[0, 0, 0\] = -2 is not an index of GF\(3\)"),
         (lambda: Algebra(field(3), np.array([[[1]]]), np.array([3])), r"unit entry"),
+        (lambda: group_algebra_cyclic(f4, 5).from_coords([7, 0, 0, 0, 0]),
+         r"coordinate entry \[0\] = 7 "),
+        (lambda: restrict_module(ScalarRestriction(c1), [[[-1]]]),
+         r"parent action entry \[0, 0, 0\] = -1 is not an index of GF\(2\^2\)"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -214,3 +218,14 @@ def test_raw_index_arrays_outside_the_field_are_refused():
     assert LinearMap(c1, [[3]]).matrix[0, 0] == 3
     assert RightModuleSpec(c1, [[[1]]]).n == 1
     assert Algebra(field(3), np.array([[[1]]]), np.array([1])).dim == 1
+    assert group_algebra_cyclic(f4, 5).from_coords([3, 0, 0, 0, 1]).coords[0] == 3
+    assert restrict_module(ScalarRestriction(c1), [[[1]]]).n == 2
+
+
+def test_images_from_another_algebra_are_refused():
+    """The images' algebra must be the map's, not just of the same dimension."""
+    f4 = field(2, 2)
+    c4, m2 = group_algebra_cyclic(f4, 4), matrix_algebra(f4, 2)
+    with pytest.raises(MixedStructureError, match="different algebra"):
+        LinearMap.from_images(c4, m2.basis())
+    assert LinearMap.from_images(c4, c4.basis()).is_identity()

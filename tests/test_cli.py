@@ -256,6 +256,16 @@ def test_prec_that_is_not_a_positive_integer_is_input_error(tmp_path, prec):
     assert (rc, out, err) == (2, "", "input error: prec must be a positive integer\n")
 
 
+@pytest.mark.parametrize("t", [True, 0, 1.5])
+def test_frobenius_power_that_is_not_a_positive_integer_is_input_error(tmp_path, t):
+    doc = json.load(open(ws("m2f4_e12")))
+    doc["sigma"]["t"] = t
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["verify", "-w", str(path)])
+    assert (rc, out, err) == (2, "", "input error: frobenius power t must be a positive integer\n")
+
+
 @pytest.mark.parametrize("payload", [
     '{"ord": -1, "coeffs": [[1, 0, 0, 0, 0]], "end": -1}',
     '{"ord": "-1", "coeffs": [[1, 0, 0, 0, 0]]}',

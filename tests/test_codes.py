@@ -19,7 +19,7 @@ from skewcodes.codes import (ConvCodeBasis, code_from_generators,
                              vecpolys_to_matrix)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE, field
-from skewcodes import codes, fxlinalg, modact
+from skewcodes import _gflinalg as la, codes, fxlinalg, modact
 from skewcodes.fxlinalg import EchelonSolver, Poly, PolyMatrix, closure
 from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
                               regular_module, vecpoly_times_basis,
@@ -267,10 +267,10 @@ def test_code_path_skips_predetermined_work(monkeypatch, m2f4_inner, module_a):
     one elimination, the identity is never packed, and cyclic_closure reads
     its products off the stability test instead of vecpoly_times_basis."""
     eliminations, packed = [], []
-    hermite, lanes = fxlinalg._hermite, fxlinalg._lanes
+    hermite, lanes = fxlinalg._hermite, la._lanes
     monkeypatch.setattr(fxlinalg, "_hermite",
                         lambda *a: eliminations.append(1) or hermite(*a))
-    monkeypatch.setattr(fxlinalg, "_lanes", lambda *a: packed.append(1) or lanes(*a))
+    monkeypatch.setattr(la, "_lanes", lambda *a: packed.append(1) or lanes(*a))
     refuse = lambda v: pytest.fail("vecpoly_times_basis on the code path")
     monkeypatch.setattr(codes, "vecpoly_times_basis", refuse)
     monkeypatch.setattr(modact, "vecpoly_times_basis", refuse)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes import Poly, field, group_algebra_cyclic, matrix_algebra
+from skewcodes import (Poly, VecPoly, field, group_algebra_cyclic, matrix_algebra,
+                       regular_module)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import _DEFAULT_MODULI, DTYPE, FieldSpec
 
@@ -271,6 +272,20 @@ def test_coefficients_that_are_not_integers_are_refused():
         matrix_algebra(field(3), 2).element([0.5, 1, 2, "1"])
     with pytest.raises(ValueError, match="must be integers"):
         field(3).element(True)
+
+
+def test_digit_lists_longer_than_k_are_refused(f4c5_group):
+    """A digit past the k-th is refused, not dropped: over GF(4), [1, 1, 1]
+    was a + 1 and [0, 0, 1] was 0."""
+    f4 = field(2, 2)
+    spec = regular_module(f4c5_group.algebra)
+    for digits in ([1, 1, 1], [0, 0, 1]):
+        for build in (lambda: f4.element(digits), lambda: Poly(f4, [1, digits]),
+                      lambda: group_algebra_cyclic(f4, 2).element([digits, 0]),
+                      lambda: VecPoly.from_rows(spec, f4c5_group.ctx, [[0, digits, 0, 0, 0]])):
+            with pytest.raises(ValueError, match=rf"digit list \[{digits[0]}, .* k = 2"):
+                build()
+    assert f4.element([1, 1]).idx == 3 and field(3).element([4]).idx == 1
 
 
 def test_integer_values_still_reduce():

@@ -77,3 +77,98 @@ def test_shape_mismatch_is_rejected():
     fs = field(3)
     with pytest.raises(ValueError):
         la.mat_mul(fs, la.zeros((2, 3)), la.zeros((4, 2)))
+
+
+# ---- the elimination: the packed Hermite form at one plane ----
+
+def dense_rref(fs, m):
+    """Oracle: the dense row loop the packed elimination replaced.  Reduced
+    row echelon form of m and its pivot columns; the pivot row is the first
+    nonzero one at or below the current row."""
+    m = m.astype(DTYPE).copy()
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        sel = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        if sel is None:
+            continue
+        m[[r, sel]] = m[[sel, r]]
+        m[r] = fs.MUL[m[r], fs.inv(int(m[r, c]))]
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = fs.add_arrays(m[i], fs.MUL[m[r], fs.neg(int(m[i, c]))])
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_solve(fs, a, b):
+    """Oracle: one solution x of a @ x = b, free variables 0, or None."""
+    n = a.shape[1]
+    red, pivots = dense_rref(fs, np.concatenate([a, b.reshape(-1, 1)], axis=1))
+    if pivots and pivots[-1] == n:
+        return None
+    x = np.zeros(n, dtype=DTYPE)
+    x[pivots] = red[: len(pivots), n]
+    return x
+
+
+def elimination_cases(fs, rng):
+    """Random matrices of every shape class: empty, zero rows and columns,
+    rank-deficient (a product through a narrow inner dimension), square."""
+    shapes = [(0, 0), (0, 4), (3, 0), (1, 1), (4, 4), (5, 3), (3, 6), (8, 8)]
+    cases = [la.zeros((3, 4)), la.eye(5)]
+    cases += [rng.integers(0, fs.q, s).astype(DTYPE) for s in shapes]
+    for m, n, inner in [(6, 6, 3), (5, 7, 2), (7, 4, 1)]:
+        cases.append(table_mat_mul(fs, rng.integers(0, fs.q, (m, inner)).astype(DTYPE),
+                                   rng.integers(0, fs.q, (inner, n)).astype(DTYPE)))
+    for a in cases[2:6]:  # a zero row and a zero column
+        if a.size:
+            a = a.copy()
+            a[rng.integers(a.shape[0])] = 0
+            a[:, rng.integers(a.shape[1])] = 0
+            cases.append(a)
+    return cases
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=repr)
+def test_rref_matches_the_dense_row_loop(fs):
+    rng = np.random.default_rng(fs.q + 3)
+    for a in elimination_cases(fs, rng):
+        red, pivots, u = la.rref(fs, a)
+        want, want_pivots = dense_rref(fs, a)
+        rank = len(want_pivots)
+        assert pivots == want_pivots, a
+        assert np.array_equal(red, want[:rank]) and not want[rank:].any(), a
+        assert u.shape == (a.shape[0],) * 2
+        ua = table_mat_mul(fs, u, a)
+        assert np.array_equal(ua[:rank], red) and not ua[rank:].any(), a
+        assert dense_rref(fs, u)[1] == list(range(a.shape[0]))  # U is invertible
+
+
+@pytest.mark.parametrize("fs", FIELDS, ids=repr)
+def test_inverse_and_nullspace_match_the_dense_row_loop(fs):
+    rng = np.random.default_rng(fs.q + 4)
+    for a in elimination_cases(fs, rng):
+        rows, n = a.shape
+        if rows == n:
+            want, pivots = dense_rref(fs, np.concatenate([a, la.eye(n)], axis=1))
+            full = pivots[:n] == list(range(n))
+            got = la.inv(fs, a)
+            assert (got is None) == (not full), a
+            if full:
+                assert np.array_equal(got, want[:, n:]), a
+                assert np.array_equal(table_mat_mul(fs, a, got), la.eye(n))
+        red, pivots = dense_rref(fs, a)
+        free = [c for c in range(n) if c not in pivots]
+        basis = la.nullspace(fs, a)
+        assert len(basis) == len(free), a
+        for fc, x in zip(free, basis):
+            want = np.zeros(n, dtype=DTYPE)
+            want[fc] = 1
+            want[pivots] = fs.NEG[red[: len(pivots), fc]]
+            assert np.array_equal(x, want), a
+            assert not table_mat_mul(fs, a, x[:, None]).any()

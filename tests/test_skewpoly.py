@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes import (SkewPoly, left_from_right, poly_mul, poly_mul_iterative,
-                       right_from_left, xn_times)
+from skewcodes import (Poly, SkewPoly, left_from_right, poly_mul,
+                       poly_mul_iterative, right_from_left, xn_times)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
 from skewcodes import _gflinalg as la
@@ -241,3 +241,16 @@ def test_monomial_products_expand_by_n_operators(da, db, data):
     for t in range(da + 1):
         rhs = rhs + SkewPoly.monomial(ctx, a * n_operator(ctx, t, da)(bb), t + db)
     assert lhs == rhs
+
+
+def test_negative_exponents_are_refused(m2f4_inner):
+    """X^n for n < 0 is not a polynomial: Poly.x_power gave 1, and the
+    SkewPoly constructors ended in numpy errors."""
+    ctx = m2f4_inner.ctx
+    for build in (lambda n: Poly.x_power(ctx.field, n),
+                  lambda n: SkewPoly.monomial(ctx, ctx.algebra.one, n),
+                  lambda n: SkewPoly.x_power(ctx, n)):
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=f"exponent n = {n} is negative"):
+                build(n)
+        assert build(0).coeffs.shape[0] == 1

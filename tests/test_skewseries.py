@@ -10,11 +10,12 @@ from skewcodes import (SkewPoly, TruncSeries, VecSeries, poly_mul_iterative,
 from skewcodes import _gflinalg as la
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
-from skewcodes.skewseries import (kernel_left_x, ore_left, q_bound,
-                                  require_series_ring, series_mul,
+from skewcodes.skewseries import (_chain_system, kernel_left_x, ore_left,
+                                  q_bound, require_series_ring, series_mul,
                                   series_times_scalar, solve_right_permutable,
                                   x_times_series, xn_times_series)
 from conftest import rand_coords, rand_element
+from test_gflinalg import dense_solve
 
 
 def rand_series(rng, ctx, prec):
@@ -215,6 +216,27 @@ def test_right_permutability_witness(series_bundles):
             n = min(lhs.prec, rhs.prec)
             assert n > 0
             assert lhs.agrees_with(rhs), b.name
+
+
+def test_right_permutability_eliminates_once(series_bundles, monkeypatch):
+    """One elimination of the chain system serves every candidate m, and
+    the witness is the dense solution with free variables 0.  f = 1 has no
+    witness at m = 0 and one at m = 1 on each of these contexts."""
+    calls = []
+    eliminate = la._eliminate
+    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or eliminate(*a))
+    for b in series_bundles:
+        ctx, r = b.ctx, b.ctx.algebra.dim
+        one = TruncSeries.from_elements(ctx, [ctx.algebra.one], 5)
+        for n_max, m in [(0, None), (3, 1), (8, 1)]:
+            calls.clear()
+            w = solve_right_permutable(one, n_max)
+            assert len(calls) == 1, (b.name, n_max)
+            assert (None if w is None else w.m) == m, (b.name, n_max)
+        shifted = la.zeros((5, r))
+        shifted[1] = ctx.algebra.unit
+        x = dense_solve(ctx.field, _chain_system(ctx, 5, 5), shifted.reshape(-1))
+        assert np.array_equal(w.s.coeffs, x.reshape(5, r)), b.name
 
 
 def test_x_has_no_left_kernel_on_series(series_bundles):
