@@ -109,7 +109,8 @@ class Workspace:
         modulus = spec.get("modulus")
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise InputError("field k must be a positive integer")
-        if modulus is not None and not isinstance(modulus, list):
+        if modulus is not None and not (isinstance(modulus, list)
+                                        and all(type(c) is int for c in modulus)):
             raise InputError("field modulus must be a list of integers")
         try:
             return field(p, k, tuple(modulus) if modulus else None)
@@ -222,8 +223,7 @@ class Workspace:
                                      f"[1, {MAX_ALGEBRA_DIM}]")
                 act = np.broadcast_to(np.eye(n, dtype=DTYPE),
                                       (self.algebra.dim, n, n)).copy()
-                self._module = check_module(
-                    RightModuleSpec(self.algebra, act, name="trivial"))
+                self._module = check_module(RightModuleSpec(self.algebra, act))
             else:
                 raise InputError(f"unknown module kind {kind!r}")
         return self._module

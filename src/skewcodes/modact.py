@@ -24,11 +24,10 @@ from . import _gflinalg as la
 from .algebra import Algebra, AlgebraElement, AxiomReport
 from .errors import MixedStructureError
 from .fields import DTYPE
-from .skewlaurent import (CoeffLaurent, TruncLaurent, _min_end, laurent_mul,
-                          xn_floor, xnegn_direct)
+from .skewlaurent import CoeffLaurent, TruncLaurent, laurent_mul
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, SkewPoly, _trim, coefficient_maps, mul_arrays,
-                       poly_mul)
+from .skewpoly import (CoeffPoly, SkewPoly, _min_end, _trim, coefficient_maps,
+                       mul_arrays, poly_mul)
 from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
                          series_mul, series_times_scalar)
 
@@ -40,9 +39,9 @@ class RightModuleSpec:
     acting on row vectors as v -> v R(a_j).  Also the coefficient space of
     VecPoly, VecSeries and VecLaurent (protocol: skewpoly.RegularCoeffs)."""
 
-    __slots__ = ("algebra", "n", "action", "flat", "name")
+    __slots__ = ("algebra", "n", "action", "flat")
 
-    def __init__(self, algebra: Algebra, action: np.ndarray, name: str = "module"):
+    def __init__(self, algebra: Algebra, action: np.ndarray):
         action = algebra.field.indices(action, "action")
         if action.ndim != 3 or action.shape[0] != algebra.dim \
                 or action.shape[1] != action.shape[2]:
@@ -55,7 +54,6 @@ class RightModuleSpec:
         # the flat block matrix: v @ flat, reshaped (r, n), has rows v R(a_l)
         self.flat = np.ascontiguousarray(
             action.transpose(1, 0, 2).reshape(self.n, algebra.dim * self.n))
-        self.name = name
 
     @property
     def field(self):
@@ -129,11 +127,10 @@ def regular_module(algebra: Algebra) -> RightModuleSpec:
     """A itself as a right A-module (n = dim A, rows are coordinate vectors)."""
     # R(a_j) maps the row a_i to a_i a_j
     action = np.ascontiguousarray(algebra.tensor.transpose(1, 0, 2))
-    return check_module(RightModuleSpec(algebra, action, name="regular"))
+    return check_module(RightModuleSpec(algebra, action))
 
 
-def restrict_module(res, parent_action: np.ndarray,
-                    name: str = "restricted") -> RightModuleSpec:
+def restrict_module(res, parent_action: np.ndarray) -> RightModuleSpec:
     """Scalar restriction of a K-module to the prime field.
 
     parent_action holds one n x n matrix over K per parent basis element
@@ -146,7 +143,7 @@ def restrict_module(res, parent_action: np.ndarray,
     if parent_action.ndim != 3 or parent_action.shape[0] != res.parent.dim:
         raise ValueError("parent action has the wrong shape")
     action = res.parent.field.restrict_stack(parent_action)
-    return check_module(RightModuleSpec(res.algebra, action, name=name))
+    return check_module(RightModuleSpec(res.algebra, action))
 
 
 def natural_module(res) -> RightModuleSpec:
@@ -157,7 +154,7 @@ def natural_module(res) -> RightModuleSpec:
         raise ValueError("natural_module needs a restricted matrix algebra")
     nn = parent.meta["n"]
     # R(E_st) has its single 1 at (s, t)
-    return restrict_module(res, la.eye(nn * nn).reshape(-1, nn, nn), name="natural")
+    return restrict_module(res, la.eye(nn * nn).reshape(-1, nn, nn))
 
 
 # ---- coefficient containers ----
@@ -264,9 +261,9 @@ class VecLaurent(_OverModule, CoeffLaurent):
 # ---- products: the ring-side engines with the module as coefficient space ----
 
 def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
-                   f: np.ndarray, out_limit: Optional[int] = None) -> np.ndarray:
-    """Coefficient rows of (v f) for v over F^n and f over A."""
-    return mul_arrays(spec, ctx, v, f, out_limit)
+                   f: np.ndarray) -> np.ndarray:
+    """Coefficient rows of (v f) for v over F^n and f over A, both exact."""
+    return mul_arrays(spec, ctx, v, f)[0]
 
 
 def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
@@ -308,27 +305,9 @@ def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
     require_series_ring(ctx)
-    if s.is_zero():
-        # the unknown tail from X^end on contaminates from xn_floor(end) upward
-        return s._zero(None if s.end is None else xn_floor(ctx, s.end))
     if s.ord >= 0 and s.end is not None:
         return VecLaurent.from_series(series_times_scalar(s.to_series(), a))
     return laurent_mul(s, CoeffLaurent(ctx, 0, a.coords[None, :], None))
-
-
-def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
-    """s a = (s X^{n_0}) (X^{-n_0} a) with X^{-n_0} a expanded through the
-    composed maps sigma' delta'^{k_1} ... sigma' delta'^{k_{n_0}} (test
-    oracle)."""
-    ctx = s.ctx
-    if a.algebra != ctx.algebra:
-        raise MixedStructureError("scalar from a different algebra")
-    require_series_ring(ctx)
-    if s.is_zero() or s.ord >= 0:
-        return veclaurent_times_scalar(s, a)
-    n0 = -s.ord
-    const = TruncLaurent(ctx, 0, a.coords[None, :], None)
-    return laurent_mul(s.shift(n0), xnegn_direct(const, n0))
 
 
 # ---- the central F((X)) action ----

@@ -15,8 +15,8 @@ X^end, coefficients live on exponents [ord, ord + len(coeffs)), and the slots
 from there up to end are known zeros.  end = None means the element is exact
 (a Laurent polynomial).  Every operation returns the largest window its
 inputs support: X^{-n} maps window [o, e) to [o - n m', e - n m'), left
-multiplication by X^n and shifts preserve window length, and products use
-N_out = min(N_right, floor(N_left / m_delta)) on the series parts.
+multiplication by X^n and shifts preserve window length, and products take
+the window of their series parts from skewpoly.mul_arrays.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .errors import MixedStructureError, PrecisionError, RingUnavailableError
+from .errors import PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _trim, mul_arrays,
-                       xn_arrays)
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _min_end,
+                       _over_algebra, _trim, mul_arrays, xn_arrays)
 from .skewseries import CoeffSeries, TruncSeries
 
 
@@ -94,11 +94,6 @@ def require_laurent_ring(ctx: SkewDerivation) -> int:
 
 
 # ---- the truncated Laurent class ----
-
-def _min_end(*ends):
-    finite = [e for e in ends if e is not None]
-    return min(finite) if finite else None
-
 
 class CoeffLaurent(CoeffRows):
     """Class of a Laurent series modulo X^end (end = None: exact), coefficient
@@ -228,7 +223,7 @@ class TruncLaurent(CoeffLaurent):
         return cls(ctx, 0, la.zeros((0, ctx.algebra.dim)), None)
 
     def __mul__(self, other: "TruncLaurent") -> "TruncLaurent":
-        return laurent_mul(self, other)
+        return laurent_mul(self, other) if isinstance(other, TruncLaurent) else NotImplemented
 
 
 # ---- core operations ----
@@ -256,6 +251,7 @@ def xnegn_times(s: TruncLaurent, n: int) -> TruncLaurent:
     """X^{-n} s; the window [o, e) drops to [o - n m', e - n m')."""
     if n < 0:
         raise ValueError("xnegn_times needs n >= 0")
+    _over_algebra(s, "the operand of xnegn_times")
     if n == 0:
         return s
     drop = xn_floor(s.ctx, -n)
@@ -332,13 +328,11 @@ def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
 
     Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
     t_hat to w (xn_arrays for o_s >= 0, xnegn_arrays otherwise), multiplies
-    the series parts on the window min(n_w, n_s // m_delta), None standing
-    for an exact side, and shifts.
+    the series parts on the window skewpoly.mul_arrays gives them, and
+    shifts.
     """
-    if s.ctx != t.ctx:
-        raise MixedStructureError("operands built over different contexts")
+    _check_product(s, t)
     ctx = s.ctx
-    m = ctx.m_delta
     # zero operands: (a X^j)(b X^i) reaches down to X^{xn_floor(j) + i}, so an
     # unknown tail from X^end on taints the product from there up
     if s.is_zero() or t.is_zero():
@@ -361,8 +355,5 @@ def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
     shift = w.ord + o_t
     n_s = None if s.end is None else s.end - o_s
     n_w = None if w.end is None else w.end - w.ord
-    # series product of s_hat (window n_s) and w_hat (window n_w)
-    n_out = _min_end(n_w, None if n_s is None else n_s // m)
-    s_arr = s.coeffs if n_s is None else s.coeffs[: n_out * m]
-    prod = mul_arrays(s.space, ctx, s_arr, w.coeffs[:n_out], out_limit=n_out)
+    prod, n_out = mul_arrays(s.space, ctx, s.coeffs, w.coeffs, n_s, n_w)
     return s._new(shift, prod, None if n_out is None else shift + n_out)

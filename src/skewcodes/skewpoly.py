@@ -32,6 +32,11 @@ def _trim(arr: np.ndarray) -> np.ndarray:
     return arr[:n]
 
 
+def _min_end(*ends):
+    finite = [e for e in ends if e is not None]
+    return min(finite) if finite else None
+
+
 def _pad(arr: np.ndarray, length: int) -> np.ndarray:
     if arr.shape[0] >= length:
         return arr[:length]
@@ -87,21 +92,28 @@ def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np
 
 
 def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
-               out_limit: Optional[int] = None) -> np.ndarray:
-    """Coefficient rows of (g f) for g over the coefficient space and f over
-    A, optionally truncated to out_limit rows.
+               n_g: Optional[int] = None, n_f: Optional[int] = None) -> tuple:
+    """(rows, n_out): the coefficient rows of (g f), g over the coefficient
+    space and f over A known on n_g and n_f coefficients (None: exact), and
+    the number n_out of outputs those windows support.
 
-    At most three kernel calls whatever the degrees: the coefficient maps
-    W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz product.
+    Output l sees g_k only for k < (l + 1) m_delta (N_i^k = 0 beyond), so
+    n_out = min(n_f, n_g // m_delta) and only g[:n_out m_delta], f[:n_out]
+    are read.  At most three kernel calls whatever the degrees: the
+    coefficient maps W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz
+    product.
     """
+    n_out = _min_end(n_f, None if n_g is None else n_g // ctx.m_delta)
+    if n_out is not None:
+        g, f = g[:n_out * ctx.m_delta], f[:n_out]
     g, f = _trim(g), _trim(f)
     full = g.shape[0] + f.shape[0] - 1
-    out_len = full if out_limit is None else min(out_limit, full)
+    out_len = full if n_out is None else min(n_out, full)
     if g.shape[0] == 0 or f.shape[0] == 0 or out_len <= 0:
-        return la.zeros((0, space.n))
+        return la.zeros((0, space.n)), n_out
     # W_i only reaches rows l >= i
     w = coefficient_maps(space, ctx, g, min(g.shape[0], out_len))
-    return la.toeplitz_mul(ctx.field, f, w, out_len)
+    return la.toeplitz_mul(ctx.field, f, w, out_len), n_out
 
 
 def x_times_arrays(ctx: SkewDerivation, f: np.ndarray) -> np.ndarray:
@@ -180,6 +192,8 @@ class CoeffRows:
         n = self.space.n
         if coeffs.ndim != 2 or coeffs.shape[1] != n:
             raise ValueError(f"coefficient block must be L x {n}")
+        if coeffs.size and coeffs.view(np.uint16).max() >= self.ctx.field.q:
+            self.ctx.field.indices(coeffs, "coefficient")  # names the first bad entry
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
 
@@ -296,7 +310,7 @@ class SkewPoly(CoeffPoly):
         return [self.coeff(i) for i in range(self.coeffs.shape[0])]
 
     def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        return poly_mul(self, other)
+        return poly_mul(self, other) if isinstance(other, SkewPoly) else NotImplemented
 
     def scale_left(self, a: AlgebraElement) -> "SkewPoly":
         """a * f, coefficientwise left multiplication: the product with the
@@ -327,11 +341,23 @@ def format_poly_arr(algebra, coeffs: np.ndarray, offset: int = 0) -> str:
 
 # ---- named operations ----
 
-def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
-    """Product via the closed N-operator formula; g over any coefficient space."""
+def _over_algebra(f: CoeffRows, what: str) -> None:
+    """Refuse f, named by what, unless its coefficients lie in A itself."""
+    if f._structure() != (f.ctx,):
+        raise MixedStructureError(f"{what} is over {f.space!r}, not over the algebra")
+
+
+def _check_product(g: CoeffRows, f: CoeffRows) -> None:
+    """The products' shared prologue: g and f over one context, f over A."""
     if g.ctx != f.ctx:
         raise MixedStructureError("operands built over different contexts")
-    return g._new(mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs))
+    _over_algebra(f, "the right factor")
+
+
+def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
+    """Product via the closed N-operator formula; g over any coefficient space."""
+    _check_product(g, f)
+    return g._new(mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs)[0])
 
 
 def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:
@@ -344,6 +370,7 @@ def xn_times(f: SkewPoly, n: int) -> SkewPoly:
     """X^n * f via the N-operator expansion."""
     if n < 0:
         raise ValueError("xn_times needs n >= 0")
+    _over_algebra(f, "the operand of xn_times")
     return SkewPoly(f.ctx, xn_arrays(f.ctx, f.coeffs, n))
 
 
@@ -374,6 +401,7 @@ def right_from_left(f: SkewPoly) -> list[AlgebraElement]:
     b X^j = sum_i X^i N'_i^j(b) on the right-hand pair, so a_i is
     sum_{j >= i} N'_i^j(f_j): the same contraction on the right-hand table.
     """
+    _over_algebra(f, "the operand of right_from_left")
     ctx = f.ctx
     if ctx.ntable_right is None:
         raise ValueError("right coefficients need an invertible sigma")

@@ -2,9 +2,9 @@
 
 A TruncSeries holds the class of a series modulo X^N (N = prec).  The ring
 exists iff delta is nilpotent; products then reduce to truncated polynomial
-products because the left factor only needs q + 1 = N * m_delta coefficients:
-N_i^q vanishes once q >= (i + 1) * m_delta (i applications of sigma split the
-delta-runs into at most i + 1 blocks, each shorter than m_delta).
+products in skewpoly.mul_arrays, as the left factor only needs q + 1 = N m_delta
+coefficients: N_i^q vanishes once q >= (i + 1) * m_delta (i applications of
+sigma split the delta-runs into at most i + 1 blocks, each shorter than m_delta).
 
 The denominator-set diagnostics work coefficientwise:
 
@@ -28,8 +28,8 @@ from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _pad, mul_arrays,
-                       x_times_arrays, xn_arrays, xn_times)
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _over_algebra,
+                       _pad, mul_arrays, x_times_arrays, xn_arrays, xn_times)
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -120,33 +120,30 @@ class TruncSeries(CoeffSeries):
         return cls.from_poly(SkewPoly.from_elements(ctx, list(elems)[:prec]), prec)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        return series_mul(self, other)
+        return series_mul(self, other) if isinstance(other, TruncSeries) else NotImplemented
 
 
 def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
-    """Product on the largest window the operands support, min(t.prec,
-    s.prec // m_delta) coefficients (truncate for fewer); s over any space."""
-    if s.ctx != t.ctx:
-        raise MixedStructureError("operands built over different contexts")
-    ctx = s.ctx
-    m = require_series_ring(ctx)
-    prec = min(t.prec, s.prec // m)
-    out = mul_arrays(s.space, ctx, s.coeffs[: prec * m], t.coeffs[:prec], out_limit=prec)
+    """Product on the largest window the operands support (skewpoly.mul_arrays:
+    min(t.prec, s.prec // m_delta) coefficients); s over any space."""
+    _check_product(s, t)
+    out, prec = mul_arrays(s.space, s.ctx, s.coeffs, t.coeffs, s.prec, t.prec)
     return s._new(prec, _pad(out, prec))
 
 
 def series_times_scalar(s: CoeffSeries, a: AlgebraElement) -> CoeffSeries:
-    """s * a for a scalar a: the product with the constant series a, whose
-    window s.prec // m_delta is all the left factor supports."""
-    ctx = s.ctx
-    n = s.prec // require_series_ring(ctx)
-    if a.algebra != ctx.algebra:
+    """s * a for a scalar a: the product with the exact constant a, on the
+    s.prec // m_delta coefficients the left factor supports."""
+    require_series_ring(s.ctx)
+    if a.algebra != s.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    return series_mul(s, TruncSeries(ctx, n, _pad(a.coords[None, :], n)))
+    out, prec = mul_arrays(s.space, s.ctx, s.coeffs, a.coords[None, :], s.prec)
+    return s._new(prec, _pad(out, prec))
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:
     """X * s: coefficient j becomes sigma(s_{j-1}) + delta(s_j); window kept."""
+    _over_algebra(s, "the operand of x_times_series")
     return TruncSeries(s.ctx, s.prec, x_times_arrays(s.ctx, s.coeffs)[:s.prec])
 
 
@@ -154,6 +151,7 @@ def xn_times_series(s: TruncSeries, n: int) -> TruncSeries:
     """X^n * s via the N-operator expansion; window kept."""
     if n < 0:
         raise ValueError("xn_times_series needs n >= 0")
+    _over_algebra(s, "the operand of xn_times_series")
     out = xn_arrays(s.ctx, s.coeffs, n, out_limit=s.prec)
     return TruncSeries(s.ctx, s.prec, _pad(out, s.prec))
 
@@ -192,6 +190,7 @@ def ore_left(f: SkewPoly, k: int = 1) -> OreWitness:
     """
     if k < 1:
         raise ValueError("ore_left needs k >= 1")
+    _over_algebra(f, "the operand of ore_left")
     ctx = f.ctx
     total_n, cur = 0, f.coeffs
     for _ in range(k):

@@ -266,6 +266,17 @@ def test_frobenius_power_that_is_not_a_positive_integer_is_input_error(tmp_path,
     assert (rc, out, err) == (2, "", "input error: frobenius power t must be a positive integer\n")
 
 
+def test_nested_modulus_entries_are_input_error(tmp_path):
+    """[[1], [1], [1]] reached the field cache, which could not hash it:
+    "bad field: unhashable type: 'list'"."""
+    raw = json.load(open(ws("f4c5")))
+    raw["field"] = {"p": 2, "k": 2, "modulus": [[1], [1], [1]]}
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(raw))
+    rc, out, err = run(["verify", "-w", str(path)])
+    assert (rc, out, err) == (2, "", "input error: field modulus must be a list of integers\n")
+
+
 @pytest.mark.parametrize("payload", [
     '{"ord": -1, "coeffs": [[1, 0, 0, 0, 0]], "end": -1}',
     '{"ord": "-1", "coeffs": [[1, 0, 0, 0, 0]]}',

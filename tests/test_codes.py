@@ -45,8 +45,7 @@ def test_trivial_action_makes_every_submodule_cyclic(f4c5_group):
     rng = random.Random(81)
     A5 = f4c5_group.ctx.algebra
     triv = check_module(RightModuleSpec(
-        A5, np.broadcast_to(np.eye(3, dtype=DTYPE), (A5.dim, 3, 3)).copy(),
-        name="trivial"))
+        A5, np.broadcast_to(np.eye(3, dtype=DTYPE), (A5.dim, 3, 3)).copy()))
     for _ in range(10):
         g = vecpolys_to_matrix(triv, [rand_vecpoly(rng, triv, f4c5_group.ctx, 2)
                                       for _ in range(rng.randrange(1, 3))])
@@ -514,8 +513,7 @@ def test_mixed_context_rejected(m2f4_inner, f4c5_group, f4c5_sigma_only,
     # same algebra and width, but another module or context than the one given
     A5, n = f4c5_group.ctx.algebra, module_b.n
     triv = check_module(RightModuleSpec(
-        A5, np.broadcast_to(np.eye(n, dtype=DTYPE), (A5.dim, n, n)).copy(),
-        name="trivial"))
+        A5, np.broadcast_to(np.eye(n, dtype=DTYPE), (A5.dim, n, n)).copy()))
     u = VecPoly.unit_row(module_b, f4c5_group.ctx, 0)
     for build, gen in ((code_from_generators,
                         VecPoly.unit_row(triv, f4c5_group.ctx, 0)),

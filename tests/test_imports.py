@@ -83,7 +83,7 @@ def test_every_private_definition_is_referenced():
 
 
 # perfbench reaches these by name (ROADMAP item 1 moves its call sites)
-RENAME_WRAPPERS_KEPT = {"modact.py: vec_mul_arrays", "modact.py: vecseries_times_ring",
+RENAME_WRAPPERS_KEPT = {"modact.py: vecseries_times_ring",
                         "modact.py: veclaurent_times_ring"}
 
 

@@ -1,13 +1,17 @@
 """Right module actions on vectors of polynomials, series, Laurent series."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from skewcodes import (ScalarRestriction, SkewPoly, TruncLaurent, TruncSeries,
-                       field, matrix_algebra, poly_mul, poly_mul_iterative)
+                       field, matrix_algebra, ore_left, poly_mul, poly_mul_iterative,
+                       right_from_left, x_times_series, xn_times, xn_times_series,
+                       xnegn_times)
 from skewcodes import _gflinalg as la
+from skewcodes import skewpoly
 from skewcodes.errors import MixedStructureError, RingUnavailableError
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import laurent_mul, xinv_times
@@ -17,9 +21,10 @@ from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               flsx_scalar_action, module_verify,
                               natural_module, regular_module,
                               veclaurent_times_ring, veclaurent_times_scalar,
-                              veclaurent_times_scalar_direct, vecpoly_times_basis,
-                              vecpoly_times_scalar, vecseries_times_ring)
+                              vecpoly_times_basis, vecpoly_times_scalar,
+                              vecseries_times_ring)
 from conftest import rand_coords, rand_element
+from oracles import veclaurent_times_scalar_direct
 
 
 def rand_vecpoly(rng, spec, ctx, maxdeg):
@@ -48,7 +53,7 @@ def test_module_verify_accepts_the_shipped_modules(all_bundles, module_a):
     for b in all_bundles:
         assert module_verify(regular_module(b.algebra)).ok, b.name
     assert module_verify(module_a).ok
-    assert module_a.n == 4 and module_a.name == "natural"
+    assert module_a.n == 4
 
 
 def test_trivial_action_valid_only_where_basis_products_stay_basis(
@@ -57,15 +62,15 @@ def test_trivial_action_valid_only_where_basis_products_stay_basis(
     ag = f4c5_group.algebra
     eye = np.broadcast_to(np.eye(ag.dim, dtype=DTYPE),
                           (ag.dim, ag.dim, ag.dim)).copy()
-    assert module_verify(check_module(RightModuleSpec(ag, eye, "trivial"))).ok
+    assert module_verify(check_module(RightModuleSpec(ag, eye))).ok
     am = m2f4_inner.algebra
     eyem = np.broadcast_to(np.eye(am.dim, dtype=DTYPE),
                            (am.dim, am.dim, am.dim)).copy()
-    rep = module_verify(RightModuleSpec(am, eyem, "trivial"))
+    rep = module_verify(RightModuleSpec(am, eyem))
     assert not rep.ok
     assert any("R(1)" in f for f in rep.failures)
     with pytest.raises(MixedStructureError):
-        check_module(RightModuleSpec(am, eyem, "trivial"))
+        check_module(RightModuleSpec(am, eyem))
 
 
 def rand_laurent_class(rng, ctx, width):
@@ -482,3 +487,113 @@ def test_exact_scalar_action_of_nonnegative_order_needs_no_laurent_ring(fyz_quot
         assert got == VecLaurent.from_poly(want)
     with pytest.raises(RingUnavailableError):
         veclaurent_times_scalar(VecLaurent(spec, ctx, -1, rows, None), a)
+
+
+def _module_operands(b, spec):
+    """A vector poly, series and Laurent series of b's context over spec, and
+    ring ones of the same windows."""
+    ctx = b.ctx
+    rows = la.zeros((2, spec.n))
+    rows[:, 0] = 1
+    v = VecPoly(spec, ctx, rows)
+    p = SkewPoly.x_power(ctx, 1)
+    return {"v": v, "vs": VecSeries.from_poly(v, 6), "lv": VecLaurent.from_poly(v),
+            "p": p, "s": TruncSeries.from_poly(p, 6), "l": TruncLaurent.from_poly(p)}
+
+
+NEEDS_THE_ALGEBRA = {
+    "poly_mul": lambda o: poly_mul(o["v"], o["v"]),
+    "series_mul": lambda o: series_mul(o["s"], o["vs"]),
+    "laurent_mul": lambda o: laurent_mul(o["lv"], o["lv"]),
+    "xn_times": lambda o: xn_times(o["v"], 2),
+    "xn_times_series": lambda o: xn_times_series(o["vs"], 2),
+    "x_times_series": lambda o: x_times_series(o["vs"]),
+    "xnegn_times": lambda o: xnegn_times(o["lv"], 2),
+    "xinv_times": lambda o: xinv_times(o["lv"]),
+    "right_from_left": lambda o: right_from_left(o["v"]),
+    "ore_left": lambda o: ore_left(o["v"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_THE_ALGEBRA))
+def test_module_operand_where_the_algebra_is_needed_is_refused(m2f4_inner, module_a, name):
+    """The right factor of a product and the operand of X^n, X^{-n}, the
+    coefficient conversions and the Ore witness lie over A: module rows gave
+    a wrong result of the ring's type, or a numpy shape error."""
+    with pytest.raises(MixedStructureError, match="right module F\\^4.*not over the algebra"):
+        NEEDS_THE_ALGEBRA[name](_module_operands(m2f4_inner, module_a))
+
+
+def test_ring_classes_do_not_multiply_other_operands(m2f4_inner, module_a):
+    """SkewPoly * v gave a SkewPoly and SkewPoly * 3 an AttributeError; the
+    ring classes now leave operands they do not multiply to Python."""
+    o = _module_operands(m2f4_inner, module_a)
+    for left, right in (("p", "v"), ("s", "vs"), ("l", "lv"), ("p", 3), ("s", 3),
+                        ("l", 3), ("p", "s"), ("l", "p")):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            o[left] * o.get(right, right)
+    assert o["p"] * o["p"] == SkewPoly.x_power(m2f4_inner.ctx, 2)
+
+
+@pytest.mark.parametrize("kind", ["SkewPoly", "TruncSeries", "TruncLaurent",
+                                  "VecPoly", "VecSeries", "VecLaurent"])
+def test_raw_coefficients_outside_the_field_are_refused(m2f4_inner, f4c5_group, kind):
+    """Over GF(2) a stored 3 multiplied as 1 but compared unequal to it and a
+    stored -1 reached products; over GF(4) a 4 ended in a numpy IndexError."""
+    for b, bad in ((m2f4_inner, 3), (m2f4_inner, -1), (f4c5_group, 4)):
+        ctx = b.ctx
+        spec = regular_module(ctx.algebra)
+        build = {"SkewPoly": lambda a: SkewPoly(ctx, a),
+                 "TruncSeries": lambda a: TruncSeries(ctx, 2, a),
+                 "TruncLaurent": lambda a: TruncLaurent(ctx, 0, a, 2),
+                 "VecPoly": lambda a: VecPoly(spec, ctx, a),
+                 "VecSeries": lambda a: VecSeries(spec, ctx, 2, a),
+                 "VecLaurent": lambda a: VecLaurent(spec, ctx, 0, a, 2)}[kind]
+        arr = la.zeros((2, ctx.algebra.dim))
+        arr[0, 0] = 1
+        assert build(arr).coeffs[0, 0] == 1
+        arr[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient entry [1, 2] = {bad} is not an index of {ctx.field!r} in")):
+            build(arr)
+
+
+def test_products_read_only_the_left_rows_that_reach_the_output(monkeypatch, m2f4_inner,
+                                                                module_a):
+    """Output l sees g_k only for k < (l + 1) m_delta, so a product with n_out
+    outputs hands coefficient_maps at most n_out m_delta left rows, exact left
+    factors included (those were read to the end)."""
+    ctx = m2f4_inner.ctx
+    m = ctx.m_delta
+    rng = random.Random(62)
+    real, seen = skewpoly.coefficient_maps, []
+
+    def spy(space, ctx_, g, taps):
+        seen.append(g.shape[0])
+        return real(space, ctx_, g, taps)
+
+    def rows(length, width):
+        arr = rand_coords(rng, ctx.field.q, (length, width))
+        arr[0, 0] = arr[-1, 0] = 1
+        return arr
+
+    monkeypatch.setattr(skewpoly, "coefficient_maps", spy)
+    r, n = ctx.algebra.dim, module_a.n
+    s, t = TruncSeries(ctx, 21, rows(21, r)), TruncSeries(ctx, 2, rows(2, r))
+    t_l = TruncLaurent(ctx, 0, rows(2, r), 2)
+    a = rand_element(rng, ctx.algebra)
+    cases = [
+        (lambda: series_mul(s, t), 2),
+        (lambda: series_times_scalar(s, a), 10),
+        (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(20, r), None), t_l), 2),
+        (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(21, r), 21),
+                             TruncLaurent(ctx, 0, rows(30, r), None)), 10),
+        (lambda: vecseries_times_ring(VecSeries(module_a, ctx, 21, rows(21, n)), t), 2),
+        (lambda: veclaurent_times_ring(VecLaurent(module_a, ctx, 0, rows(20, n), None),
+                                       t_l), 2),
+    ]
+    for i, (product, n_out) in enumerate(cases):
+        seen.clear()
+        out = product()
+        assert (out.prec if hasattr(out, "prec") else out.end) == n_out, i
+        assert seen and max(seen) <= n_out * m, (i, seen)
