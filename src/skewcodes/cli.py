@@ -93,8 +93,9 @@ class Workspace:
         # sizes that drive the N-table are refused before it is built
         self.max_n = self.ctx.ntable.max_n
         self.max_prec = (self.max_n + 1) // (self.ctx.m_delta or 1)
-        # X^{-n} reads the right-hand table up to column block n m' - 1
-        self.min_ord = -((self.max_n + 1) // (self.ctx.m_delta_prime or 1))
+        # X^{-n} reads the opposite context's table up to column block n m' - 1
+        self.avail = laurent_ring_exists(self.ctx)
+        self.min_ord = -((self.max_n + 1) // (self.avail.m_delta_prime or 1))
         self.prec = raw.get("prec", 8)
         if type(self.prec) is not int or self.prec < 1:
             raise InputError("prec must be a positive integer")
@@ -379,14 +380,13 @@ def cmd_verify(args) -> int:
     print(f"algebra: {a.meta.get('name', 'custom')}, dim {a.dim} "
           f"over GF({a.field.q}): axioms ok")
     print("sigma: endomorphism ok"
-          + (" (invertible)" if ws.ctx.sigma_inv is not None
+          + (" (invertible)" if ws.ctx.opposite is not None
              else " (not invertible)"))
     print("delta: sigma-derivation ok")
-    md = ws.ctx.m_delta
-    mdp = ws.ctx.m_delta_prime
+    md, mdp = ws.avail.m_delta, ws.avail.m_delta_prime
     print(f"m_delta: {md if md is not None else 'none'}")
     print(f"m_delta_prime: {mdp if mdp is not None else 'none'}")
-    for line in laurent_ring_exists(ws.ctx).lines():
+    for line in ws.avail.lines():
         print(line)
     return EXIT_OK
 

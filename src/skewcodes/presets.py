@@ -86,7 +86,7 @@ def m2f4_inner() -> ExampleBundle:
         out.append(("series ring exists with m_delta = 2",
                     avail.series and b.ctx.m_delta == 2))
         out.append(("laurent ring exists with m_delta' = 2",
-                    avail.laurent and b.ctx.m_delta_prime == 2))
+                    avail.laurent and avail.m_delta_prime == 2))
         return out
 
     return ExampleBundle("m2f4-inner", ctx, checks, restriction=res)
@@ -124,7 +124,7 @@ def f4c5_group() -> ExampleBundle:
         ]
         avail = laurent_ring_exists(b.ctx)
         chain.append(("delta nilpotent with m_delta = 4", b.ctx.m_delta == 4))
-        chain.append(("delta' nilpotent", b.ctx.m_delta_prime is not None))
+        chain.append(("delta' nilpotent", b.ctx.opposite.m_delta is not None))
         chain.append(("laurent ring exists", avail.laurent))
         return chain
 
@@ -144,9 +144,9 @@ def m2f4_diag() -> ExampleBundle:
     def checks(b: ExampleBundle) -> list[tuple[str, bool]]:
         out = [("delta(M) = M for M = diag(0, a)",
                 b.ctx.delta(m_el) == m_el)]
-        dp = b.ctx.delta_prime
-        out.append(("delta'(M) = M for M = diag(0, a)",
-                    dp is not None and dp(m_el) == m_el))
+        op = b.ctx.opposite  # sigma is invertible; delta' acts on A^op
+        m_op = op.algebra.from_coords(m_el.coords)
+        out.append(("delta'(M) = M for M = diag(0, a)", op.delta(m_op) == m_op))
         avail = laurent_ring_exists(b.ctx)
         out.append(("series ring refused (delta not nilpotent)",
                     not avail.series and b.ctx.m_delta is None))
@@ -180,8 +180,8 @@ def fyz_quotient(p: int = 2) -> ExampleBundle:
         ]
         d2 = la.mat_mul(a.field, dl.matrix, dl.matrix)
         out.append(("delta^2 = 0", not d2.any()))
-        dp = b.ctx.delta_prime
-        out.append(("delta'(y) = y", dp is not None and dp(y) == y))
+        op = b.ctx.opposite  # A is commutative, so A^op == A
+        out.append(("delta'(y) = y", op is not None and op.delta(y) == y))
         avail = laurent_ring_exists(b.ctx)
         out.append(("series ring exists with m_delta = 2",
                     avail.series and b.ctx.m_delta == 2))

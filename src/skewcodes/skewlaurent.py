@@ -1,14 +1,15 @@
 """Truncated skew Laurent series.
 
 The Laurent ring A((X; sigma, delta)) exists iff sigma is invertible and both
-delta and delta' = -delta o sigma^{-1} are nilpotent.  Then with m' the
-nilpotency index of delta' and sigma' = sigma^{-1}:
+delta and delta' = -delta o sigma^{-1} are nilpotent: series exist over ctx and
+over ctx.opposite = A^op[X; sigma', delta'], sigma' = sigma^{-1}.  Then with m'
+the nilpotency index of delta':
 
     X^{-1} s = sum_{k=0}^{m'-1} sigma' delta'^k(s) X^{-1-k}
 
 (the k = m' term vanishes), and right multiplication by X^l is a plain shift
 for every integer l.  n steps compose to X^{-n} s = sum_k sigma'
-N'_{n-1}^{n-1+k}(s) X^{-n-k}, N' from the right-hand table ctx.ntable_right.
+N'_{n-1}^{n-1+k}(s) X^{-n-k}, N' from the opposite's table ctx.opposite.ntable.
 
 A TruncLaurent stores (ord, coeffs, end): the series is known exactly modulo
 X^end, coefficients live on exponents [ord, ord + len(coeffs)), and the slots
@@ -28,7 +29,6 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import PrecisionError, RingUnavailableError
-from .fields import DTYPE
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _min_end,
                        _over_algebra, _trim, mul_arrays, xn_arrays)
@@ -59,8 +59,11 @@ class LaurentAvailability:
         return out
 
 
-def _non_nilpotent_witness(ctx: SkewDerivation, mat: np.ndarray, name: str) -> str:
-    a, r = ctx.algebra, ctx.algebra.dim
+def _non_nilpotent_witness(ctx: SkewDerivation, name: str) -> Optional[str]:
+    """None if the series ring over ctx exists, else why not."""
+    if ctx.m_delta is not None:
+        return None
+    a, r, mat = ctx.algebra, ctx.algebra.dim, ctx.delta.matrix
     full = la.mat_pow(ctx.field, mat, r)
     # the first basis element a_j with mat^r(a_j) != 0, mat not being nilpotent
     j = int(np.flatnonzero(full.any(axis=0))[0])
@@ -71,26 +74,23 @@ def _non_nilpotent_witness(ctx: SkewDerivation, mat: np.ndarray, name: str) -> s
 
 
 def laurent_ring_exists(ctx: SkewDerivation) -> LaurentAvailability:
-    """Existence report for the polynomial, series and Laurent rings."""
-    series = ctx.m_delta is not None
-    s_wit = None if series else _non_nilpotent_witness(ctx, ctx.delta.matrix, "delta")
-    l_wit = None
-    if ctx.sigma_inv is None:
-        l_wit = "sigma is not invertible"
-    elif not series:
-        l_wit = s_wit
-    elif ctx.m_delta_prime is None:
-        l_wit = _non_nilpotent_witness(ctx, ctx.delta_prime.matrix, "delta'")
-    return LaurentAvailability(series, l_wit is None, ctx.m_delta,
-                               ctx.m_delta_prime, s_wit, l_wit)
+    """Existence report for the polynomial, series and Laurent rings: Laurent
+    series need series over the context, then over its opposite."""
+    op = ctx.opposite
+    s_wit = _non_nilpotent_witness(ctx, "delta")
+    l_wit = ("sigma is not invertible" if op is None
+             else s_wit or _non_nilpotent_witness(op, "delta'"))
+    return LaurentAvailability(s_wit is None, l_wit is None, ctx.m_delta,
+                               None if op is None else op.m_delta, s_wit, l_wit)
 
 
 def require_laurent_ring(ctx: SkewDerivation) -> int:
-    """Return m_delta_prime, or raise if the Laurent ring does not exist."""
+    """Return m_delta' (the opposite's m_delta), or raise if there are no
+    Laurent series."""
     avail = laurent_ring_exists(ctx)
     if not avail.laurent:
         raise RingUnavailableError(f"laurent ring unavailable: {avail.laurent_witness}")
-    return ctx.m_delta_prime
+    return ctx.opposite.m_delta
 
 
 # ---- the truncated Laurent class ----
@@ -106,7 +106,7 @@ class CoeffLaurent(CoeffRows):
     def __init__(self, ctx: SkewDerivation, ord_: int, coeffs: np.ndarray,
                  end: Optional[int]):
         self.ctx = ctx
-        coeffs = np.asarray(coeffs, dtype=DTYPE)
+        coeffs = np.asarray(coeffs)
         if coeffs.ndim != 2:
             raise ValueError(f"coefficient block must be L x {self.space.n}")
         # strip leading zeros (raising ord) and trailing zeros (end unchanged)
@@ -233,18 +233,18 @@ def xnegn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
     """X^{-n} f for n >= 1 on coefficient rows, row 0 at exponent -n m'.
     The X^{-n-k} map sums the words sigma' delta'^{k_1} ... sigma' delta'^{k_n}
     with k_1 + .. + k_n = k, that is sigma' N'_{n-1}^{n-1+k}: one Toeplitz
-    product with row block n - 1 of ntable_right, one sigma' product."""
-    mp = require_laurent_ring(ctx)
+    product with row block n - 1 of the opposite's table, one sigma' product."""
+    mp, op = require_laurent_ring(ctx), ctx.opposite
     r, width = ctx.algebra.dim, n * (mp - 1)
     full = width + f.shape[0]
     out_len = full if out_limit is None else min(out_limit, full)
     if f.shape[0] == 0 or out_len <= 0:
         return la.zeros((0, r))
     # tap i = (N'_{n-1}^{n m'-1-i})^T: column blocks n - 1 .. n m' - 1, reversed
-    row = ctx.ntable_right.stacked(n * mp - 1)[(n - 1) * r:n * r, (n - 1) * r:]
+    row = op.ntable.stacked(n * mp - 1)[(n - 1) * r:n * r, (n - 1) * r:]
     w = row.reshape(r, width + 1, r)[:, ::-1].transpose(1, 0, 2).reshape(-1, r)
     out = la.toeplitz_mul(ctx.field, f, w, out_len)
-    return la.mat_mul(ctx.field, out, ctx.sigma_inv.matrix.T)
+    return la.mat_mul(ctx.field, out, op.sigma.matrix.T)
 
 
 def xnegn_times(s: TruncLaurent, n: int) -> TruncLaurent:
@@ -267,17 +267,13 @@ def xinv_times(s: TruncLaurent) -> TruncLaurent:
 def _composition_maps(ctx: SkewDerivation, n: int) -> list[np.ndarray]:
     """C_{n,k} = sum over k_1+..+k_n = k, k_j < m', of the composition
     sigma' delta'^{k_1} ... sigma' delta'^{k_n}, for k = 0 .. n(m'-1)."""
-    mp = require_laurent_ring(ctx)
-    spec = ctx.field
-    r = ctx.algebra.dim
-    maps = ctx.xinv_maps()
+    spec, r, maps = ctx.field, ctx.algebra.dim, ctx.xinv_maps()
     cur: list[np.ndarray] = [la.eye(r)]
     for _ in range(n):
-        nxt = [la.zeros((r, r)) for _ in range(len(cur) + mp - 1)]
-        for kk in range(mp):
+        nxt = [la.zeros((r, r)) for _ in range(len(cur) + len(maps) - 1)]
+        for kk, m in enumerate(maps):
             for k0, c in enumerate(cur):
-                nxt[kk + k0] = spec.add_arrays(nxt[kk + k0],
-                                               la.mat_mul(spec, maps[kk], c))
+                nxt[kk + k0] = spec.add_arrays(nxt[kk + k0], la.mat_mul(spec, m, c))
         cur = nxt
     return cur
 

@@ -2,19 +2,20 @@
 
 sigma must be a unital ring endomorphism and delta a sigma-derivation:
 delta(x y) = sigma(x) delta(y) + delta(x) y, so that X a = sigma(a) X + delta(a).
-When sigma is invertible the right-hand pair is sigma' = sigma^{-1},
-delta' = -delta o sigma^{-1}, and b X = X sigma'(b) + delta'(b) mirrors it.
+When sigma is invertible, b X = X sigma'(b) + delta'(b) with sigma' = sigma^{-1}
+and delta' = -delta o sigma^{-1}: the left-hand rule of the opposite ring
+A^op[X; sigma', delta'], whose context is ctx.opposite.
 
 N_i^n of a pair are the maps collecting the X^i coefficient of X^n acting on
 scalars: N_i^{n+1} = sigma N_{i-1}^n + delta N_i^n, N_0^0 = id, with
 N_{-1}^n = 0 and N_{n+1}^n = 0.  In particular N_0^n = delta^n and
-N_n^n = sigma^n.  A context keeps one table for (sigma, delta), where
-X^n a = sum_i N_i^n(a) X^i, and one for (sigma', delta'), where
-b X^n = sum_i X^i N'_i^n(b).
+N_n^n = sigma^n.  A context's table gives X^n a = sum_i N_i^n(a) X^i, and
+its opposite's table b X^n = sum_i X^i N'_i^n(b).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from typing import Optional
@@ -47,34 +48,35 @@ class SkewDerivation:
         self.algebra = algebra
         self.sigma = sigma
         self.delta = delta
-        self.sigma_inv = sigma.inverse()
-        self.delta_prime = None if self.sigma_inv is None else -(delta @ self.sigma_inv)
         self.m_delta = nilpotency_index(delta)
-        self.m_delta_prime = (None if self.delta_prime is None
-                              else nilpotency_index(self.delta_prime))
         self.ntable = NOperatorTable(sigma, delta)
-        self.ntable_right = (None if self.sigma_inv is None
-                             else NOperatorTable(self.sigma_inv, self.delta_prime))
-        self._xinv_maps: Optional[list[np.ndarray]] = None
 
     @property
     def field(self):
         return self.algebra.field
 
+    @functools.cached_property
+    def opposite(self) -> Optional["SkewDerivation"]:
+        """A^op[X; sigma^{-1}, -delta sigma^{-1}], whose left coefficients are the
+        right ones here, or None if sigma is not invertible; built on first access."""
+        a, inv = self.algebra, self.sigma.inverse()
+        if inv is None:
+            return None
+        op_a = Algebra(a.field, a.tensor.transpose(1, 0, 2).copy(), a.unit, a.labels, a.meta)
+        op = verify_skew_derivation(op_a, LinearMap(op_a, inv.matrix),
+                                    LinearMap(op_a, (-(self.delta @ inv)).matrix))
+        op.opposite = self  # not a second copy of this context
+        return op
+
     def xinv_maps(self) -> list[np.ndarray]:
-        """sigma' delta'^k for k < m_delta_prime: the X^{-1} step xnegn_direct composes."""
-        if self.delta_prime is None or self.m_delta_prime is None:
+        """sigma' delta'^k for k < m_delta', from the opposite's maps (not its
+        table): the X^{-1} step xnegn_direct composes."""
+        op = self.opposite
+        if op is None or op.m_delta is None:
             raise AxiomError("right-hand maps unavailable: sigma not invertible "
                              "or delta' not nilpotent")
-        if self._xinv_maps is None:
-            spec = self.field
-            out = []
-            cur = la.eye(self.algebra.dim)
-            for _ in range(self.m_delta_prime):
-                out.append(la.mat_mul(spec, self.sigma_inv.matrix, cur))
-                cur = la.mat_mul(spec, self.delta_prime.matrix, cur)
-            self._xinv_maps = out
-        return self._xinv_maps
+        spec, s, d = self.field, op.sigma.matrix, op.delta.matrix
+        return [la.mat_mul(spec, s, la.mat_pow(spec, d, k)) for k in range(op.m_delta)]
 
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, SkewDerivation) and (
@@ -95,7 +97,7 @@ def verify_skew_derivation(algebra: Algebra, sigma: LinearMap,
     """Check the (sigma, delta) axioms on all basis pairs; raise on failure.
 
     sigma non-invertibility is not an error: the pair is still valid, only the
-    right-hand machinery (delta', Laurent) is unavailable.
+    opposite context (delta', Laurent) is unavailable.
     """
     if sigma.algebra != algebra or delta.algebra != algebra:
         raise MixedStructureError("maps defined on a different algebra")

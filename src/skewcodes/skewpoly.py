@@ -192,7 +192,9 @@ class CoeffRows:
         n = self.space.n
         if coeffs.ndim != 2 or coeffs.shape[1] != n:
             raise ValueError(f"coefficient block must be L x {n}")
-        if coeffs.size and coeffs.view(np.uint16).max() >= self.ctx.field.q:
+        if coeffs.dtype != DTYPE:  # checked against its cast: nothing wraps
+            coeffs = self.ctx.field.indices(coeffs, "coefficient")
+        elif coeffs.size and coeffs.view(np.uint16).max() >= self.ctx.field.q:
             self.ctx.field.indices(coeffs, "coefficient")  # names the first bad entry
         self.coeffs = coeffs
         self.coeffs.flags.writeable = False
@@ -225,7 +227,7 @@ class CoeffPoly(CoeffRows):
 
     def __init__(self, ctx: SkewDerivation, coeffs: np.ndarray):
         self.ctx = ctx
-        self._set_coeffs(_trim(np.asarray(coeffs, dtype=DTYPE)))
+        self._set_coeffs(_trim(np.asarray(coeffs)))
 
     def _window(self) -> tuple:
         return (0, None)
@@ -398,11 +400,11 @@ def left_from_right(ctx: SkewDerivation,
 def right_from_left(f: SkewPoly) -> list[AlgebraElement]:
     """Right coefficients a_i with f = sum_i X^i a_i; needs sigma invertible.
 
-    b X^j = sum_i X^i N'_i^j(b) on the right-hand pair, so a_i is
-    sum_{j >= i} N'_i^j(f_j): the same contraction on the right-hand table.
+    b X^j = sum_i X^i N'_i^j(b) on the opposite context, so a_i is
+    sum_{j >= i} N'_i^j(f_j): the same contraction on the opposite's table.
     """
     _over_algebra(f, "the operand of right_from_left")
-    ctx = f.ctx
-    if ctx.ntable_right is None:
+    op = f.ctx.opposite
+    if op is None:
         raise ValueError("right coefficients need an invertible sigma")
-    return [AlgebraElement(ctx.algebra, v) for v in _contract(ctx.ntable_right, f.coeffs)]
+    return [AlgebraElement(f.ctx.algebra, v) for v in _contract(op.ntable, f.coeffs)]

@@ -26,7 +26,6 @@ import numpy as np
 from . import _gflinalg as la
 from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
-from .fields import DTYPE
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _over_algebra,
                        _pad, mul_arrays, x_times_arrays, xn_arrays, xn_times)
@@ -58,7 +57,7 @@ class CoeffSeries(CoeffRows):
             raise ValueError("precision must be >= 0")
         self.ctx = ctx
         self.prec = prec
-        coeffs = np.array(coeffs, dtype=DTYPE)
+        coeffs = np.array(coeffs)
         if coeffs.shape[:1] != (prec,):
             raise ValueError(f"coefficient block must be {prec} x {self.space.n}")
         self._set_coeffs(coeffs)

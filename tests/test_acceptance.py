@@ -227,7 +227,7 @@ def test_criterion_4_laurent_layer():
                 twist = a
                 for _ in range(abs(e)):
                     twist = ctx0.sigma(twist) if e >= 0 \
-                        else ctx0.sigma_inv(twist)
+                        else ctx0.opposite.sigma(twist)
                 assert prod.coeff(e) == s.coeff(e) * twist
 
 

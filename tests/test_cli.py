@@ -299,8 +299,8 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
     limits = load_workspace(ws("f4c5"))
     ore_k = limits.max_n // limits.algebra.dim
     too_far = limits.max_n + 1
-    # X^{-n} reads the right-hand table up to column block n m' - 1 <= max_n
-    too_low = -((limits.max_n + 1) // limits.ctx.m_delta_prime + 1)
+    # X^{-n} reads the opposite context's table up to column block n m' - 1 <= max_n
+    too_low = -((limits.max_n + 1) // limits.ctx.opposite.m_delta + 1)
     assert too_low == -290
     raw = json.load(open(ws("f4c5")))
     raw["prec"] = limits.max_prec + 1

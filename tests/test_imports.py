@@ -82,6 +82,30 @@ def test_every_private_definition_is_referenced():
     assert not offenders, offenders
 
 
+# sigma', delta', m_delta' and the right-hand table belong to ctx.opposite;
+# m_delta' is also a field of the LaurentAvailability report, read as `avail`
+MIRRORED = {"sigma_inv", "delta_prime", "m_delta_prime", "ntable_right"}
+
+
+def test_right_hand_side_is_read_through_the_opposite():
+    """No module reads a mirrored right-hand member: the opposite context
+    A^op[X; sigma^{-1}, -delta sigma^{-1}] is the one right-hand path."""
+    offenders = []
+    for path in sorted(Path(skewcodes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        report = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  and cls.name == "LaurentAvailability" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or node.attr not in MIRRORED \
+                    or id(node) in report:
+                continue
+            recv = node.value
+            recv = recv.attr if isinstance(recv, ast.Attribute) else getattr(recv, "id", None)
+            if (node.attr, recv) != ("m_delta_prime", "avail"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert not offenders, offenders
+
+
 # perfbench reaches these by name (ROADMAP item 1 moves its call sites)
 RENAME_WRAPPERS_KEPT = {"modact.py: vecseries_times_ring",
                         "modact.py: veclaurent_times_ring"}

@@ -558,6 +558,26 @@ def test_raw_coefficients_outside_the_field_are_refused(m2f4_inner, f4c5_group, 
             build(arr)
 
 
+@pytest.mark.parametrize("kind", ["SkewPoly", "TruncSeries", "TruncLaurent", "VecPoly"])
+def test_wide_or_fractional_coefficients_are_refused(m2f4_inner, kind):
+    """Input wider than int16 is checked before the cast: an int64 65537 or
+    -65535 wrapped to 1 and a float 1.5 truncated to 1, without an error."""
+    ctx = m2f4_inner.ctx
+    spec = regular_module(ctx.algebra)
+    build = {"SkewPoly": lambda a: SkewPoly(ctx, a),
+             "TruncSeries": lambda a: TruncSeries(ctx, 2, a),
+             "TruncLaurent": lambda a: TruncLaurent(ctx, 0, a, 2),
+             "VecPoly": lambda a: VecPoly(spec, ctx, a)}[kind]
+    for bad in (np.int64(65537), np.float64(1.5), np.int64(-65535)):
+        arr = np.zeros((2, ctx.algebra.dim), dtype=bad.dtype)
+        arr[0, 0] = 1
+        assert build(arr).coeffs[0, 0] == 1
+        arr[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient entry [1, 2] = {bad.item()!r} is not an index of")):
+            build(arr)
+
+
 def test_products_read_only_the_left_rows_that_reach_the_output(monkeypatch, m2f4_inner,
                                                                 module_a):
     """Output l sees g_k only for k < (l + 1) m_delta, so a product with n_out

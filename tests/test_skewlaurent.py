@@ -68,7 +68,7 @@ def test_shuttle_identities(laurent_bundles, odd_laurent_bundles):
     rng = random.Random(41)
     for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
-        mp = ctx.m_delta_prime
+        mp = ctx.opposite.m_delta
         X = TruncLaurent.from_poly(SkewPoly.x_power(ctx))
         for _ in range(30):
             s = rand_laurent(rng, ctx, rng.randrange(-3, 3), 8)
@@ -85,7 +85,7 @@ def test_xinv_window_drop(laurent_bundles):
     rng = random.Random(42)
     for b in laurent_bundles:
         ctx = b.ctx
-        mp = ctx.m_delta_prime
+        mp = ctx.opposite.m_delta
         s = rand_laurent(rng, ctx, -2, 8)
         t = xinv_times(s)
         assert t.end == s.end - mp
@@ -95,7 +95,7 @@ def test_xinv_window_drop(laurent_bundles):
 
 
 def test_xnegn_direct_equals_iterated(laurent_bundles, odd_laurent_bundles):
-    """The closed multinomial expansion, the one product on the right-hand
+    """The closed multinomial expansion, the one product on the opposite's
     table and n chained X^{-1} steps agree, windows too; in odd
     characteristic the sign of delta' = -delta sigma^{-1} shows."""
     rng = random.Random(43)
@@ -115,7 +115,7 @@ def test_xnegn_direct_equals_iterated(laurent_bundles, odd_laurent_bundles):
 
 def test_xnegn_is_one_product_on_a_warm_table(laurent_bundles, odd_laurent_bundles,
                                               monkeypatch):
-    """Once the right-hand table holds its column blocks, X^{-n} is the same
+    """Once the opposite's table holds its column blocks, X^{-n} is the same
     two kernel calls for every n: one Toeplitz product, one sigma' product."""
     calls = []
     real = la.mat_mul
@@ -128,7 +128,7 @@ def test_xnegn_is_one_product_on_a_warm_table(laurent_bundles, odd_laurent_bundl
     for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
         s = rand_laurent(rng, ctx, rng.randrange(-2, 3), 10)
-        ctx.ntable_right.ensure(4 * ctx.m_delta_prime - 1)
+        ctx.opposite.ntable.ensure(4 * ctx.opposite.m_delta - 1)
         monkeypatch.setattr(la, "mat_mul", counted)
         counts = []
         for n in range(1, 5):
@@ -178,7 +178,7 @@ def test_delta_zero_specializes_to_twisted_rule(f4c5_sigma_only):
                     twist = ctx.sigma(twist)
             else:
                 for _ in range(-e):
-                    twist = ctx.sigma_inv(twist)
+                    twist = ctx.opposite.sigma(twist)
             want = s.coeff(e) * twist
             assert prod.coeff(e) == want, e
 

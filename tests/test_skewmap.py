@@ -1,5 +1,6 @@
 """(sigma, delta) verification, the mirror derivation and the N-operators."""
 
+import random
 import sys
 import threading
 
@@ -8,12 +9,14 @@ import pytest
 
 from skewcodes import (LinearMap, SkewPoly, field, load_preset, matrix_algebra,
                        n_operator, natural_module, nilpotency_index, poly_mul,
-                       poly_mul_iterative, quotient_algebra_yz,
+                       poly_mul_iterative, quotient_algebra_yz, right_from_left,
                        verify_skew_derivation)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE, FieldSpec
+from skewcodes.presets import PRESETS
 from skewcodes.skewmap import NOperatorTable
+from conftest import rand_coords
 
 
 def test_presets_build_and_report_nilpotency(all_bundles):
@@ -26,26 +29,29 @@ def test_presets_build_and_report_nilpotency(all_bundles):
     for b in all_bundles:
         md, mdp = want[b.name]
         assert b.ctx.m_delta == md, b.name
-        assert b.ctx.m_delta_prime == mdp, b.name
+        assert b.ctx.opposite.m_delta == mdp, b.name
 
 
 def test_delta_prime_is_minus_delta_sigma_inverse(all_bundles):
+    """The opposite's maps are sigma' = sigma^{-1} and delta' = -delta
+    sigma^{-1}; they act on A^op, so they are moved onto A by matrix."""
     for b in all_bundles:
-        ctx = b.ctx
-        if ctx.sigma_inv is None:
-            assert ctx.delta_prime is None
-            continue
-        expect = -(ctx.delta @ ctx.sigma_inv)
-        assert ctx.delta_prime == expect
+        ctx, sigma_inv = b.ctx, b.ctx.sigma.inverse()
+        sigma_p = LinearMap(ctx.algebra, ctx.opposite.sigma.matrix)
+        delta_p = LinearMap(ctx.algebra, ctx.opposite.delta.matrix)
+        assert sigma_p == sigma_inv, b.name
+        assert delta_p == -(ctx.delta @ sigma_inv), b.name
         # and delta = -delta' sigma, the mirrored identity
-        assert (-(ctx.delta_prime @ ctx.sigma)) == ctx.delta
+        assert (-(delta_p @ ctx.sigma)) == ctx.delta
 
 
 def test_fyz_delta_prime_fixes_y(fyz_quotient):
+    """A is commutative here, so A^op == A and y is an element of both."""
     ctx = fyz_quotient.ctx
     one, y, z = ctx.algebra.basis()
-    assert ctx.delta_prime(y) == y
-    assert nilpotency_index(ctx.delta_prime) is None
+    assert ctx.opposite.algebra == ctx.algebra
+    assert ctx.opposite.delta(y) == y
+    assert nilpotency_index(ctx.opposite.delta) is None
 
 
 def test_equality_is_structural():
@@ -151,8 +157,9 @@ def test_non_invertible_sigma_is_allowed_without_mirror():
     one, y, z = a.basis()
     sigma = LinearMap.from_images(a, [one, a.zero, a.zero])  # kills the radical
     ctx = verify_skew_derivation(a, sigma, LinearMap.zero(a))
-    assert ctx.sigma_inv is None
-    assert ctx.delta_prime is None and ctx.m_delta_prime is None
+    assert ctx.opposite is None
+    with pytest.raises(AxiomError):
+        ctx.xinv_maps()
 
 
 def _recurrence_entries(sigma, delta, n_max):
@@ -194,15 +201,66 @@ def test_stacked_table_built_in_steps_matches_recurrence(series_bundles, odd_fyz
 
 def test_right_hand_table_matches_recurrence(all_bundles, odd_fyz_bundles,
                                              odd_laurent_bundles):
-    """ctx.ntable_right is the table of (sigma', delta'), in characteristic
-    2, 3 and 5, and is absent exactly when sigma is not invertible."""
+    """ctx.opposite.ntable is the table of (sigma^{-1}, -delta sigma^{-1}),
+    in characteristic 2, 3 and 5, and there is no opposite exactly when
+    sigma is not invertible."""
     for b in all_bundles + odd_fyz_bundles + odd_laurent_bundles:
-        ctx = b.ctx
-        want = _recurrence_entries(ctx.sigma_inv, ctx.delta_prime, 12)
-        _assert_table_matches(ctx.ntable_right, want, 12, b.name)
+        ctx, sigma_inv = b.ctx, b.ctx.sigma.inverse()
+        want = _recurrence_entries(sigma_inv, -(ctx.delta @ sigma_inv), 12)
+        _assert_table_matches(ctx.opposite.ntable, want, 12, b.name)
     a = quotient_algebra_yz(field(2))
     sigma = LinearMap.from_images(a, [a.one, a.zero, a.zero])
-    assert verify_skew_derivation(a, sigma, LinearMap.zero(a)).ntable_right is None
+    assert verify_skew_derivation(a, sigma, LinearMap.zero(a)).opposite is None
+
+
+def _as_opposite(f):
+    """phi(f): the right coefficients of f read as left coefficients over the
+    opposite context (the same coordinates, in A^op)."""
+    op = f.ctx.opposite
+    return SkewPoly.from_elements(op, [op.algebra.from_coords(c.coords)
+                                       for c in right_from_left(f)])
+
+
+def test_opposite_context_is_the_opposite_ring(all_bundles, odd_laurent_bundles,
+                                               odd_fyz_bundles):
+    """R^op = A^op[X; sigma^{-1}, -delta sigma^{-1}]: phi(f g) = phi(g) phi(f).
+    A^op is A's structure tensor with its first two axes swapped (so A^op !=
+    A on the matrix contexts), and the opposite of the opposite is the
+    context itself.  In odd characteristic the sign of delta' shows."""
+    rng = random.Random(71)
+    for b in all_bundles + odd_laurent_bundles + odd_fyz_bundles:
+        ctx, op = b.ctx, b.ctx.opposite
+        a, a_op = ctx.algebra, op.algebra
+        assert op.opposite is ctx, b.name
+        assert np.array_equal(a_op.tensor, a.tensor.transpose(1, 0, 2)), b.name
+        assert (a_op.field, a_op.labels, a_op.meta) == (a.field, a.labels, a.meta)
+        assert np.array_equal(a_op.unit, a.unit)
+        assert (a_op != a) == b.name.startswith("m2f"), b.name  # M2 is not commutative
+        for _ in range(20):
+            f, g = (SkewPoly(ctx, rand_coords(rng, ctx.field.q, (rng.randrange(1, 5), a.dim)))
+                    for _ in range(2))
+            assert _as_opposite(poly_mul(f, g)) == poly_mul(_as_opposite(g),
+                                                             _as_opposite(f)), b.name
+
+
+def test_opposite_is_built_on_first_access_only(monkeypatch):
+    """Building a context inverts nothing; the first ctx.opposite inverts
+    sigma once and a second access reuses it."""
+    real = LinearMap.inverse
+
+    def refuse(m):
+        raise AssertionError("sigma inverted while building a context")
+
+    monkeypatch.setattr(LinearMap, "inverse", refuse)
+    bundles = [load_preset(name) for name in PRESETS]
+    calls = []
+    monkeypatch.setattr(LinearMap, "inverse", lambda m: calls.append(m) or real(m))
+    for b in bundles:
+        calls.clear()
+        op = b.ctx.opposite
+        assert op is not None and calls == [b.ctx.sigma], b.name
+        calls.clear()
+        assert b.ctx.opposite is op and calls == [], b.name
 
 
 def test_table_refuses_maps_on_different_algebras(m2f4_inner, f4c5_group):

@@ -145,7 +145,7 @@ def test_coefficient_conversions_are_one_contraction(monkeypatch, laurent_bundle
     for b in laurent_bundles + [fyz_quotient]:
         ctx = b.ctx
         ctx.ntable.ensure(8)
-        ctx.ntable_right.ensure(8)
+        ctx.opposite.ntable.ensure(8)
         monkeypatch.setattr(la, "mat_mul", counted)
         for deg in range(9):
             coeffs = rand_coords(rng, ctx.field.q, (deg + 1, ctx.algebra.dim))
