@@ -56,6 +56,13 @@ class SkewDerivation:
         return self.algebra.field
 
     @functools.cached_property
+    def regular(self):
+        """A as the coefficient space of this context's rings
+        (skewpoly.RegularCoeffs), one per context, made on first access."""
+        from .skewpoly import RegularCoeffs  # skewpoly imports this module
+        return RegularCoeffs(self.algebra)
+
+    @functools.cached_property
     def opposite(self) -> Optional["SkewDerivation"]:
         """A^op[X; sigma^{-1}, -delta sigma^{-1}], whose left coefficients are the
         right ones here, or None if sigma is not invertible; built on first access."""
@@ -134,7 +141,8 @@ class NOperatorTable:
 
     Column block k is C_k, the (N_i^k)^T stacked over i.  coefficient_maps
     reads the first block rows of stacked(n) and xn_arrays its column block
-    n, both as views; rows(n) and matrix(i, n) are views of the same storage.
+    n, both as views; rows(n) and matrix(i, n) are views of the same storage;
+    reach(n, depth) scans the first block rows once per argument.
     ensure(n) builds the missing column blocks, one per kernel call:
     C_{k+1} = shift(C_k sigma^T) + C_k delta^T, the shift moving block i to
     i + 1.  Storage grows geometrically up to the entry budget and is
@@ -152,6 +160,7 @@ class NOperatorTable:
         self._publish(la.eye(self._r))
         self._n_max = 0
         self._lock = threading.Lock()
+        self._reach: dict[tuple[int, int], int] = {}
 
     def _publish(self, buf: np.ndarray) -> None:
         buf.flags.writeable = False
@@ -195,6 +204,19 @@ class NOperatorTable:
                 col[:(m + 1) * r] = spec.add_arrays(col[:(m + 1) * r], prod[:, r:])
             self._publish(buf)
             self._n_max = n
+
+    def reach(self, n: int, depth: int) -> int:
+        """1 + the largest k < depth with N_i^k != 0 for some i < n, else 0:
+        the X^i coefficients of a product, i < n, read no left coefficient
+        from reach(n, depth) up to depth.  Cached per argument."""
+        if min(n, depth) <= 0:
+            return 0
+        key = (n, depth)
+        if key not in self._reach:
+            r = self._r
+            cols = self.stacked(depth - 1)[:n * r].reshape(-1, depth, r).any(axis=(0, 2))
+            self._reach[key] = int(np.flatnonzero(cols)[-1]) + 1 if cols.any() else 0
+        return self._reach[key]
 
     def stacked(self, n: int) -> np.ndarray:
         """Read-only ((n+1) r, (n+1) r) view: entry [(i, a), (k, b)] = N_i^k[b, a]."""

@@ -98,14 +98,18 @@ def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
     the number n_out of outputs those windows support.
 
     Output l sees g_k only for k < (l + 1) m_delta (N_i^k = 0 beyond), so
-    n_out = min(n_f, n_g // m_delta) and only g[:n_out m_delta], f[:n_out]
-    are read.  At most three kernel calls whatever the degrees: the
-    coefficient maps W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz
-    product.
+    the window stays structural: n_out = min(n_f, n_g // m_delta).  What is
+    read is certified by the table: f[:n_out] and g[:reach], reach =
+    1 + max{k < n_out m_delta : N_i^k != 0 for some i < n_out}.  Where
+    sigma delta = delta sigma that is at most n_out + m_delta - 1 (n_out
+    rounded up to a multiple of m_delta on m2f4-inner and f4c5-group).
+    At most three kernel calls whatever the degrees: the coefficient maps
+    W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz product.
     """
     n_out = _min_end(n_f, None if n_g is None else n_g // ctx.m_delta)
     if n_out is not None:
-        g, f = g[:n_out * ctx.m_delta], f[:n_out]
+        g = _trim(g[:n_out * ctx.m_delta])
+        g, f = g[:ctx.ntable.reach(n_out, g.shape[0])], f[:n_out]
     g, f = _trim(g), _trim(f)
     full = g.shape[0] + f.shape[0] - 1
     out_len = full if n_out is None else min(n_out, full)
@@ -171,7 +175,7 @@ class CoeffRows:
 
     @property
     def space(self):
-        return RegularCoeffs(self.ctx.algebra)
+        return self.ctx.regular
 
     def _structure(self) -> tuple:
         """The constructor arguments before the window and coefficients."""
@@ -227,7 +231,7 @@ class CoeffPoly(CoeffRows):
 
     def __init__(self, ctx: SkewDerivation, coeffs: np.ndarray):
         self.ctx = ctx
-        self._set_coeffs(_trim(np.asarray(coeffs)))
+        self._set_coeffs(_trim(np.array(coeffs)))  # a copy: the caller keeps theirs
 
     def _window(self) -> tuple:
         return (0, None)

@@ -5,6 +5,10 @@ exists iff delta is nilpotent; products then reduce to truncated polynomial
 products in skewpoly.mul_arrays, as the left factor only needs q + 1 = N m_delta
 coefficients: N_i^q vanishes once q >= (i + 1) * m_delta (i applications of
 sigma split the delta-runs into at most i + 1 blocks, each shorter than m_delta).
+That bound sets the windows; the product reads fewer where the N-table
+certifies it (NOperatorTable.reach).  Where sigma delta = delta sigma,
+N_i^q = C(q, i) sigma^i delta^(q-i) vanishes once q - i >= m_delta, so N
+outputs read at most N + m_delta - 1 left coefficients.
 
 The denominator-set diagnostics work coefficientwise:
 

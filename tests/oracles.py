@@ -1,7 +1,7 @@
 """Independent constructions the tests check the library's fast paths against."""
 
 from skewcodes import (MixedStructureError, TruncLaurent, VecLaurent, laurent_mul,
-                       veclaurent_times_scalar, xnegn_direct)
+                       n_operator, veclaurent_times_scalar, xnegn_direct)
 from skewcodes.algebra import AlgebraElement
 from skewcodes.skewseries import require_series_ring
 
@@ -18,3 +18,10 @@ def veclaurent_times_scalar_direct(s: VecLaurent, a: AlgebraElement) -> VecLaure
     n0 = -s.ord
     const = TruncLaurent(ctx, 0, a.coords[None, :], None)
     return laurent_mul(s.shift(n0), xnegn_direct(const, n0))
+
+
+def reach_direct(ctx, n: int, depth: int) -> int:
+    """1 + the largest k < depth with N_i^k != 0 for some i < n, else 0,
+    read off n_operator one matrix at a time."""
+    return max((k + 1 for k in range(depth) for i in range(min(n, k + 1))
+                if n_operator(ctx, i, k).matrix.any()), default=0)

@@ -24,7 +24,7 @@ from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               vecpoly_times_basis, vecpoly_times_scalar,
                               vecseries_times_ring)
 from conftest import rand_coords, rand_element
-from oracles import veclaurent_times_scalar_direct
+from oracles import reach_direct, veclaurent_times_scalar_direct
 
 
 def rand_vecpoly(rng, spec, ctx, maxdeg):
@@ -579,12 +579,13 @@ def test_wide_or_fractional_coefficients_are_refused(m2f4_inner, kind):
 
 
 def test_products_read_only_the_left_rows_that_reach_the_output(monkeypatch, m2f4_inner,
-                                                                module_a):
-    """Output l sees g_k only for k < (l + 1) m_delta, so a product with n_out
-    outputs hands coefficient_maps at most n_out m_delta left rows, exact left
-    factors included (those were read to the end)."""
-    ctx = m2f4_inner.ctx
-    m = ctx.m_delta
+                                                                module_a, f4c5_group,
+                                                                module_b):
+    """A product with n_out outputs hands coefficient_maps at most reach(n_out)
+    left rows, exact left factors included (those were read to the end):
+    1 + the last k < n_out m_delta with N_i^k != 0 for some i < n_out, which
+    on these commuting contexts is n_out rounded up to a multiple of m_delta
+    (m_delta = 2 on m2f4-inner, 4 on f4c5-group), not n_out m_delta."""
     rng = random.Random(62)
     real, seen = skewpoly.coefficient_maps, []
 
@@ -592,28 +593,53 @@ def test_products_read_only_the_left_rows_that_reach_the_output(monkeypatch, m2f
         seen.append(g.shape[0])
         return real(space, ctx_, g, taps)
 
-    def rows(length, width):
-        arr = rand_coords(rng, ctx.field.q, (length, width))
-        arr[0, 0] = arr[-1, 0] = 1
-        return arr
-
     monkeypatch.setattr(skewpoly, "coefficient_maps", spy)
-    r, n = ctx.algebra.dim, module_a.n
-    s, t = TruncSeries(ctx, 21, rows(21, r)), TruncSeries(ctx, 2, rows(2, r))
-    t_l = TruncLaurent(ctx, 0, rows(2, r), 2)
-    a = rand_element(rng, ctx.algebra)
-    cases = [
-        (lambda: series_mul(s, t), 2),
-        (lambda: series_times_scalar(s, a), 10),
-        (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(20, r), None), t_l), 2),
-        (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(21, r), 21),
-                             TruncLaurent(ctx, 0, rows(30, r), None)), 10),
-        (lambda: vecseries_times_ring(VecSeries(module_a, ctx, 21, rows(21, n)), t), 2),
-        (lambda: veclaurent_times_ring(VecLaurent(module_a, ctx, 0, rows(20, n), None),
-                                       t_l), 2),
-    ]
-    for i, (product, n_out) in enumerate(cases):
-        seen.clear()
-        out = product()
-        assert (out.prec if hasattr(out, "prec") else out.end) == n_out, i
-        assert seen and max(seen) <= n_out * m, (i, seen)
+    for b, module in ((m2f4_inner, module_a), (f4c5_group, module_b)):
+        ctx = b.ctx
+        m, r, n = ctx.m_delta, ctx.algebra.dim, module.n
+
+        def rows(length, width):
+            arr = rand_coords(rng, ctx.field.q, (length, width))
+            arr[0, 0] = arr[-1, 0] = 1
+            return arr
+
+        # s supports 10 outputs, t and t_l 2
+        p = 10 * m + 1
+        s, t = TruncSeries(ctx, p, rows(p, r)), TruncSeries(ctx, 2, rows(2, r))
+        t_l = TruncLaurent(ctx, 0, rows(2, r), 2)
+        a = rand_element(rng, ctx.algebra)
+        cases = [
+            (lambda: series_mul(s, t), 2),
+            (lambda: series_times_scalar(s, a), 10),
+            (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(20, r), None), t_l), 2),
+            (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(p, r), p),
+                                 TruncLaurent(ctx, 0, rows(30, r), None)), 10),
+            (lambda: vecseries_times_ring(VecSeries(module, ctx, p, rows(p, n)), t), 2),
+            (lambda: veclaurent_times_ring(VecLaurent(module, ctx, 0, rows(20, n), None),
+                                           t_l), 2),
+        ]
+        for i, (product, n_out) in enumerate(cases):
+            seen.clear()
+            out = product()
+            assert (out.prec if hasattr(out, "prec") else out.end) == n_out, (b.name, i)
+            reach = reach_direct(ctx, n_out, n_out * m)
+            assert reach == -(-n_out // m) * m < n_out * m, (b.name, n_out, reach)
+            assert seen and max(seen) <= reach, (b.name, i, seen)
+
+
+@pytest.mark.parametrize("kind", ["SkewPoly", "TruncSeries", "TruncLaurent", "VecPoly"])
+def test_constructors_copy_the_callers_array(f4c5_group, kind):
+    """Writing to the array a polynomial, series or Laurent series was built
+    from leaves it unchanged: SkewPoly and VecPoly kept a view of it."""
+    ctx = f4c5_group.ctx
+    spec = regular_module(ctx.algebra)
+    build = {"SkewPoly": lambda a: SkewPoly(ctx, a),
+             "TruncSeries": lambda a: TruncSeries(ctx, 2, a),
+             "TruncLaurent": lambda a: TruncLaurent(ctx, 0, a, 2),
+             "VecPoly": lambda a: VecPoly(spec, ctx, a)}[kind]
+    arr = la.zeros((2, ctx.algebra.dim))
+    arr[1, 0] = 1
+    f, twin = build(arr), build(arr.copy())
+    text, key = str(f), hash(f)
+    arr[0, 1], arr[1, 2] = 3, 7
+    assert (str(f), hash(f)) == (text, key) and f == twin, str(f)

@@ -17,6 +17,7 @@ from skewcodes.fields import DTYPE, FieldSpec
 from skewcodes.presets import PRESETS
 from skewcodes.skewmap import NOperatorTable
 from conftest import rand_coords
+from oracles import reach_direct
 
 
 def test_presets_build_and_report_nilpotency(all_bundles):
@@ -132,6 +133,30 @@ def test_n_operator_vanishing_band(series_bundles):
         for i in range(3):
             for j in range((i + 1) * m, hi + 1):
                 assert not table.matrix(i, j).any(), (b.name, i, j)
+
+
+def test_reach_is_the_last_column_block_an_output_reads(monkeypatch, all_bundles,
+                                                        odd_laurent_bundles, odd_fyz_bundles):
+    """reach(N, depth) = 1 + max{k < depth : N_i^k != 0 for some i < N}, or 0,
+    against n_operator one matrix at a time, at depth N m_delta and below
+    (m2f4-diag has no m_delta: depths up to 2N there), reach(0, d) = 0
+    included; asked again, it answers without reading the table."""
+    seen = {}
+    for b in [*all_bundles, *odd_laurent_bundles, *odd_fyz_bundles]:
+        ctx = b.ctx
+        m = ctx.m_delta or 2
+        for n in (0, 1, 2, 3, 8):
+            for depth in {n * m, n * m - 1, n}:
+                want = reach_direct(ctx, n, depth)
+                assert ctx.ntable.reach(n, depth) == want, (b.name, n, depth)
+                seen[ctx.ntable, n, depth] = want
+
+    def unread(self, n):
+        raise AssertionError("reach read the table for a cached argument")
+
+    monkeypatch.setattr(NOperatorTable, "stacked", unread)
+    for (table, n, depth), want in seen.items():
+        assert table.reach(n, depth) == want, (n, depth)
 
 
 def test_n_operator_helper_matches_table(m2f4_inner):

@@ -214,6 +214,18 @@ def test_products_read_the_n_table_in_place(monkeypatch, f4c5_group, m2f4_inner)
             assert table and not any(op.flags.writeable for op in table), b.name
 
 
+def test_ring_objects_of_one_context_share_one_coefficient_space(all_bundles):
+    """Polynomials of one context, products included, read one RegularCoeffs,
+    not a new one per access; the opposite context has its own."""
+    for b in all_bundles:
+        ctx = b.ctx
+        f, x = SkewPoly.one(ctx), SkewPoly.x_power(ctx, 2)
+        assert f.space is x.space is (x * f).space is ctx.regular, b.name
+        assert f.space.algebra is ctx.algebra, b.name
+        if ctx.opposite is not None:
+            assert SkewPoly.one(ctx.opposite).space is not ctx.regular, b.name
+
+
 def test_mixed_context_product_rejects(m2f4_inner, f4c5_group):
     f = SkewPoly.one(m2f4_inner.ctx)
     g = SkewPoly.one(f4c5_group.ctx)
