@@ -269,7 +269,7 @@ def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
 def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    return v._new(vec_mul_arrays(v.spec, v.ctx, v.coeffs, a.coords[None, :]))
+    return v._new(0, vec_mul_arrays(v.spec, v.ctx, v.coeffs, a.coords[None, :]), None)
 
 
 def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
@@ -278,7 +278,7 @@ def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
     g = _trim(v.coeffs)
     w = coefficient_maps(v.spec, v.ctx, g, g.shape[0])
     w = w.reshape(g.shape[0], v.ctx.algebra.dim, v.spec.n)
-    return [v._new(w[:, l]) for l in range(v.ctx.algebra.dim)]
+    return [v._new(0, w[:, l], None) for l in range(v.ctx.algebra.dim)]
 
 
 def vecseries_times_ring(s: VecSeries, t: TruncSeries) -> VecSeries:

@@ -11,11 +11,10 @@ the nilpotency index of delta':
 for every integer l.  n steps compose to X^{-n} s = sum_k sigma'
 N'_{n-1}^{n-1+k}(s) X^{-n-k}, N' from the opposite's table ctx.opposite.ntable.
 
-A TruncLaurent stores (ord, coeffs, end): the series is known exactly modulo
-X^end, coefficients live on exponents [ord, ord + len(coeffs)), and the slots
-from there up to end are known zeros.  end = None means the element is exact
-(a Laurent polynomial).  Every operation returns the largest window its
-inputs support: X^{-n} maps window [o, e) to [o - n m', e - n m'), left
+A TruncLaurent is a window (ord, coeffs, end) in the Laurent normal form
+(skewpoly.CoeffRows); end = None means the element is exact (a Laurent
+polynomial).  Every operation returns the largest window its inputs
+support: X^{-n} maps window [o, e) to [o - n m', e - n m'), left
 multiplication by X^n and shifts preserve window length, and products take
 the window of their series parts from skewpoly.mul_arrays.
 """
@@ -28,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .errors import PrecisionError, RingUnavailableError
+from .errors import RingUnavailableError
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _min_end,
-                       _over_algebra, _trim, mul_arrays, xn_arrays)
+from .skewpoly import (CoeffRows, SkewPoly, _check_product, _over_algebra, _trim,
+                       mul_arrays, xn_arrays)
 from .skewseries import CoeffSeries, TruncSeries
 
 
@@ -97,9 +96,10 @@ def require_laurent_ring(ctx: SkewDerivation) -> int:
 
 class CoeffLaurent(CoeffRows):
     """Class of a Laurent series modulo X^end (end = None: exact), coefficient
-    rows in a coefficient space."""
+    rows in a coefficient space: the window without leading or trailing zero
+    rows, and the zero class at order end (0 if exact)."""
 
-    __slots__ = ("ord", "end")
+    __slots__ = ()
     _tag = "trunc laurent"
     _series = TruncSeries
 
@@ -119,20 +119,14 @@ class CoeffLaurent(CoeffRows):
             ord_ = end if end is not None else 0
         elif end is not None and end < ord_ + coeffs.shape[0]:
             raise ValueError("window end precedes the stored coefficients")
-        self.ord = ord_
-        self.end = end
-        self._set_coeffs(coeffs.copy())
+        self._set_window(ord_, coeffs.copy(), end)
 
-    def _window(self) -> tuple:
-        return (self.ord, self.end)
+    def _new(self, ord_: int, coeffs: np.ndarray, end: Optional[int]):
+        return type(self)(*self._structure(), ord_, coeffs, end)
 
     @classmethod
     def from_series(cls, s: CoeffSeries):
         return cls(*s._structure(), 0, s.coeffs, s.prec)
-
-    @classmethod
-    def from_poly(cls, f: CoeffPoly):
-        return cls(*f._structure(), 0, f.coeffs, None)
 
     def _zero(self, end: Optional[int]):
         """The zero class modulo X^end, in the same space."""
@@ -144,62 +138,6 @@ class CoeffLaurent(CoeffRows):
             raise ValueError(f"order {self.ord} < 0: not a power series")
         prec = self.end if self.end is not None else self.support_end
         return self._series(*self._structure(), prec, self._window_arr(0, prec))
-
-    @property
-    def support_end(self) -> int:
-        """One past the largest stored exponent."""
-        return self.ord + self.coeffs.shape[0]
-
-    def coeff(self, e: int):
-        if self.end is not None and e >= self.end:
-            raise PrecisionError(f"coefficient {e} outside window (end {self.end})")
-        if self.ord <= e < self.support_end:
-            return self._element(self.coeffs[e - self.ord].copy())
-        return self._element(la.zeros(self.coeffs.shape[1]))
-
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def shift(self, n: int):
-        """Right multiplication by X^n, n any integer: a plain shift."""
-        return self._new(self.ord + n, self.coeffs,
-                         None if self.end is None else self.end + n)
-
-    def _window_arr(self, lo: int, hi: int) -> np.ndarray:
-        """Stored coefficients on exponents [lo, hi), zeros where unstored."""
-        out = la.zeros((max(hi - lo, 0), self.coeffs.shape[1]))
-        a0 = max(lo, self.ord)
-        a1 = min(hi, self.support_end)
-        if a1 > a0:
-            out[a0 - lo: a1 - lo] = self.coeffs[a0 - self.ord: a1 - self.ord]
-        return out
-
-    def _span(self, other) -> tuple:
-        """(lo, hi, end): the common window end, and the exponents [lo, hi)
-        below it that hold a stored coefficient of either operand."""
-        self._check(other)
-        end = _min_end(self.end, other.end)
-        live = [x for x in (self, other) if not x.is_zero()]
-        lo = min((x.ord for x in live), default=0)
-        hi = max((x.support_end for x in live), default=0)
-        if end is not None:
-            hi = min(hi, end)
-        return lo, max(hi, lo), end
-
-    def __add__(self, other):
-        lo, hi, end = self._span(other)
-        arr = self.ctx.field.add_arrays(self._window_arr(lo, hi),
-                                        other._window_arr(lo, hi))
-        return self._new(lo, arr, end)
-
-    def __neg__(self):
-        return self._new(self.ord, self.ctx.field.neg_arrays(self.coeffs), self.end)
-
-    def agrees_with(self, other) -> bool:
-        """Equality of all coefficients on the common window."""
-        lo, hi, _ = self._span(other)
-        return bool(np.array_equal(self._window_arr(lo, hi),
-                                   other._window_arr(lo, hi)))
 
 
 class TruncLaurent(CoeffLaurent):

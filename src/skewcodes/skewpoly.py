@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _gflinalg as la
 from .algebra import AlgebraElement
-from .errors import MixedStructureError
+from .errors import MixedStructureError, PrecisionError
 from .fields import DTYPE
 from .skewmap import SkewDerivation
 
@@ -37,11 +37,12 @@ def _min_end(*ends):
     return min(finite) if finite else None
 
 
-def _pad(arr: np.ndarray, length: int) -> np.ndarray:
-    if arr.shape[0] >= length:
+def _pad(arr: np.ndarray, length: int, lo: int = 0) -> np.ndarray:
+    """length rows holding arr from row lo on, zeros elsewhere, cut to fit."""
+    if lo == 0 and arr.shape[0] >= length:
         return arr[:length]
     out = la.zeros((length, arr.shape[1]))
-    out[: arr.shape[0]] = arr
+    out[lo:lo + arr.shape[0]] = arr[:max(length - lo, 0)]
     return out
 
 
@@ -161,17 +162,21 @@ def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
     return la.toeplitz_mul(ctx.field, f, w, out_len)
 
 
-# ---- the polynomial classes ----
+# ---- the window class and the polynomial classes ----
 
 class CoeffRows:
-    """Coefficient rows over a context, in a coefficient space.
+    """A window (ord, coeffs, end) of coefficient rows over a context, in a
+    coefficient space: the class of an element modulo X^end (end = None:
+    exact).  Row j holds the X^(ord + j) coefficient; every exponent below
+    ord, and every one from the last row up to end, is a known zero.
 
-    The space is A itself (the regular module) unless a subclass supplies
-    another one through `space` and `_structure`.  Subclasses fix the window
-    through `_window`: (lowest stored exponent, end or None for exact).
+    The window algebra is written here once.  A subclass fixes only its
+    normal form: its constructor and `_new(ord, coeffs, end)`.  The space is
+    A itself (the regular module) unless a subclass supplies another one
+    through `space` and `_structure`.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "ord", "coeffs", "end")
 
     @property
     def space(self):
@@ -181,9 +186,6 @@ class CoeffRows:
         """The constructor arguments before the window and coefficients."""
         return (self.ctx,)
 
-    def _new(self, *window):
-        return type(self)(*self._structure(), *window)
-
     def _element(self, row: np.ndarray):
         """What `coeff` returns for a stored row."""
         return AlgebraElement(self.ctx.algebra, row)
@@ -192,7 +194,7 @@ class CoeffRows:
         if self._structure() != other._structure():
             raise MixedStructureError("operands from different contexts or modules")
 
-    def _set_coeffs(self, coeffs: np.ndarray) -> None:
+    def _set_window(self, ord_: int, coeffs: np.ndarray, end: Optional[int]) -> None:
         n = self.space.n
         if coeffs.ndim != 2 or coeffs.shape[1] != n:
             raise ValueError(f"coefficient block must be L x {n}")
@@ -200,73 +202,112 @@ class CoeffRows:
             coeffs = self.ctx.field.indices(coeffs, "coefficient")
         elif coeffs.size and coeffs.view(np.uint16).max() >= self.ctx.field.q:
             self.ctx.field.indices(coeffs, "coefficient")  # names the first bad entry
-        self.coeffs = coeffs
+        self.ord, self.coeffs, self.end = ord_, coeffs, end
         self.coeffs.flags.writeable = False
+
+    @property
+    def support_end(self) -> int:
+        """One past the largest stored exponent."""
+        return self.ord + self.coeffs.shape[0]
+
+    def coeff(self, e: int):
+        """The X^e coefficient: zero outside the stored rows, and refused
+        from end on, where the class does not determine it."""
+        if self.end is not None and e >= self.end:
+            raise PrecisionError(f"coefficient {e} outside window (end {self.end})")
+        if self.ord <= e < self.support_end:
+            return self._element(self.coeffs[e - self.ord].copy())
+        return self._element(la.zeros(self.coeffs.shape[1]))
+
+    def is_zero(self) -> bool:
+        return not np.count_nonzero(self.coeffs)  # a third of .any() on small blocks
+
+    def shift(self, n: int):
+        """Right multiplication by X^n: a plain shift of the window."""
+        return self._new(self.ord + n, self.coeffs,
+                         None if self.end is None else self.end + n)
+
+    def _window_arr(self, lo: int, hi: int) -> np.ndarray:
+        """Stored coefficients on exponents [lo, hi), zeros where unstored."""
+        a0, a1 = max(lo, self.ord), min(hi, self.support_end)
+        if (a0, a1) == (lo, hi):  # inside the stored rows: a view
+            return self.coeffs[lo - self.ord:hi - self.ord]
+        out = la.zeros((max(hi - lo, 0), self.coeffs.shape[1]))
+        if a1 > a0:
+            out[a0 - lo: a1 - lo] = self.coeffs[a0 - self.ord: a1 - self.ord]
+        return out
+
+    def _span(self, other) -> tuple:
+        """(lo, hi, end): the common window end, and the exponents [lo, hi)
+        below it that hold a stored row of either operand."""
+        self._check(other)
+        end = _min_end(self.end, other.end)
+        a, b = self, other
+        if not a.coeffs.shape[0]:  # an operand without stored rows spans nothing
+            a = b
+        elif not b.coeffs.shape[0]:
+            b = a
+        lo, hi = min(a.ord, b.ord), max(a.support_end, b.support_end)
+        if end is not None:
+            hi = min(hi, end)
+        return lo, max(hi, lo), end
+
+    def __add__(self, other):
+        lo, hi, end = self._span(other)
+        arr = self.ctx.field.add_arrays(self._window_arr(lo, hi),
+                                        other._window_arr(lo, hi))
+        return self._new(lo, arr, end)
+
+    def __neg__(self):
+        return self._new(self.ord, self.ctx.field.neg_arrays(self.coeffs), self.end)
 
     def __sub__(self, other):
         return self + (-other)
 
+    def agrees_with(self, other) -> bool:
+        """Equality of all coefficients on the common window."""
+        lo, hi, _ = self._span(other)
+        return bool(np.array_equal(self._window_arr(lo, hi),
+                                   other._window_arr(lo, hi)))
+
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self._structure() == other._structure()
-                and self._window() == other._window()
+                and (self.ord, self.end) == (other.ord, other.end)
                 and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self) -> int:
-        return hash((*self._structure(), *self._window(), self.coeffs.tobytes()))
+        return hash((*self._structure(), self.ord, self.end, self.coeffs.tobytes()))
 
     def __str__(self) -> str:
-        lo, end = self._window()
-        body = self.space.format_rows(self.coeffs, lo)
-        return body if end is None else f"{body} + O(X^{end})"
+        body = self.space.format_rows(self.coeffs, self.ord)
+        return body if self.end is None else f"{body} + O(X^{self.end})"
 
     def __repr__(self) -> str:
         return f"<{self._tag} {self}>"
 
 
 class CoeffPoly(CoeffRows):
-    """f = sum_i f_i X^i with coefficient rows in a coefficient space."""
+    """f = sum_i f_i X^i with coefficient rows in a coefficient space: the
+    exact window, stored from exponent 0 without trailing zero rows."""
 
     __slots__ = ()
     _tag = "skew poly"
 
     def __init__(self, ctx: SkewDerivation, coeffs: np.ndarray):
         self.ctx = ctx
-        self._set_coeffs(_trim(np.array(coeffs)))  # a copy: the caller keeps theirs
+        # a copy: the caller keeps theirs
+        self._set_window(0, _trim(np.array(coeffs)), None)
 
-    def _window(self) -> tuple:
-        return (0, None)
+    def _new(self, ord_: int, coeffs: np.ndarray, end: Optional[int]):
+        """end is None: every window algebra result on polynomials is exact."""
+        if ord_ < 0:
+            raise ValueError("polynomial shift needs n >= 0")
+        return type(self)(*self._structure(), _pad(coeffs, ord_ + coeffs.shape[0], ord_))
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return self.coeffs.shape[0] - 1
-
-    def coeff(self, i: int):
-        if 0 <= i < self.coeffs.shape[0]:
-            return self._element(self.coeffs[i].copy())
-        return self._element(la.zeros(self.coeffs.shape[1]))
-
-    def is_zero(self) -> bool:
-        return self.coeffs.shape[0] == 0
-
-    def __add__(self, other):
-        self._check(other)
-        n = max(self.coeffs.shape[0], other.coeffs.shape[0])
-        return self._new(self.ctx.field.add_arrays(_pad(self.coeffs, n),
-                                                   _pad(other.coeffs, n)))
-
-    def __neg__(self):
-        return self._new(self.ctx.field.neg_arrays(self.coeffs))
-
-    def shift(self, n: int):
-        """Right multiplication by X^n (n >= 0): a plain coefficient shift."""
-        if n < 0:
-            raise ValueError("polynomial shift needs n >= 0")
-        if self.is_zero():
-            return self
-        out = la.zeros((self.coeffs.shape[0] + n, self.coeffs.shape[1]))
-        out[n:] = self.coeffs
-        return self._new(out)
 
 
 class SkewPoly(CoeffPoly):
@@ -363,7 +404,7 @@ def _check_product(g: CoeffRows, f: CoeffRows) -> None:
 def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
     """Product via the closed N-operator formula; g over any coefficient space."""
     _check_product(g, f)
-    return g._new(mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs)[0])
+    return g._new(0, mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs)[0], None)
 
 
 def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:

@@ -51,62 +51,37 @@ def q_bound(ctx: SkewDerivation, n: int) -> int:
 
 class CoeffSeries(CoeffRows):
     """Class of a power series modulo X^prec, coefficient rows in a
-    coefficient space."""
+    coefficient space: the window [0, prec), stored densely."""
 
-    __slots__ = ("prec",)
+    __slots__ = ()
     _tag = "trunc series"
 
     def __init__(self, ctx: SkewDerivation, prec: int, coeffs: np.ndarray):
         if prec < 0:
             raise ValueError("precision must be >= 0")
         self.ctx = ctx
-        self.prec = prec
         coeffs = np.array(coeffs)
         if coeffs.shape[:1] != (prec,):
             raise ValueError(f"coefficient block must be {prec} x {self.space.n}")
-        self._set_coeffs(coeffs)
+        self._set_window(0, coeffs, prec)
 
-    def _window(self) -> tuple:
-        return (0, self.prec)
+    @property
+    def prec(self) -> int:
+        return self.end
+
+    def _new(self, ord_: int, coeffs: np.ndarray, end: int):
+        if ord_ < 0:
+            raise ValueError("series shift needs n >= 0")
+        return type(self)(*self._structure(), end, _pad(coeffs, end, ord_))
 
     @classmethod
     def from_poly(cls, f: CoeffPoly, prec: int):
         return cls(*f._structure(), prec, _pad(f.coeffs, prec))
 
-    def coeff(self, i: int):
-        if not 0 <= i < self.prec:
-            raise PrecisionError(f"coefficient {i} outside stored window [0, {self.prec})")
-        return self._element(self.coeffs[i].copy())
-
     def truncate(self, prec: int):
         if prec > self.prec:
             raise PrecisionError(f"cannot extend precision {self.prec} to {prec}")
-        return self._new(prec, self.coeffs[:prec])
-
-    def __add__(self, other):
-        self._check(other)
-        n = min(self.prec, other.prec)
-        return self._new(n, self.ctx.field.add_arrays(self.coeffs[:n], other.coeffs[:n]))
-
-    def __neg__(self):
-        return self._new(self.prec, self.ctx.field.neg_arrays(self.coeffs))
-
-    def shift(self, n: int):
-        """Right multiplication by X^n (n >= 0); the window end moves up with it."""
-        if n < 0:
-            raise ValueError("series shift needs n >= 0")
-        out = la.zeros((self.prec + n, self.coeffs.shape[1]))
-        out[n:] = self.coeffs
-        return self._new(self.prec + n, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def agrees_with(self, other) -> bool:
-        """Equality on the common window."""
-        self._check(other)
-        n = min(self.prec, other.prec)
-        return bool(np.array_equal(self.coeffs[:n], other.coeffs[:n]))
+        return self._new(0, self.coeffs[:prec], prec)
 
 
 class TruncSeries(CoeffSeries):
@@ -131,7 +106,7 @@ def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
     min(t.prec, s.prec // m_delta) coefficients); s over any space."""
     _check_product(s, t)
     out, prec = mul_arrays(s.space, s.ctx, s.coeffs, t.coeffs, s.prec, t.prec)
-    return s._new(prec, _pad(out, prec))
+    return s._new(0, out, prec)
 
 
 def series_times_scalar(s: CoeffSeries, a: AlgebraElement) -> CoeffSeries:
@@ -141,13 +116,13 @@ def series_times_scalar(s: CoeffSeries, a: AlgebraElement) -> CoeffSeries:
     if a.algebra != s.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
     out, prec = mul_arrays(s.space, s.ctx, s.coeffs, a.coords[None, :], s.prec)
-    return s._new(prec, _pad(out, prec))
+    return s._new(0, out, prec)
 
 
 def x_times_series(s: TruncSeries) -> TruncSeries:
     """X * s: coefficient j becomes sigma(s_{j-1}) + delta(s_j); window kept."""
     _over_algebra(s, "the operand of x_times_series")
-    return TruncSeries(s.ctx, s.prec, x_times_arrays(s.ctx, s.coeffs)[:s.prec])
+    return s._new(0, x_times_arrays(s.ctx, s.coeffs), s.prec)
 
 
 def xn_times_series(s: TruncSeries, n: int) -> TruncSeries:
@@ -155,8 +130,7 @@ def xn_times_series(s: TruncSeries, n: int) -> TruncSeries:
     if n < 0:
         raise ValueError("xn_times_series needs n >= 0")
     _over_algebra(s, "the operand of xn_times_series")
-    out = xn_arrays(s.ctx, s.coeffs, n, out_limit=s.prec)
-    return TruncSeries(s.ctx, s.prec, _pad(out, s.prec))
+    return s._new(0, xn_arrays(s.ctx, s.coeffs, n, out_limit=s.prec), s.prec)
 
 
 # ---- Ore denominator-set machinery ----
@@ -236,15 +210,14 @@ def solve_right_permutable(f: TruncSeries, n_max: int) -> Optional[Permutability
     # is 0 below the rank, and then x = U b on the pivots, 0 elsewhere
     _, pivots, u = la.rref(ctx.field, _chain_system(ctx, n, n))
     for m in range(n_max + 1):
-        shifted = la.zeros((n, r))  # the window of f X^m
-        shifted[m:] = f.coeffs[:max(n - m, 0)]
-        ub = la.mat_vec(ctx.field, u, shifted.reshape(-1))
+        shifted = f.shift(m).truncate(n)  # f X^m on f's window
+        ub = la.mat_vec(ctx.field, u, shifted.coeffs.reshape(-1))
         if ub[len(pivots):].any():
             continue
         x = la.zeros(n * r)
         x[pivots] = ub[: len(pivots)]
         s = TruncSeries(ctx, n, x.reshape(n, r))
-        if x_times_series(s).agrees_with(TruncSeries(ctx, n, shifted)):
+        if x_times_series(s).agrees_with(shifted):
             return PermutabilityWitness(m, s)
     return None
 

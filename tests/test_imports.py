@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import skewcodes
+from skewcodes.skewpoly import CoeffRows
 
 
 def test_every_imported_name_is_used():
@@ -138,3 +139,20 @@ def test_no_function_only_renames_another():
              for path in sorted(Path(skewcodes.__file__).parent.glob("*.py"))
              for name in _rename_wrappers(ast.parse(path.read_text()))}
     assert found == RENAME_WRAPPERS_KEPT, found ^ RENAME_WRAPPERS_KEPT
+
+
+WINDOW_METHODS = ("coeff", "is_zero", "shift", "__add__", "__neg__", "agrees_with")
+
+
+def test_window_algebra_is_written_once():
+    """Polynomials, series and Laurent series differ only in their normal
+    form (a constructor and `_new`): every coefficient class, mixins
+    included, resolves the window methods to skewpoly.CoeffRows."""
+    offenders = []
+    for name in ("skewpoly", "skewseries", "skewlaurent", "modact"):
+        module = importlib.import_module(f"skewcodes.{name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, CoeffRows):
+                offenders += [f"{name}.{cls.__name__}.{m}" for m in WINDOW_METHODS
+                              if getattr(cls, m) is not getattr(CoeffRows, m)]
+    assert not offenders, offenders

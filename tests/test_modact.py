@@ -12,7 +12,7 @@ from skewcodes import (ScalarRestriction, SkewPoly, TruncLaurent, TruncSeries,
                        xnegn_times)
 from skewcodes import _gflinalg as la
 from skewcodes import skewpoly
-from skewcodes.errors import MixedStructureError, RingUnavailableError
+from skewcodes.errors import MixedStructureError, PrecisionError, RingUnavailableError
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import laurent_mul, xinv_times
 from skewcodes.skewseries import series_mul, series_times_scalar
@@ -484,7 +484,7 @@ def test_exact_scalar_action_of_nonnegative_order_needs_no_laurent_ring(fyz_quot
         a = rand_element(rng, ctx.algebra)
         got = veclaurent_times_scalar(VecLaurent(spec, ctx, ord_, rows, None), a)
         want = vecpoly_times_scalar(VecPoly(spec, ctx, rows).shift(ord_), a)
-        assert got == VecLaurent.from_poly(want)
+        assert got == VecLaurent(spec, ctx, 0, want.coeffs)
     with pytest.raises(RingUnavailableError):
         veclaurent_times_scalar(VecLaurent(spec, ctx, -1, rows, None), a)
 
@@ -497,8 +497,9 @@ def _module_operands(b, spec):
     rows[:, 0] = 1
     v = VecPoly(spec, ctx, rows)
     p = SkewPoly.x_power(ctx, 1)
-    return {"v": v, "vs": VecSeries.from_poly(v, 6), "lv": VecLaurent.from_poly(v),
-            "p": p, "s": TruncSeries.from_poly(p, 6), "l": TruncLaurent.from_poly(p)}
+    return {"v": v, "vs": VecSeries.from_poly(v, 6),
+            "lv": VecLaurent(spec, ctx, 0, v.coeffs), "p": p,
+            "s": TruncSeries.from_poly(p, 6), "l": TruncLaurent(ctx, 0, p.coeffs, None)}
 
 
 NEEDS_THE_ALGEBRA = {
@@ -535,27 +536,99 @@ def test_ring_classes_do_not_multiply_other_operands(m2f4_inner, module_a):
     assert o["p"] * o["p"] == SkewPoly.x_power(m2f4_inner.ctx, 2)
 
 
-@pytest.mark.parametrize("kind", ["SkewPoly", "TruncSeries", "TruncLaurent",
-                                  "VecPoly", "VecSeries", "VecLaurent"])
+WINDOW_KINDS = ["SkewPoly", "TruncSeries", "TruncLaurent", "VecPoly", "VecSeries",
+                "VecLaurent"]
+
+
+def _window(kind, ctx, spec, ord_, rows, end):
+    """The kind's element on the window (ord_, rows, end), where its normal
+    form holds one: polynomials take rows from exponent 0 and are exact, and
+    series take the window [0, len(rows))."""
+    return {"SkewPoly": lambda: SkewPoly(ctx, rows),
+            "TruncSeries": lambda: TruncSeries(ctx, rows.shape[0], rows),
+            "TruncLaurent": lambda: TruncLaurent(ctx, ord_, rows, end),
+            "VecPoly": lambda: VecPoly(spec, ctx, rows),
+            "VecSeries": lambda: VecSeries(spec, ctx, rows.shape[0], rows),
+            "VecLaurent": lambda: VecLaurent(spec, ctx, ord_, rows, end)}[kind]()
+
+
+def _coords(c) -> np.ndarray:
+    """A coefficient as its coordinate row: ring classes return elements."""
+    return getattr(c, "coords", c)
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
 def test_raw_coefficients_outside_the_field_are_refused(m2f4_inner, f4c5_group, kind):
     """Over GF(2) a stored 3 multiplied as 1 but compared unequal to it and a
     stored -1 reached products; over GF(4) a 4 ended in a numpy IndexError."""
     for b, bad in ((m2f4_inner, 3), (m2f4_inner, -1), (f4c5_group, 4)):
         ctx = b.ctx
         spec = regular_module(ctx.algebra)
-        build = {"SkewPoly": lambda a: SkewPoly(ctx, a),
-                 "TruncSeries": lambda a: TruncSeries(ctx, 2, a),
-                 "TruncLaurent": lambda a: TruncLaurent(ctx, 0, a, 2),
-                 "VecPoly": lambda a: VecPoly(spec, ctx, a),
-                 "VecSeries": lambda a: VecSeries(spec, ctx, 2, a),
-                 "VecLaurent": lambda a: VecLaurent(spec, ctx, 0, a, 2)}[kind]
         arr = la.zeros((2, ctx.algebra.dim))
         arr[0, 0] = 1
-        assert build(arr).coeffs[0, 0] == 1
+        assert _window(kind, ctx, spec, 0, arr, 2).coeffs[0, 0] == 1
         arr[1, 2] = bad
         with pytest.raises(ValueError, match=re.escape(
                 f"coefficient entry [1, 2] = {bad} is not an index of {ctx.field!r} in")):
-            build(arr)
+            _window(kind, ctx, spec, 0, arr, 2)
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_window_algebra_identities_in_odd_characteristic(odd_fyz_bundles,
+                                                         odd_laurent_bundles, kind):
+    """a - a = 0 on a's window, (a - b) + b agrees with a, coeff is additive,
+    and a shift moves every coefficient, over GF(3) and GF(5): in
+    characteristic 2, a - b computed as a + b passed every other test."""
+    rng = random.Random(83)
+    bundles = odd_laurent_bundles + ([] if kind == "TruncLaurent" else odd_fyz_bundles)
+    for b in bundles:
+        ctx = b.ctx
+        spec = regular_module(ctx.algebra)
+        for _ in range(8):
+            a, c = (_window(kind, ctx, spec, rng.randrange(-3, 3),
+                            rand_coords(rng, ctx.field.q, (rng.randrange(1, 6), spec.n)),
+                            rng.choice([None, rng.randrange(7, 10)])) for _ in range(2))
+            d = a - a
+            assert d.is_zero() and d.end == a.end, b.name
+            assert ((a - c) + c).agrees_with(a), b.name
+            s = a + c
+            hi = s.end if s.end is not None else max(a.support_end, c.support_end) + 1
+            for e in range(min(a.ord, c.ord) - 1, hi):
+                want = ctx.field.add_arrays(_coords(a.coeff(e)), _coords(c.coeff(e)))
+                assert np.array_equal(_coords(s.coeff(e)), want), (b.name, e)
+            k = rng.randrange(4)
+            moved = a.shift(k)
+            for e in range(a.ord - 1, a.support_end):
+                assert np.array_equal(_coords(moved.coeff(e + k)), _coords(a.coeff(e)))
+            if kind.endswith("Laurent"):
+                assert moved.shift(-k) == a == a.shift(-k).shift(k), b.name
+            else:
+                noun = "polynomial" if kind.endswith("Poly") else "series"
+                with pytest.raises(ValueError, match=f"^{noun} shift needs n >= 0$"):
+                    moved.shift(-1)
+
+
+@pytest.mark.parametrize("kind", WINDOW_KINDS)
+def test_reads_below_zero_give_zero_and_reads_from_the_end_raise(m2f4_inner, kind):
+    """Below its order a class is known exactly, so a read below 0 of a
+    window of order 0 gives 0 (a series refused it); a read at or past the
+    end raises, and an exact polynomial reads 0 past its degree."""
+    ctx = m2f4_inner.ctx
+    spec = regular_module(ctx.algebra)
+    rows = rand_coords(random.Random(89), ctx.field.q, (3, spec.n))
+    rows[0, 0] = rows[2, 0] = 1
+    x = _window(kind, ctx, spec, 0, rows, 3)
+    zero = la.zeros(spec.n)
+    for e in (-1, -4):
+        assert np.array_equal(_coords(x.coeff(e)), zero)
+    assert np.array_equal(_coords(x.coeff(2)), rows[2])
+    if x.end is None:
+        assert np.array_equal(_coords(x.coeff(3)), zero)
+    else:
+        for e in (3, 5):
+            with pytest.raises(PrecisionError,
+                               match=re.escape(f"coefficient {e} outside window (end 3)")):
+                x.coeff(e)
 
 
 @pytest.mark.parametrize("kind", ["SkewPoly", "TruncSeries", "TruncLaurent", "VecPoly"])
