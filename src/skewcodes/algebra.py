@@ -62,13 +62,11 @@ class Algebra:
             if coords.algebra != self:
                 raise MixedStructureError("element from a different algebra")
             return coords
-        arr = np.asarray([self.field.element(c).idx for c in coords], dtype=DTYPE)
-        if arr.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} coordinates, got {arr.shape}")
-        return AlgebraElement(self, arr)
+        return AlgebraElement(self, np.asarray([self.field.element(c).idx for c in coords],
+                                               dtype=DTYPE))
 
     def from_coords(self, arr: np.ndarray) -> "AlgebraElement":
-        return AlgebraElement(self, self.field.indices(arr, "coordinate"))
+        return AlgebraElement(self, arr)
 
     @property
     def zero(self) -> "AlgebraElement":
@@ -120,8 +118,12 @@ class AlgebraElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords: np.ndarray):
+        coords = np.asarray(coords)
+        if coords.shape != (algebra.dim,):
+            raise ValueError(f"expected {algebra.dim} coordinates, got {coords.shape}")
         self.algebra = algebra
-        self.coords = coords.astype(DTYPE)
+        # a copy: the caller keeps theirs
+        self.coords = algebra.field.checked(coords, "coordinate").astype(DTYPE)
         self.coords.flags.writeable = False
 
     def _check(self, other: "AlgebraElement") -> None:

@@ -92,7 +92,9 @@ class ConvCodeBasis:
     for the twisted action exactly when both hold. ut follows from g: U^T
     for the summand transform U of g (fxlinalg.summand_transform) in (D n, n)
     planes, so v ut = [x | s] holds the coordinates and syndrome of a word
-    v; it is None when g is not a direct summand of full rank.
+    v; it is None when g is not a direct summand of full rank.  A g over
+    another field or of another width than the module, or a module over
+    another algebra than the context, is refused.
     """
 
     g: PolyMatrix
@@ -103,6 +105,10 @@ class ConvCodeBasis:
     ut: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _module_over(self.module, self.context)
+        if (self.g.field, self.g.shape[1]) != (self.module.field, self.module.n):
+            raise MixedStructureError("basis over another field or of another "
+                                      "width than its module")
         object.__setattr__(self, "ut", _summand_ut(self.g))
 
     @property

@@ -250,6 +250,15 @@ class FieldSpec:
                              f"index of {self!r} in [0, {self.q})")
         return arr
 
+    def checked(self, values: np.ndarray, what: str) -> np.ndarray:
+        """values as an index array, refused as by `indices`; an index array
+        is range-checked through a uint16 view and returned uncopied."""
+        if values.dtype != DTYPE:  # checked against its cast: nothing wraps
+            return self.indices(values, what)
+        if values.size and values.view(np.uint16).max() >= self.q:
+            self.indices(values, what)  # names the first bad entry
+        return values
+
     @property
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)

@@ -13,8 +13,9 @@ inverse, so closure takes two Hermite forms, or one when G has rank n.  G
 spans a summand of full rank exactly when every pivot of that form is 1; its
 transform then holds a right inverse and syndrome former of G
 (summand_transform).  smith_form (U G V = D, alternating Hermite forms of D
-and D^T), det_poly and rank_rational are oracles off the code path; the last
-two do not eliminate.
+and D^T) and det_poly are oracles off the code path.  rank_rational is on
+it: correspondence_roundtrip (CLI `code roundtrip`) checks the Hermite rank
+against it.  det_poly and rank_rational do not eliminate by hermite_form.
 
 Pivoting is deterministic: among candidate pivots of minimal degree in the
 current column the lowest row index wins, so repeated runs produce identical

@@ -36,8 +36,10 @@ from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
 
 class RightModuleSpec:
     """F^n as a right A-module: one n x n matrix per algebra basis element,
-    acting on row vectors as v -> v R(a_j).  Also the coefficient space of
-    VecPoly, VecSeries and VecLaurent (protocol: skewpoly.RegularCoeffs)."""
+    acting on row vectors as v -> v R(a_j).  The one coefficient space of
+    every product (skewpoly.mul_arrays): regular_module(A), made once per
+    context as ctx.regular, for the ring, series and Laurent classes, and
+    the given module for VecPoly, VecSeries and VecLaurent."""
 
     __slots__ = ("algebra", "n", "action", "flat")
 
@@ -68,22 +70,6 @@ class RightModuleSpec:
     def act_row(self, v: np.ndarray, a) -> np.ndarray:
         return la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :],
                           self.action_matrix(a))[0]
-
-    def format_rows(self, rows: np.ndarray, offset: int) -> str:
-        """Row i printed as the coefficient vector of X^(offset + i)."""
-        fs = self.field
-        terms = []
-        for e, row in enumerate(rows, offset):
-            if not row.any():
-                continue
-            body = "(" + ", ".join(fs.format_index(int(c)) for c in row) + ")"
-            if e == 0:
-                terms.append(body)
-            elif e == 1:
-                terms.append(f"{body}X")
-            else:
-                terms.append(f"{body}X^{e}")
-        return " + ".join(terms) if terms else "0"
 
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, RightModuleSpec) and (
@@ -173,6 +159,22 @@ class _OverModule:
 
     def _element(self, row: np.ndarray) -> np.ndarray:
         return row
+
+    def _format(self) -> str:
+        """Row i printed as the coefficient vector of X^(ord + i)."""
+        fs = self.spec.field
+        terms = []
+        for e, row in enumerate(self.coeffs, self.ord):
+            if not row.any():
+                continue
+            body = "(" + ", ".join(fs.format_index(int(c)) for c in row) + ")"
+            if e == 0:
+                terms.append(body)
+            elif e == 1:
+                terms.append(f"{body}X")
+            else:
+                terms.append(f"{body}X^{e}")
+        return " + ".join(terms) if terms else "0"
 
 
 def _module_over(spec: RightModuleSpec, ctx: SkewDerivation) -> RightModuleSpec:

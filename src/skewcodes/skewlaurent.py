@@ -96,7 +96,7 @@ def require_laurent_ring(ctx: SkewDerivation) -> int:
 
 class CoeffLaurent(CoeffRows):
     """Class of a Laurent series modulo X^end (end = None: exact), coefficient
-    rows in a coefficient space: the window without leading or trailing zero
+    rows in a right A-module: the window without leading or trailing zero
     rows, and the zero class at order end (0 if exact)."""
 
     __slots__ = ()
@@ -257,8 +257,8 @@ def xn_floor(ctx: SkewDerivation, n: int) -> int:
 
 
 def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
-    """s t on the largest window the operands support; s over any
-    coefficient space, t over A.
+    """s t on the largest window the operands support; s over any right
+    A-module, t over A.
 
     Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
     t_hat to w (xn_arrays for o_s >= 0, xnegn_arrays otherwise), multiplies

@@ -57,10 +57,10 @@ class SkewDerivation:
 
     @functools.cached_property
     def regular(self):
-        """A as the coefficient space of this context's rings
-        (skewpoly.RegularCoeffs), one per context, made on first access."""
-        from .skewpoly import RegularCoeffs  # skewpoly imports this module
-        return RegularCoeffs(self.algebra)
+        """A as the right A-module of this context's ring coefficients
+        (modact.regular_module), one per context, made on first access."""
+        from .modact import regular_module  # modact imports this module
+        return regular_module(self.algebra)
 
     @functools.cached_property
     def opposite(self) -> Optional["SkewDerivation"]:

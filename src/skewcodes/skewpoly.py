@@ -6,10 +6,11 @@ formula collects N operators:
 
     (sum_i g_i X^i) f = sum_i (sum_{k=i}^{n} g_k N_i^k(f)) X^i
 
-where N_i^k acts on f coefficientwise and X^i shifts.  The left factor may
-live in any coefficient space (A itself, or a right A-module in modact), so
-this one product serves the ring and module layers alike.  An independent
-rewriting path (iterate X f = sigma(f) X + delta(f)) is kept as an oracle.
+where N_i^k acts on f coefficientwise and X^i shifts.  The left factor's
+coefficients lie in a right A-module, the space (modact.RightModuleSpec):
+A itself, its regular module, for the ring and another module for the
+module layer, so this one product serves both.  An independent rewriting
+path (iterate X f = sigma(f) X + delta(f)) is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from . import _gflinalg as la
 from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError
-from .fields import DTYPE
 from .skewmap import SkewDerivation
 
 
@@ -37,35 +37,16 @@ def _min_end(*ends):
     return min(finite) if finite else None
 
 
-def _pad(arr: np.ndarray, length: int, lo: int = 0) -> np.ndarray:
-    """length rows holding arr from row lo on, zeros elsewhere, cut to fit."""
-    if lo == 0 and arr.shape[0] >= length:
-        return arr[:length]
-    out = la.zeros((length, arr.shape[1]))
-    out[lo:lo + arr.shape[0]] = arr[:max(length - lo, 0)]
+def _window(ord_: int, coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The rows of coefficients stored from exponent ord_ on, read on
+    exponents [lo, hi): zeros where unstored, a view where all are stored."""
+    a0, a1 = max(lo, ord_), min(hi, ord_ + coeffs.shape[0])
+    if (a0, a1) == (lo, hi):
+        return coeffs[lo - ord_:hi - ord_]
+    out = la.zeros((max(hi - lo, 0), coeffs.shape[1]))
+    if a1 > a0:
+        out[a0 - lo: a1 - lo] = coeffs[a0 - ord_: a1 - ord_]
     return out
-
-
-# ---- coefficient spaces ----
-
-class RegularCoeffs:
-    """A as the coefficient space of its own rings: the regular module.
-
-    A coefficient space gives its width n, its flat block matrix (n, r n):
-    a coefficient row v times it, reshaped (r, n), is the block whose row l
-    is v times a_l, and a formatter.  RightModuleSpec is the other instance;
-    here the flat block matrix is the structure tensor reshaped to (r, r r).
-    """
-
-    __slots__ = ("algebra", "n", "flat")
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.n = algebra.dim
-        self.flat = algebra.tensor.reshape(self.n, self.n * self.n)
-
-    def format_rows(self, rows: np.ndarray, offset: int) -> str:
-        return format_poly_arr(self.algebra, rows, offset=offset)
 
 
 # ---- raw-array engines (shared with the series, Laurent and module layers) ----
@@ -76,9 +57,10 @@ def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np
     shape (K, m, n) gives the maps of its m polynomials side by side, column
     (j, c) for column c of polynomial j: (taps r, m n).
 
-    Every block B_k of g comes from one product with the space's flat block
-    matrix, and every W_i from one contraction against the stacked N-table
-    (none for a constant g, whose W_0 = B_0 as N_0^0 = id).
+    g's coefficients lie in the right A-module space, of width n.  Every
+    block B_k of g comes from one product with its flat block matrix, and
+    every W_i from one contraction against the stacked N-table (none for a
+    constant g, whose W_0 = B_0 as N_0^0 = id).
     """
     spec, r, K = ctx.field, ctx.algebra.dim, g.shape[0]
     g = g[:, None] if g.ndim == 2 else g
@@ -94,9 +76,9 @@ def coefficient_maps(space, ctx: SkewDerivation, g: np.ndarray, taps: int) -> np
 
 def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
                n_g: Optional[int] = None, n_f: Optional[int] = None) -> tuple:
-    """(rows, n_out): the coefficient rows of (g f), g over the coefficient
-    space and f over A known on n_g and n_f coefficients (None: exact), and
-    the number n_out of outputs those windows support.
+    """(rows, n_out): the coefficient rows of (g f), g over the right
+    A-module space and f over A known on n_g and n_f coefficients (None:
+    exact), and the number n_out of outputs those windows support.
 
     Output l sees g_k only for k < (l + 1) m_delta (N_i^k = 0 beyond), so
     the window stays structural: n_out = min(n_f, n_g // m_delta).  What is
@@ -166,14 +148,15 @@ def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
 
 class CoeffRows:
     """A window (ord, coeffs, end) of coefficient rows over a context, in a
-    coefficient space: the class of an element modulo X^end (end = None:
-    exact).  Row j holds the X^(ord + j) coefficient; every exponent below
-    ord, and every one from the last row up to end, is a known zero.
+    right A-module (modact.RightModuleSpec): the class of an element modulo
+    X^end (end = None: exact).  Row j holds the X^(ord + j) coefficient;
+    every exponent below ord, and every one from the last row up to end, is
+    a known zero.
 
     The window algebra is written here once.  A subclass fixes only its
-    normal form: its constructor and `_new(ord, coeffs, end)`.  The space is
-    A itself (the regular module) unless a subclass supplies another one
-    through `space` and `_structure`.
+    normal form: its constructor and `_new(ord, coeffs, end)`.  The module
+    is A itself, the regular module ctx.regular, unless a subclass supplies
+    another one through `space`, `_structure`, `_element` and `_format`.
     """
 
     __slots__ = ("ctx", "ord", "coeffs", "end")
@@ -190,6 +173,10 @@ class CoeffRows:
         """What `coeff` returns for a stored row."""
         return AlgebraElement(self.ctx.algebra, row)
 
+    def _format(self) -> str:
+        """The stored rows printed as a sum of terms c X^e."""
+        return format_poly_arr(self.ctx.algebra, self.coeffs, self.ord)
+
     def _check(self, other) -> None:
         if self._structure() != other._structure():
             raise MixedStructureError("operands from different contexts or modules")
@@ -198,10 +185,7 @@ class CoeffRows:
         n = self.space.n
         if coeffs.ndim != 2 or coeffs.shape[1] != n:
             raise ValueError(f"coefficient block must be L x {n}")
-        if coeffs.dtype != DTYPE:  # checked against its cast: nothing wraps
-            coeffs = self.ctx.field.indices(coeffs, "coefficient")
-        elif coeffs.size and coeffs.view(np.uint16).max() >= self.ctx.field.q:
-            self.ctx.field.indices(coeffs, "coefficient")  # names the first bad entry
+        coeffs = self.ctx.field.checked(coeffs, "coefficient")
         self.ord, self.coeffs, self.end = ord_, coeffs, end
         self.coeffs.flags.writeable = False
 
@@ -228,14 +212,7 @@ class CoeffRows:
                          None if self.end is None else self.end + n)
 
     def _window_arr(self, lo: int, hi: int) -> np.ndarray:
-        """Stored coefficients on exponents [lo, hi), zeros where unstored."""
-        a0, a1 = max(lo, self.ord), min(hi, self.support_end)
-        if (a0, a1) == (lo, hi):  # inside the stored rows: a view
-            return self.coeffs[lo - self.ord:hi - self.ord]
-        out = la.zeros((max(hi - lo, 0), self.coeffs.shape[1]))
-        if a1 > a0:
-            out[a0 - lo: a1 - lo] = self.coeffs[a0 - self.ord: a1 - self.ord]
-        return out
+        return _window(self.ord, self.coeffs, lo, hi)
 
     def _span(self, other) -> tuple:
         """(lo, hi, end): the common window end, and the exponents [lo, hi)
@@ -279,7 +256,7 @@ class CoeffRows:
         return hash((*self._structure(), self.ord, self.end, self.coeffs.tobytes()))
 
     def __str__(self) -> str:
-        body = self.space.format_rows(self.coeffs, self.ord)
+        body = self._format()
         return body if self.end is None else f"{body} + O(X^{self.end})"
 
     def __repr__(self) -> str:
@@ -287,7 +264,7 @@ class CoeffRows:
 
 
 class CoeffPoly(CoeffRows):
-    """f = sum_i f_i X^i with coefficient rows in a coefficient space: the
+    """f = sum_i f_i X^i with coefficient rows in a right A-module: the
     exact window, stored from exponent 0 without trailing zero rows."""
 
     __slots__ = ()
@@ -302,7 +279,8 @@ class CoeffPoly(CoeffRows):
         """end is None: every window algebra result on polynomials is exact."""
         if ord_ < 0:
             raise ValueError("polynomial shift needs n >= 0")
-        return type(self)(*self._structure(), _pad(coeffs, ord_ + coeffs.shape[0], ord_))
+        return type(self)(*self._structure(),
+                          _window(ord_, coeffs, 0, ord_ + coeffs.shape[0]))
 
     @property
     def degree(self) -> int:
@@ -402,7 +380,7 @@ def _check_product(g: CoeffRows, f: CoeffRows) -> None:
 
 
 def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
-    """Product via the closed N-operator formula; g over any coefficient space."""
+    """Product via the closed N-operator formula; g over any right A-module."""
     _check_product(g, f)
     return g._new(0, mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs)[0], None)
 

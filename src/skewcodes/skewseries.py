@@ -32,7 +32,7 @@ from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError, RingUnavailableError
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _over_algebra,
-                       _pad, mul_arrays, x_times_arrays, xn_arrays, xn_times)
+                       _window, mul_arrays, x_times_arrays, xn_arrays, xn_times)
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -50,8 +50,8 @@ def q_bound(ctx: SkewDerivation, n: int) -> int:
 
 
 class CoeffSeries(CoeffRows):
-    """Class of a power series modulo X^prec, coefficient rows in a
-    coefficient space: the window [0, prec), stored densely."""
+    """Class of a power series modulo X^prec, coefficient rows in a right
+    A-module: the window [0, prec), stored densely."""
 
     __slots__ = ()
     _tag = "trunc series"
@@ -72,11 +72,11 @@ class CoeffSeries(CoeffRows):
     def _new(self, ord_: int, coeffs: np.ndarray, end: int):
         if ord_ < 0:
             raise ValueError("series shift needs n >= 0")
-        return type(self)(*self._structure(), end, _pad(coeffs, end, ord_))
+        return type(self)(*self._structure(), end, _window(ord_, coeffs, 0, end))
 
     @classmethod
     def from_poly(cls, f: CoeffPoly, prec: int):
-        return cls(*f._structure(), prec, _pad(f.coeffs, prec))
+        return cls(*f._structure(), prec, f._window_arr(0, prec))
 
     def truncate(self, prec: int):
         if prec > self.prec:
@@ -103,7 +103,7 @@ class TruncSeries(CoeffSeries):
 
 def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
     """Product on the largest window the operands support (skewpoly.mul_arrays:
-    min(t.prec, s.prec // m_delta) coefficients); s over any space."""
+    min(t.prec, s.prec // m_delta) coefficients); s over any right A-module."""
     _check_product(s, t)
     out, prec = mul_arrays(s.space, s.ctx, s.coeffs, t.coeffs, s.prec, t.prec)
     return s._new(0, out, prec)

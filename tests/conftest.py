@@ -16,13 +16,19 @@ from skewcodes.presets import ExampleBundle, fyz_quotient as fyz_quotient_over
 from skewcodes.fields import DTYPE
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child process that imports this skewcodes: its
+    package path first on PYTHONPATH, and the variables in extra."""
+    src = os.path.dirname(os.path.dirname(skewcodes.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)), **extra)
+
+
 @pytest.fixture(scope="session")
 def run_python():
     """Run a Python snippet in a child process that imports this skewcodes;
     the timeout turns a hang into a failure."""
-    src = os.path.dirname(os.path.dirname(skewcodes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env = child_env()
 
     def run(script, *argv, timeout=5):
         return subprocess.run([sys.executable, "-c", script, *argv], env=env,

@@ -33,7 +33,7 @@ from skewcodes.skewlaurent import (laurent_mul, xinv_times, xnegn_direct,
 from skewcodes.skewseries import ore_left, q_bound, series_mul
 from skewcodes.algebra import LinearMap
 from skewcodes.skewmap import verify_skew_derivation
-from conftest import rand_coords, rand_element
+from conftest import child_env, rand_coords, rand_element
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 W = os.path.join(HERE, "workspaces")
@@ -358,9 +358,8 @@ def test_criterion_7_determinism():
         probe = ["verify", "-w", os.path.join(W, "m2f4_e12.json")]
         outs = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            r = subprocess.run([sys.executable, "-c", script] + probe,
-                               capture_output=True, env=env, cwd=HERE)
+            r = subprocess.run([sys.executable, "-c", script] + probe, capture_output=True,
+                               env=child_env(PYTHONHASHSEED=seed), cwd=HERE)
             assert r.returncode == 0
             outs.append(r.stdout)
         assert outs[0] == outs[1], "hash-seed variation must not leak"

@@ -10,6 +10,7 @@ from skewcodes import (Algebra, LinearMap, ScalarRestriction, field,
                        group_algebra_cyclic, inner_derivation, matrix_algebra,
                        quotient_algebra_tn, quotient_algebra_yz, verify_algebra,
                        verify_skew_derivation)
+from skewcodes.algebra import AlgebraElement
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE
 from skewcodes.modact import RightModuleSpec, restrict_module
@@ -229,3 +230,30 @@ def test_images_from_another_algebra_are_refused():
     with pytest.raises(MixedStructureError, match="different algebra"):
         LinearMap.from_images(c4, m2.basis())
     assert LinearMap.from_images(c4, c4.basis()).is_identity()
+
+
+def test_algebra_element_refuses_coordinates_it_cannot_hold():
+    """AlgebraElement(algebra, coords) stored any coordinates: over GF(4)
+    65537 wrapped to 1, 1.5 became 1, a length-2 vector was taken on a
+    5-dimensional algebra, and products then failed in numpy or gave a wrong
+    element.  It now runs the coefficient blocks' checks."""
+    f4 = field(2, 2)
+    a5 = group_algebra_cyclic(f4, 5)
+    cases = [
+        (np.array([7, 0, 0, 0, 65537]), r"coordinate entry \[0\] = 7 "),
+        (np.array([0, 0, 0, 0, 65537]), r"coordinate entry \[4\] = 65537 "),
+        (np.array([1.5, 0, 0, 0, 0]), r"coordinate entry \[0\] = 1.5 "),
+        (np.array([0, 0, 0, 9, 0], dtype=DTYPE), r"coordinate entry \[3\] = 9 "),
+        (np.array([0, -1, 0, 0, 0], dtype=DTYPE), r"coordinate entry \[1\] = -1 "),
+        (np.array([1, 0], dtype=DTYPE), r"expected 5 coordinates, got \(2,\)"),
+        (np.zeros((1, 5), dtype=DTYPE), r"expected 5 coordinates, got \(1, 5\)"),
+    ]
+    for coords, message in cases:
+        for build in (lambda: AlgebraElement(a5, coords), lambda: a5.from_coords(coords)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    # in range, the caller's array is copied, not frozen
+    coords = np.array([3, 0, 0, 0, 1], dtype=DTYPE)
+    x = AlgebraElement(a5, coords)
+    assert coords.flags.writeable and not x.coords.flags.writeable
+    assert str(x) == str(a5.from_coords([3, 0, 0, 0, 1])) == "(a+1) + g^4"

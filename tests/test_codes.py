@@ -1,5 +1,6 @@
 """Cyclic convolutional codes and the ideal-code correspondence."""
 
+import dataclasses
 import functools
 import hashlib
 import os
@@ -380,6 +381,29 @@ def test_code_basis_derives_its_transform_from_g(m2f4_inner, module_a):
             read(word, loose)
     with pytest.raises(ValueError):
         stable_under_ring_samples(loose, [SkewPoly.one(ctx)])
+
+
+def test_code_basis_refuses_a_basis_its_module_cannot_hold(m2f4_inner, module_a,
+                                                          f4c5_group, module_b):
+    """A basis of another width than its module made is_codeword die in a
+    numpy reshape, and one over another field was taken as it was; a module
+    over another algebra than the context is refused as the generators' is.
+    A consistent basis still passes dataclasses.replace."""
+    ctx = f4c5_group.ctx
+    fs = module_b.field
+    wide = PolyMatrix(fs, [[Poly.one(fs)] + [Poly.zero(fs)] * 2])
+    f2 = field(2)
+    other = PolyMatrix(f2, [[Poly.one(f2)] + [Poly.zero(f2)] * (module_b.n - 1)])
+    for g, module, message in [(wide, module_b, "another width"),
+                               (other, module_b, "another field"),
+                               (other, module_a, "module and context algebras")]:
+        with pytest.raises(MixedStructureError, match=message):
+            ConvCodeBasis(g, module, ctx, True, True)
+    code = cyclic_closure([VecPoly.unit_row(module_b, ctx, 0)], module_b, ctx)
+    loose = dataclasses.replace(code, pure=False)
+    assert (loose.pure, loose.g, loose.ut is not None) == (False, code.g, True)
+    with pytest.raises(MixedStructureError, match="module and context algebras"):
+        dataclasses.replace(code, context=m2f4_inner.ctx)
 
 
 def test_all_ones_row_gives_rate_one_fifth(f4c5_group, module_b):

@@ -12,7 +12,11 @@ from skewcodes import (Poly, SkewPoly, left_from_right, poly_mul,
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
 from skewcodes import _gflinalg as la
-from skewcodes.skewpoly import RegularCoeffs, coefficient_maps, xn_arrays
+from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
+                              regular_module)
+from skewcodes.skewlaurent import TruncLaurent, laurent_ring_exists
+from skewcodes.skewseries import TruncSeries
+from skewcodes.skewpoly import coefficient_maps, xn_arrays
 from conftest import rand_coords, rand_element
 
 
@@ -177,7 +181,7 @@ def test_coefficient_maps_of_a_batch_sit_side_by_side(all_bundles, module_a):
     blocks, each equal to that polynomial's own maps, on the regular
     coefficient space and on a module."""
     rng = random.Random(19)
-    spaces = [(RegularCoeffs(b.ctx.algebra), b.ctx) for b in all_bundles]
+    spaces = [(b.ctx.regular, b.ctx) for b in all_bundles]
     spaces.append((module_a, all_bundles[0].ctx))
     for space, ctx in spaces:
         for K, m in [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2)]:
@@ -205,7 +209,7 @@ def test_products_read_the_n_table_in_place(monkeypatch, f4c5_group, m2f4_inner)
     rng = random.Random(53)
     for b in (f4c5_group, m2f4_inner):
         ctx = b.ctx
-        for call in (lambda g: coefficient_maps(RegularCoeffs(ctx.algebra), ctx, g, 3),
+        for call in (lambda g: coefficient_maps(ctx.regular, ctx, g, 3),
                      lambda g: xn_arrays(ctx, g, 6)):
             ctx.ntable.ensure(8)
             seen.clear()
@@ -215,13 +219,27 @@ def test_products_read_the_n_table_in_place(monkeypatch, f4c5_group, m2f4_inner)
 
 
 def test_ring_objects_of_one_context_share_one_coefficient_space(all_bundles):
-    """Polynomials of one context, products included, read one RegularCoeffs,
-    not a new one per access; the opposite context has its own."""
+    """Polynomials of one context, products included, read one coefficient
+    space, the regular module of A, not a new one per access; every class
+    takes a RightModuleSpec as its space; the opposite context has its own."""
     for b in all_bundles:
         ctx = b.ctx
         f, x = SkewPoly.one(ctx), SkewPoly.x_power(ctx, 2)
         assert f.space is x.space is (x * f).space is ctx.regular, b.name
         assert f.space.algebra is ctx.algebra, b.name
+        assert ctx.regular == regular_module(ctx.algebra), b.name
+        if ctx.m_delta is None:
+            continue
+        s = TruncSeries.from_poly(x, 4)
+        objs = [f, s]
+        if laurent_ring_exists(ctx).laurent:
+            objs.append(TruncLaurent.from_series(s))
+        mod = regular_module(ctx.algebra)
+        vp = VecPoly.unit_row(mod, ctx, 0)
+        vs = VecSeries.from_poly(vp, 4)
+        objs += [vp, vs, VecLaurent.from_series(vs)]
+        for obj in objs:
+            assert isinstance(obj.space, RightModuleSpec), (b.name, type(obj))
         if ctx.opposite is not None:
             assert SkewPoly.one(ctx.opposite).space is not ctx.regular, b.name
 
