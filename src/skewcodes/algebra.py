@@ -8,6 +8,7 @@ convention (column j = image of a_j).
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,6 +38,17 @@ class Algebra:
             raise ValueError("label count does not match dimension")
         self.meta = dict(meta or {})
         self._hash = hash((self.field, r, self.tensor.tobytes(), self.unit.tobytes()))
+
+    @functools.cached_property
+    def regular(self):
+        """A as a right module over itself, R(a_j): a_i -> a_i a_j, made once A
+        passes verify_algebra (AxiomError if not), whose associativity test
+        is the module law R(a_i a_j) = R(a_i) R(a_j)."""
+        from .modact import RightModuleSpec  # modact imports this module
+        rep = verify_algebra(self)
+        if not rep.ok:
+            raise AxiomError(rep.failures[0])
+        return RightModuleSpec(self, np.ascontiguousarray(self.tensor.transpose(1, 0, 2)))
 
     # ---- raw coordinate ops ----
 
@@ -290,9 +302,7 @@ def verify_algebra(a: Algebra) -> AxiomReport:
 
 
 def check_algebra(a: Algebra) -> Algebra:
-    rep = verify_algebra(a)
-    if not rep.ok:
-        raise AxiomError(rep.failures[0])
+    a.regular  # runs verify_algebra, once per algebra
     return a
 
 

@@ -193,16 +193,9 @@ class Workspace:
         raise InputError(f"unknown delta kind {kind!r}")
 
     def _map_matrix(self, spec: dict) -> np.ndarray:
-        rows = _get(spec, "matrix", list)
         dim = self.algebra.dim
-        if len(rows) != dim or any(not isinstance(r, list) or len(r) != dim
-                                   for r in rows):
-            raise InputError(f"map matrix must be {dim}x{dim}")
-        mat = la.zeros((dim, dim))
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                mat[i, j] = self._field_elem(self.fs, e)
-        return mat
+        return self._field_rows(self.fs, _get(spec, "matrix", list), dim, dim,
+                                f"map matrix must be {dim}x{dim}")
 
     @property
     def module(self) -> RightModuleSpec:
@@ -251,6 +244,19 @@ class Workspace:
         except (ValueError, TypeError) as e:
             raise InputError(f"bad field element {spec!r}: {e}") from e
 
+    def _field_rows(self, fs: FieldSpec, spec, n_rows: Optional[int], width: int,
+                    message: str) -> np.ndarray:
+        """spec, a list of n_rows (None: any number of) lists of width field
+        elements, as an index array; refused with message if not so shaped."""
+        if not isinstance(spec, list) or n_rows not in (None, len(spec)) or any(
+                not isinstance(r, list) or len(r) != width for r in spec):
+            raise InputError(message)
+        arr = la.zeros((len(spec), width))
+        for i, row in enumerate(spec):
+            for j, e in enumerate(row):
+                arr[i, j] = self._field_elem(fs, e)
+        return arr
+
     def algebra_elem(self, spec) -> AlgebraElement:
         a = self.algebra
         if isinstance(spec, dict):
@@ -263,20 +269,11 @@ class Workspace:
                                  "matrix algebra")
             parent = self.restriction.parent
             nn = parent.meta["n"]
-            if not isinstance(pm, list) or len(pm) != nn or any(
-                    not isinstance(r, list) or len(r) != nn for r in pm):
-                raise InputError(f"parent_matrix must be {nn}x{nn}")
-            coords = la.zeros(parent.dim)
-            flat = [e for row in pm for e in row]
-            for i, e in enumerate(flat):
-                coords[i] = self._field_elem(parent.field, e)
-            return self.restriction.to_restricted(parent.element(coords))
-        if not isinstance(spec, list) or len(spec) != a.dim:
-            raise InputError(f"element must list {a.dim} coordinates")
-        coords = la.zeros(a.dim)
-        for i, e in enumerate(spec):
-            coords[i] = self._field_elem(a.field, e)
-        return a.from_coords(coords)
+            coords = self._field_rows(parent.field, pm, nn, nn,
+                                      f"parent_matrix must be {nn}x{nn}")
+            return self.restriction.to_restricted(parent.from_coords(coords.reshape(-1)))
+        return a.from_coords(self._field_rows(a.field, [spec], 1, a.dim,
+                                              f"element must list {a.dim} coordinates")[0])
 
     def ring_poly(self, spec) -> SkewPoly:
         if not isinstance(spec, list):
@@ -285,8 +282,6 @@ class Workspace:
                                       [self.algebra_elem(e) for e in spec])
 
     def series(self, spec, prec: Optional[int]) -> TruncSeries:
-        if isinstance(spec, list):
-            spec = {"coeffs": spec}
         coeffs = [self.algebra_elem(e) for e in _get(spec, "coeffs", list)]
         n = prec if prec is not None else spec.get("prec", max(len(coeffs), self.prec))
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -295,8 +290,6 @@ class Workspace:
         return TruncSeries.from_elements(self.ctx, coeffs, n)
 
     def laurent(self, spec) -> TruncLaurent:
-        if isinstance(spec, list):
-            spec = {"coeffs": spec}
         coeffs = [self.algebra_elem(e) for e in _get(spec, "coeffs", list)]
         ord_ = _get(spec, "ord", int) if "ord" in spec else 0
         end = ord_ + len(coeffs)
@@ -315,14 +308,8 @@ class Workspace:
 
     def vecpoly(self, spec) -> VecPoly:
         mod = self.module
-        if not isinstance(spec, list) or any(not isinstance(r, list) or
-                                             len(r) != mod.n for r in spec):
-            raise InputError(f"vector must be a list of rows of width {mod.n}")
-        arr = la.zeros((len(spec), mod.n))
-        for i, row in enumerate(spec):
-            for j, e in enumerate(row):
-                arr[i, j] = self._field_elem(mod.field, e)
-        return VecPoly(mod, self.ctx, arr)
+        return VecPoly(mod, self.ctx, self._field_rows(
+            mod.field, spec, None, mod.n, f"vector must be a list of rows of width {mod.n}"))
 
     def message(self, spec) -> list[Poly]:
         if not isinstance(spec, list):

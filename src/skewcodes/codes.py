@@ -36,7 +36,7 @@ from .fxlinalg import (EchelonSolver, Poly, PolyMatrix, _stack_rows, closure,
 from .modact import (RightModuleSpec, VecPoly, _module_over,
                      vecpoly_times_basis)
 from .skewmap import SkewDerivation
-from .skewpoly import coefficient_maps
+from .skewpoly import SkewPoly, coefficient_maps
 
 
 # ---- conversions between vector polynomials and F[X] rows ----
@@ -327,6 +327,8 @@ def stable_under_ring_samples(code: ConvCodeBasis, elements) -> bool:
     let callers spot-check stability against arbitrary ring elements.
     """
     elements = list(elements)
+    if not all(isinstance(f, SkewPoly) for f in elements):
+        raise TypeError("ring samples must be skew polynomials")
     if any(f.ctx != code.context for f in elements):
         raise MixedStructureError("ring element from a different context")
     return not _products_outside(code.g, _syndrome_former(code), code.module,

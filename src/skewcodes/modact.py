@@ -37,9 +37,9 @@ from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
 class RightModuleSpec:
     """F^n as a right A-module: one n x n matrix per algebra basis element,
     acting on row vectors as v -> v R(a_j).  The one coefficient space of
-    every product (skewpoly.mul_arrays): regular_module(A), made once per
-    context as ctx.regular, for the ring, series and Laurent classes, and
-    the given module for VecPoly, VecSeries and VecLaurent."""
+    every product (skewpoly.mul_arrays): A.regular, made once per algebra
+    when it is verified, for the ring, series and Laurent classes, and the
+    given module for VecPoly, VecSeries and VecLaurent."""
 
     __slots__ = ("algebra", "n", "action", "flat")
 
@@ -110,10 +110,8 @@ def check_module(spec: RightModuleSpec) -> RightModuleSpec:
 
 
 def regular_module(algebra: Algebra) -> RightModuleSpec:
-    """A itself as a right A-module (n = dim A, rows are coordinate vectors)."""
-    # R(a_j) maps the row a_i to a_i a_j
-    action = np.ascontiguousarray(algebra.tensor.transpose(1, 0, 2))
-    return check_module(RightModuleSpec(algebra, action))
+    """A itself as a right A-module, rows coordinate vectors: algebra.regular."""
+    return algebra.regular
 
 
 def restrict_module(res, parent_action: np.ndarray) -> RightModuleSpec:

@@ -39,7 +39,7 @@ def nilpotency_index(m: LinearMap) -> Optional[int]:
 
 
 class SkewDerivation:
-    """A verified (sigma, delta) pair.  Construct via verify_skew_derivation."""
+    """A verified (sigma, delta) pair: from verify_skew_derivation, or an opposite."""
 
     def __init__(self, algebra: Algebra, sigma: LinearMap, delta: LinearMap,
                  _token=None):
@@ -56,22 +56,17 @@ class SkewDerivation:
         return self.algebra.field
 
     @functools.cached_property
-    def regular(self):
-        """A as the right A-module of this context's ring coefficients
-        (modact.regular_module), one per context, made on first access."""
-        from .modact import regular_module  # modact imports this module
-        return regular_module(self.algebra)
-
-    @functools.cached_property
     def opposite(self) -> Optional["SkewDerivation"]:
         """A^op[X; sigma^{-1}, -delta sigma^{-1}], whose left coefficients are the
-        right ones here, or None if sigma is not invertible; built on first access."""
+        right ones here, or None if sigma is not invertible; derived on first access."""
         a, inv = self.algebra, self.sigma.inverse()
         if inv is None:
             return None
         op_a = Algebra(a.field, a.tensor.transpose(1, 0, 2).copy(), a.unit, a.labels, a.meta)
-        op = verify_skew_derivation(op_a, LinearMap(op_a, inv.matrix),
-                                    LinearMap(op_a, (-(self.delta @ inv)).matrix))
+        # not re-verified: (sigma^{-1}, -delta sigma^{-1}) is a skew derivation of
+        # A^op exactly when (sigma, delta) is one of A (Goodearl-Warfield 2004)
+        op = SkewDerivation(op_a, LinearMap(op_a, inv.matrix),
+                            LinearMap(op_a, (-(self.delta @ inv)).matrix), _token=_CONSTRUCT)
         op.opposite = self  # not a second copy of this context
         return op
 

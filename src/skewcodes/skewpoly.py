@@ -8,8 +8,8 @@ formula collects N operators:
 
 where N_i^k acts on f coefficientwise and X^i shifts.  The left factor's
 coefficients lie in a right A-module, the space (modact.RightModuleSpec):
-A itself, its regular module, for the ring and another module for the
-module layer, so this one product serves both.  An independent rewriting
+A itself, its regular module A.regular, for the ring and another module
+for the module layer, so this one product serves both.  An independent rewriting
 path (iterate X f = sigma(f) X + delta(f)) is kept as an oracle.
 """
 
@@ -155,15 +155,15 @@ class CoeffRows:
 
     The window algebra is written here once.  A subclass fixes only its
     normal form: its constructor and `_new(ord, coeffs, end)`.  The module
-    is A itself, the regular module ctx.regular, unless a subclass supplies
-    another one through `space`, `_structure`, `_element` and `_format`.
+    is A itself, ctx.algebra.regular, unless a subclass supplies another
+    one through `space`, `_structure`, `_element` and `_format`.
     """
 
     __slots__ = ("ctx", "ord", "coeffs", "end")
 
     @property
     def space(self):
-        return self.ctx.regular
+        return self.ctx.algebra.regular
 
     def _structure(self) -> tuple:
         """The constructor arguments before the window and coefficients."""

@@ -2,14 +2,15 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 
-from skewcodes import (Algebra, LinearMap, ScalarRestriction, field,
+from skewcodes import (Algebra, LinearMap, ScalarRestriction, SkewPoly, field,
                        group_algebra_cyclic, inner_derivation, matrix_algebra,
-                       quotient_algebra_tn, quotient_algebra_yz, verify_algebra,
-                       verify_skew_derivation)
+                       quotient_algebra_tn, quotient_algebra_yz, regular_module,
+                       verify_algebra, verify_skew_derivation)
 from skewcodes.algebra import AlgebraElement
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE
@@ -84,6 +85,24 @@ def test_verify_algebra_catches_broken_tensor():
     report = verify_algebra(bad)
     assert not report.ok
     assert report.failures
+
+
+def test_raw_algebra_is_verified_at_its_first_ring_use():
+    """Algebra(...) checks nothing; the first ring element over it builds its
+    regular module, which runs verify_algebra and refuses a broken tensor
+    with its first failure, again on every later use."""
+    good = matrix_algebra(field(2), 2)
+    tensor = good.tensor.copy()
+    tensor[1, 2, 0] ^= 1  # corrupt E12 * E21
+    bad = Algebra(good.field, tensor, good.unit, good.labels)
+    ctx = verify_skew_derivation(bad, LinearMap.identity(bad), LinearMap.zero(bad))
+    for _ in range(2):
+        with pytest.raises(AxiomError, match=re.escape(verify_algebra(bad).failures[0])):
+            SkewPoly.x_power(ctx, 1) * SkewPoly.one(ctx)
+    with pytest.raises(AxiomError):
+        regular_module(bad)
+    raw = Algebra(good.field, good.tensor, good.unit, good.labels)
+    assert raw.regular is regular_module(raw) and raw.regular == good.regular
 
 
 RESTRICTION_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -17,6 +18,11 @@ W = os.path.join(HERE, "workspaces")
 
 def ws(name):
     return os.path.join(W, name + ".json")
+
+
+def ws_json(name):
+    """The parsed workspace file, read without leaving it open."""
+    return json.loads(pathlib.Path(ws(name)).read_text(encoding="utf-8"))
 
 
 def run(argv):
@@ -106,7 +112,7 @@ def test_ore_witness():
 @pytest.mark.parametrize("argv", [["mul", "-r", "poly", "bad", "x"],
                                   ["ore", "-f", "bad"]], ids=["mul", "ore"])
 def test_parent_matrix_that_is_not_a_list_is_input_error(tmp_path, argv):
-    raw = json.load(open(ws("m2f4_e12")))
+    raw = ws_json("m2f4_e12")
     raw["polynomials"]["bad"] = [{"parent_matrix": 5}]
     path = tmp_path / "parent.json"
     path.write_text(json.dumps(raw))
@@ -188,7 +194,7 @@ def test_malformed_json_is_input_error(tmp_path):
 
 
 def test_schema_violation_is_input_error(tmp_path):
-    doc = json.loads(open(ws("f4c5")).read())
+    doc = ws_json("f4c5")
     doc["field"]["p"] = "two"
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps(doc))
@@ -198,7 +204,7 @@ def test_schema_violation_is_input_error(tmp_path):
 
 
 def _edited_f4c5(tmp_path, key, value):
-    doc = json.load(open(ws("f4c5")))
+    doc = ws_json("f4c5")
     doc[key] = value
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
@@ -242,7 +248,7 @@ def test_trivial_module_of_a_valid_size_builds(tmp_path):
 
 @pytest.mark.parametrize("value", ["false", 0, None])
 def test_restrict_scalars_that_is_not_a_boolean_is_input_error(tmp_path, value):
-    doc = json.load(open(ws("m2f4_e12")))
+    doc = ws_json("m2f4_e12")
     doc["algebra"]["restrict_scalars"] = value
     path = tmp_path / "restrict.json"
     path.write_text(json.dumps(doc))
@@ -258,7 +264,7 @@ def test_prec_that_is_not_a_positive_integer_is_input_error(tmp_path, prec):
 
 @pytest.mark.parametrize("t", [True, 0, 1.5])
 def test_frobenius_power_that_is_not_a_positive_integer_is_input_error(tmp_path, t):
-    doc = json.load(open(ws("m2f4_e12")))
+    doc = ws_json("m2f4_e12")
     doc["sigma"]["t"] = t
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps(doc))
@@ -269,7 +275,7 @@ def test_frobenius_power_that_is_not_a_positive_integer_is_input_error(tmp_path,
 def test_nested_modulus_entries_are_input_error(tmp_path):
     """[[1], [1], [1]] reached the field cache, which could not hash it:
     "bad field: unhashable type: 'list'"."""
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     raw["field"] = {"p": 2, "k": 2, "modulus": [[1], [1], [1]]}
     path = tmp_path / "field.json"
     path.write_text(json.dumps(raw))
@@ -289,6 +295,14 @@ def test_bad_laurent_window_is_input_error(payload):
     assert err.startswith("input error:") and out == ""
 
 
+@pytest.mark.parametrize("ring,rhs", [("series", "s1"), ("laurent", "x")])
+def test_bare_list_series_payload_is_input_error(ring, rhs):
+    """The schema makes a series or Laurent payload an object with a "coeffs"
+    key; a bare list of elements is not one."""
+    rc, out, err = run(["mul", "-w", ws("f4c5"), "-r", ring, "[[1, 0, 0, 0, 0]]", rhs])
+    assert (rc, out, err) == (2, "", "input error: missing key 'coeffs'\n")
+
+
 def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
     """Refusal path only: every size is one past its limit, and is refused
     with exit 2 before the N-table is built."""
@@ -302,7 +316,7 @@ def test_sizes_over_the_table_limit_are_refused(tmp_path, monkeypatch):
     # X^{-n} reads the opposite context's table up to column block n m' - 1 <= max_n
     too_low = -((limits.max_n + 1) // limits.ctx.opposite.m_delta + 1)
     assert too_low == -290
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     raw["prec"] = limits.max_prec + 1
     big_prec = tmp_path / "big_prec.json"
     big_prec.write_text(json.dumps(raw))
@@ -358,7 +372,7 @@ def test_bad_algebra_sizes_are_refused_before_building(tmp_path, monkeypatch,
 def test_huge_fields_exit_2_at_once(tmp_path, run_python, fs):
     """A prime p = 2^61 - 1 and a degree k = 10^8 are refused before the
     primality test or p**k runs; in a subprocess, so a hang fails the test."""
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     raw["field"] = fs
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(raw))
@@ -375,7 +389,7 @@ def test_workspace_schema_reads_the_same_in_readme_and_cli_help():
         return " ".join(text.split())
 
     doc = cli.__doc__.split("are optional):\n\n", 1)[1].split("\n\n", 1)[0]
-    readme = open(os.path.join(HERE, "README.md"), encoding="utf-8").read()
+    readme = pathlib.Path(HERE, "README.md").read_text(encoding="utf-8")
     block = readme.split("### Workspace schema", 1)[1].split("```\n", 2)[1]
     assert words(doc).startswith("field {") and words(doc) == words(block)
 
@@ -407,7 +421,7 @@ def test_double_runs_byte_identical():
                                 {"p": 2, "k": True}])
 def test_field_entry_that_is_not_an_integer_is_input_error(tmp_path, fs):
     """Nothing is coerced: each of these ran as some field with exit 0."""
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     raw["field"] = fs
     path = tmp_path / "field.json"
     path.write_text(json.dumps(raw))
@@ -420,7 +434,7 @@ def test_field_entry_that_is_not_an_integer_is_input_error(tmp_path, fs):
 def test_bad_digit_list_is_input_error(tmp_path, digits):
     """A digit list must hold at most k ints in [0, p): nothing is
     truncated, cast or dropped."""
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     raw["polynomials"]["g"] = [[0, digits, 0, 0, 0]]
     path = tmp_path / "digits.json"
     path.write_text(json.dumps(raw))
@@ -429,7 +443,7 @@ def test_bad_digit_list_is_input_error(tmp_path, digits):
 
 
 def test_digit_list_names_the_same_element_as_its_index(tmp_path):
-    raw = json.load(open(ws("f4c5")))
+    raw = ws_json("f4c5")
     outs = []
     for coord in ([0, 1], 2):
         raw["polynomials"]["g"] = [[0, coord, 0, 0, 0]]

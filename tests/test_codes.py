@@ -28,6 +28,7 @@ from skewcodes.modact import (RightModuleSpec, VecPoly, check_module,
 from skewcodes.skewmap import verify_skew_derivation
 from skewcodes.presets import fyz_quotient as fyz_quotient_over
 from skewcodes.skewpoly import SkewPoly
+from skewcodes.skewseries import TruncSeries
 from conftest import m2_inner_over, rand_coords, rand_element
 
 
@@ -549,6 +550,20 @@ def test_mixed_context_rejected(m2f4_inner, f4c5_group, f4c5_sigma_only,
     code = code_from_generators([v], module_a, m2f4_inner.ctx)
     with pytest.raises(MixedStructureError):
         stable_under_ring_samples(code, [SkewPoly.one(f4c5_group.ctx)])
+
+
+def test_ring_samples_must_be_skew_polynomials(f4c5_group, module_b):
+    """A series was read as the polynomial of its stored window, and a vector
+    polynomial over the regular module as a ring element; both are refused,
+    as is an algebra element, which has no context."""
+    ctx = f4c5_group.ctx
+    code = cyclic_closure([VecPoly.unit_row(module_b, ctx, 0)], module_b, ctx)
+    x = SkewPoly.x_power(ctx, 1)
+    assert stable_under_ring_samples(code, [x])
+    for sample in (TruncSeries.from_poly(x, 3), VecPoly.unit_row(module_b, ctx, 1),
+                   ctx.algebra.one):
+        with pytest.raises(TypeError, match="ring samples must be skew polynomials"):
+            stable_under_ring_samples(code, [x, sample])
 
 
 # ---- seeded generator sets over the code modules ----

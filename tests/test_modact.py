@@ -536,6 +536,25 @@ def test_ring_classes_do_not_multiply_other_operands(m2f4_inner, module_a):
     assert o["p"] * o["p"] == SkewPoly.x_power(m2f4_inner.ctx, 2)
 
 
+MODULE_PRODUCTS = [("v", "p", poly_mul), ("v", "a", vecpoly_times_scalar),
+                   ("vs", "s", vecseries_times_ring), ("vs", "a", series_times_scalar),
+                   ("lv", "l", veclaurent_times_ring), ("lv", "a", veclaurent_times_scalar)]
+
+
+@pytest.mark.parametrize("left,right,named", MODULE_PRODUCTS,
+                         ids=[f"{left}*{right}" for left, right, _ in MODULE_PRODUCTS])
+def test_module_operators_are_the_named_products(m2f4_inner, module_a, left, right, named):
+    """v * f is the named product for each module class and each right factor
+    it takes, a ring element of its own window kind or a scalar; any other
+    factor, here an int, is left to Python."""
+    o = _module_operands(m2f4_inner, module_a)
+    o["a"] = rand_element(random.Random(29), m2f4_inner.ctx.algebra)
+    got = o[left] * o[right]
+    assert type(got) is type(o[left]) and got == named(o[left], o[right])
+    with pytest.raises(TypeError, match="unsupported operand"):
+        o[left] * 3
+
+
 WINDOW_KINDS = ["SkewPoly", "TruncSeries", "TruncLaurent", "VecPoly", "VecSeries",
                 "VecLaurent"]
 

@@ -7,11 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from skewcodes import (LinearMap, SkewPoly, field, load_preset, matrix_algebra,
+from skewcodes import (LinearMap, SkewPoly, field, group_algebra_cyclic,
+                       inner_derivation, load_preset, matrix_algebra, module_verify,
                        n_operator, natural_module, nilpotency_index, poly_mul,
-                       poly_mul_iterative, quotient_algebra_yz, right_from_left,
-                       verify_skew_derivation)
+                       poly_mul_iterative, quotient_algebra_yz, regular_module,
+                       right_from_left, verify_algebra, verify_skew_derivation)
 from skewcodes import _gflinalg as la
+from skewcodes import algebra, modact, skewmap
 from skewcodes.errors import AxiomError, MixedStructureError
 from skewcodes.fields import DTYPE, FieldSpec
 from skewcodes.presets import PRESETS
@@ -286,6 +288,41 @@ def test_opposite_is_built_on_first_access_only(monkeypatch):
         assert op is not None and calls == [b.ctx.sigma], b.name
         calls.clear()
         assert b.ctx.opposite is op and calls == [], b.name
+
+
+def test_derived_structures_pass_the_checks_they_skip(all_bundles, odd_laurent_bundles,
+                                                     odd_fyz_bundles):
+    """A.regular is built without check_module, and ctx.opposite without
+    verify_skew_derivation; both checks, run here as oracles, accept them,
+    and A^op passes the algebra check."""
+    for b in all_bundles + odd_laurent_bundles + odd_fyz_bundles:
+        ctx = b.ctx
+        assert module_verify(ctx.algebra.regular).ok, b.name
+        op = ctx.opposite
+        if op is not None:
+            assert verify_algebra(op.algebra).ok, b.name
+            assert verify_skew_derivation(op.algebra, op.sigma, op.delta) == op, b.name
+
+
+def test_each_algebra_is_verified_once(monkeypatch):
+    """Building an algebra, a context on it, its first product,
+    regular_module(A) and ctx.opposite run verify_algebra once and no other
+    check: the regular module comes out of that run, and the opposite
+    context is derived from this one."""
+    calls = []
+    for module, name in [(algebra, "verify_algebra"), (modact, "module_verify"),
+                         (skewmap, "verify_skew_derivation")]:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    a = group_algebra_cyclic(field(2, 2), 5)
+    sigma = LinearMap.from_images(a, [a.basis_element(2 * i % 5) for i in range(5)])
+    ctx = verify_skew_derivation(a, sigma, inner_derivation(a, sigma, a.basis_element(1)))
+    f = SkewPoly.x_power(ctx, 1) * SkewPoly.constant(ctx, a.basis_element(1))
+    spaces = [f.space, regular_module(a)]
+    assert ctx.opposite is not None
+    assert calls == ["verify_algebra"]
+    assert spaces[0] is spaces[1] is a.regular
 
 
 def test_table_refuses_maps_on_different_algebras(m2f4_inner, f4c5_group):

@@ -181,7 +181,7 @@ def test_coefficient_maps_of_a_batch_sit_side_by_side(all_bundles, module_a):
     blocks, each equal to that polynomial's own maps, on the regular
     coefficient space and on a module."""
     rng = random.Random(19)
-    spaces = [(b.ctx.regular, b.ctx) for b in all_bundles]
+    spaces = [(b.ctx.algebra.regular, b.ctx) for b in all_bundles]
     spaces.append((module_a, all_bundles[0].ctx))
     for space, ctx in spaces:
         for K, m in [(1, 1), (1, 3), (3, 1), (2, 4), (4, 2)]:
@@ -209,7 +209,7 @@ def test_products_read_the_n_table_in_place(monkeypatch, f4c5_group, m2f4_inner)
     rng = random.Random(53)
     for b in (f4c5_group, m2f4_inner):
         ctx = b.ctx
-        for call in (lambda g: coefficient_maps(ctx.regular, ctx, g, 3),
+        for call in (lambda g: coefficient_maps(ctx.algebra.regular, ctx, g, 3),
                      lambda g: xn_arrays(ctx, g, 6)):
             ctx.ntable.ensure(8)
             seen.clear()
@@ -225,9 +225,9 @@ def test_ring_objects_of_one_context_share_one_coefficient_space(all_bundles):
     for b in all_bundles:
         ctx = b.ctx
         f, x = SkewPoly.one(ctx), SkewPoly.x_power(ctx, 2)
-        assert f.space is x.space is (x * f).space is ctx.regular, b.name
+        assert f.space is x.space is (x * f).space is ctx.algebra.regular, b.name
         assert f.space.algebra is ctx.algebra, b.name
-        assert ctx.regular == regular_module(ctx.algebra), b.name
+        assert ctx.algebra.regular is regular_module(ctx.algebra), b.name
         if ctx.m_delta is None:
             continue
         s = TruncSeries.from_poly(x, 4)
@@ -241,7 +241,7 @@ def test_ring_objects_of_one_context_share_one_coefficient_space(all_bundles):
         for obj in objs:
             assert isinstance(obj.space, RightModuleSpec), (b.name, type(obj))
         if ctx.opposite is not None:
-            assert SkewPoly.one(ctx.opposite).space is not ctx.regular, b.name
+            assert SkewPoly.one(ctx.opposite).space is not ctx.algebra.regular, b.name
 
 
 def test_mixed_context_product_rejects(m2f4_inner, f4c5_group):
