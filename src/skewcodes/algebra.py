@@ -389,6 +389,7 @@ class ScalarRestriction:
     """
 
     def __init__(self, parent: Algebra):
+        from .modact import RightModuleSpec  # modact imports this module
         K = parent.field
         if K.k == 1:
             raise ValueError("parent field is already prime")
@@ -405,7 +406,9 @@ class ScalarRestriction:
         meta.update({"kind": "restricted", "parent_kind": parent.meta.get("kind"),
                      "name": f"restriction of {parent.meta.get('name', 'algebra')}"})
         self.parent = parent
-        self.algebra = check_algebra(Algebra(field(K.p, 1), tensor, unit, labels, meta=meta))
+        self.algebra = Algebra(field(K.p, 1), tensor, unit, labels, meta=meta)
+        check_algebra(parent)  # then its restriction is an algebra: not re-verified
+        self.algebra.regular = RightModuleSpec(self.algebra, right)
 
     def to_restricted(self, x: AlgebraElement) -> AlgebraElement:
         if x.algebra != self.parent:

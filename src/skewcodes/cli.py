@@ -168,15 +168,11 @@ class Workspace:
                 raise InputError("frobenius power t must be a positive integer")
             return self.restriction.frobenius(t)
         if kind == "group_power":
-            meta = self.algebra.meta
-            if meta.get("kind") != "group_cyclic":
+            a = self.algebra
+            if a.meta.get("kind") != "group_cyclic":
                 raise InputError("group_power sigma needs a group_cyclic algebra")
-            n = meta["n"]
-            u = _get(spec, "power", int)
-            mat = la.zeros((n, n))
-            for i in range(n):
-                mat[(u * i) % n, i] = 1
-            return LinearMap(self.algebra, mat)
+            n, u = a.meta["n"], _get(spec, "power", int)
+            return LinearMap.from_images(a, [a.basis_element(u * i % n) for i in range(n)])
         if kind == "matrix":
             return LinearMap(self.algebra, self._map_matrix(spec))
         raise InputError(f"unknown sigma kind {kind!r}")

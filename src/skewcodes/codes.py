@@ -130,9 +130,7 @@ class ConvCodeBasis:
         out = [f"rate: {self.k}/{self.n}",
                f"pure (direct summand): {'yes' if self.pure else 'no'}",
                f"stable (A-action): {'yes' if self.stable else 'no'}"]
-        for row in self.g.rows:
-            out.append("[" + ", ".join(str(e) for e in row) + "]")
-        return out
+        return out + str(self.g).splitlines()
 
     def __repr__(self) -> str:
         return f"<code basis {self.k}/{self.n} pure={self.pure} stable={self.stable}>"

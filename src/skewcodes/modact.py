@@ -143,10 +143,22 @@ def natural_module(res) -> RightModuleSpec:
 
 # ---- coefficient containers ----
 
+def _module_over(spec: RightModuleSpec, ctx: SkewDerivation) -> RightModuleSpec:
+    if spec.algebra != ctx.algebra:
+        raise MixedStructureError("module and context algebras differ")
+    return spec
+
+
 class _OverModule:
-    """Coefficient rows in F^n under a right module spec, not in A."""
+    """Coefficient rows in F^n under a right module spec, not in A.  The one
+    module-window constructor: (spec, ctx, *window), spec checked against ctx
+    and the window, by position or name, passed on to the ring-layer class's."""
 
     __slots__ = ()
+
+    def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation, *window, **named):
+        self.spec = _module_over(spec, ctx)
+        super().__init__(ctx, *window, **named)
 
     @property
     def space(self) -> RightModuleSpec:
@@ -175,21 +187,11 @@ class _OverModule:
         return " + ".join(terms) if terms else "0"
 
 
-def _module_over(spec: RightModuleSpec, ctx: SkewDerivation) -> RightModuleSpec:
-    if spec.algebra != ctx.algebra:
-        raise MixedStructureError("module and context algebras differ")
-    return spec
-
-
 class VecPoly(_OverModule, CoeffPoly):
-    """Polynomial with coefficient rows in F^n."""
+    """Polynomial with coefficient rows in F^n: VecPoly(spec, ctx, coeffs)."""
 
     __slots__ = ("spec",)
     _tag = "vecpoly"
-
-    def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation, coeffs: np.ndarray):
-        self.spec = _module_over(spec, ctx)
-        super().__init__(ctx, coeffs)
 
     @classmethod
     def from_rows(cls, spec: RightModuleSpec, ctx: SkewDerivation,
@@ -220,15 +222,10 @@ class VecPoly(_OverModule, CoeffPoly):
 
 
 class VecSeries(_OverModule, CoeffSeries):
-    """Class of a vector power series modulo X^prec."""
+    """Vector power series modulo X^prec: VecSeries(spec, ctx, prec, coeffs)."""
 
     __slots__ = ("spec",)
     _tag = "vecseries"
-
-    def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation,
-                 prec: int, coeffs: np.ndarray):
-        self.spec = _module_over(spec, ctx)
-        super().__init__(ctx, prec, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
@@ -239,16 +236,12 @@ class VecSeries(_OverModule, CoeffSeries):
 
 
 class VecLaurent(_OverModule, CoeffLaurent):
-    """Class of a vector Laurent series modulo X^end (end = None: exact)."""
+    """Class of a vector Laurent series modulo X^end (end = None: exact):
+    VecLaurent(spec, ctx, ord, coeffs, end=None)."""
 
     __slots__ = ("spec",)
     _tag = "veclaurent"
     _series = VecSeries
-
-    def __init__(self, spec: RightModuleSpec, ctx: SkewDerivation, ord_: int,
-                 coeffs: np.ndarray, end: Optional[int] = None):
-        self.spec = _module_over(spec, ctx)
-        super().__init__(ctx, ord_, coeffs, end)
 
     def __mul__(self, other):
         if isinstance(other, TruncLaurent):
@@ -266,10 +259,11 @@ def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
     return mul_arrays(spec, ctx, v, f)[0]
 
 
-def vecpoly_times_scalar(v: VecPoly, a: AlgebraElement) -> VecPoly:
+def vecpoly_times_scalar(v: CoeffPoly, a: AlgebraElement) -> CoeffPoly:
+    """v a, in v's own class: v over any right A-module."""
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    return v._new(0, vec_mul_arrays(v.spec, v.ctx, v.coeffs, a.coords[None, :]), None)
+    return v._new(0, vec_mul_arrays(v.space, v.ctx, v.coeffs, a.coords[None, :]), None)
 
 
 def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
@@ -294,8 +288,8 @@ def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
 
 # ---- Laurent-level products ----
 
-def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
-    """s a (production path).
+def veclaurent_times_scalar(s: CoeffLaurent, a: AlgebraElement) -> CoeffLaurent:
+    """s a, in s's own class: s over any right A-module.
 
     A windowed s of nonnegative order embeds into the series layer.  Every
     other s is the Laurent product with the exact constant a, built
@@ -306,8 +300,8 @@ def veclaurent_times_scalar(s: VecLaurent, a: AlgebraElement) -> VecLaurent:
         raise MixedStructureError("scalar from a different algebra")
     require_series_ring(ctx)
     if s.ord >= 0 and s.end is not None:
-        return VecLaurent.from_series(series_times_scalar(s.to_series(), a))
-    return laurent_mul(s, CoeffLaurent(ctx, 0, a.coords[None, :], None))
+        return type(s).from_series(series_times_scalar(s.to_series(), a))
+    return laurent_mul(s, CoeffLaurent(ctx, 0, a.coords[None, :]))
 
 
 # ---- the central F((X)) action ----
@@ -342,6 +336,5 @@ def flsx_scalar_action(s: VecLaurent, f_ord: int, f_coeffs: Sequence,
 def central_laurent(ctx: SkewDerivation, f_ord: int, f_coeffs: Sequence,
                     f_end: Optional[int] = None) -> TruncLaurent:
     """Embed a Laurent series over F into the ring (coefficients c * 1_A)."""
-    fc = np.asarray([ctx.field.element(c).idx for c in f_coeffs], dtype=DTYPE)
-    rows = ctx.field.MUL[ctx.algebra.unit, fc[:, None]]
-    return TruncLaurent(ctx, f_ord, rows, f_end)
+    one = ctx.algebra.one
+    return TruncLaurent.from_elements(ctx, f_ord, [one.scale(c) for c in f_coeffs], f_end)

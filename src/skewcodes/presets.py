@@ -37,21 +37,14 @@ class ExampleBundle:
 
 
 def _m2f4_restricted():
-    """M2(F4) over F2, with the componentwise-Frobenius automorphism."""
+    """F4 and M2(F4) restricted to F2."""
     f4 = field(2, 2)
-    parent = matrix_algebra(f4, 2)
-    res = ScalarRestriction(parent)
-    return f4, parent, res
+    return f4, ScalarRestriction(matrix_algebra(f4, 2))
 
 
 def _parent_matrix(res: ScalarRestriction, entries) -> AlgebraElement:
     """Entries are F4 indices [[x0, x1], [x2, x3]]; returns a restricted element."""
-    parent = res.parent
-    coords = la.zeros(parent.dim)
-    flat = [entries[0][0], entries[0][1], entries[1][0], entries[1][1]]
-    for i, v in enumerate(flat):
-        coords[i] = v
-    return res.to_restricted(parent.element(coords))
+    return res.to_restricted(res.parent.element([x for row in entries for x in row]))
 
 
 def _m2f4_delta_formula(f4, entries) -> list[list[int]]:
@@ -63,7 +56,7 @@ def _m2f4_delta_formula(f4, entries) -> list[list[int]]:
 def m2f4_inner() -> ExampleBundle:
     """M2(F4) restricted to F2, sigma = componentwise Frobenius, delta inner
     by the nilpotent matrix with a single 1 in the upper right corner."""
-    f4, parent, res = _m2f4_restricted()
+    f4, res = _m2f4_restricted()
     a = res.algebra
     sigma = res.frobenius()
     m_el = _parent_matrix(res, [[0, 1], [0, 0]])
@@ -97,10 +90,7 @@ def f4c5_group() -> ExampleBundle:
     delta the inner sigma-derivation induced by 1."""
     f4 = field(2, 2)
     a = group_algebra_cyclic(f4, 5)
-    smat = la.zeros((5, 5))
-    for i in range(5):
-        smat[(2 * i) % 5, i] = 1
-    sigma = LinearMap(a, smat)
+    sigma = LinearMap.from_images(a, [a.basis_element(2 * i % 5) for i in range(5)])
     delta = inner_derivation(a, sigma, a.one)
     ctx = verify_skew_derivation(a, sigma, delta)
 
@@ -134,7 +124,7 @@ def f4c5_group() -> ExampleBundle:
 def m2f4_diag() -> ExampleBundle:
     """Same M2(F4) setting but delta inner by the diagonal matrix diag(0, a):
     neither delta nor delta' is nilpotent."""
-    f4, parent, res = _m2f4_restricted()
+    f4, res = _m2f4_restricted()
     a = res.algebra
     sigma = res.frobenius()
     m_el = _parent_matrix(res, [[0, 0], [0, f4.gen.idx]])

@@ -104,7 +104,7 @@ class CoeffLaurent(CoeffRows):
     _series = TruncSeries
 
     def __init__(self, ctx: SkewDerivation, ord_: int, coeffs: np.ndarray,
-                 end: Optional[int]):
+                 end: Optional[int] = None):
         self.ctx = ctx
         coeffs = np.asarray(coeffs)
         if coeffs.ndim != 2:

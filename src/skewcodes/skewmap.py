@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import Algebra, LinearMap
+from .algebra import Algebra, LinearMap, check_algebra
 from .errors import AxiomError, MixedStructureError
 
 
@@ -58,11 +58,16 @@ class SkewDerivation:
     @functools.cached_property
     def opposite(self) -> Optional["SkewDerivation"]:
         """A^op[X; sigma^{-1}, -delta sigma^{-1}], whose left coefficients are the
-        right ones here, or None if sigma is not invertible; derived on first access."""
+        right ones here, or None if sigma is not invertible; derived on first
+        access.  A^op is not re-verified: its right regular module, a_i -> a_j a_i,
+        is A's own tensor, taken once A passes its check (a.regular)."""
+        from .modact import RightModuleSpec  # modact imports this module
         a, inv = self.algebra, self.sigma.inverse()
         if inv is None:
             return None
         op_a = Algebra(a.field, a.tensor.transpose(1, 0, 2).copy(), a.unit, a.labels, a.meta)
+        check_algebra(a)
+        op_a.regular = RightModuleSpec(op_a, a.tensor)
         # not re-verified: (sigma^{-1}, -delta sigma^{-1}) is a skew derivation of
         # A^op exactly when (sigma, delta) is one of A (Goodearl-Warfield 2004)
         op = SkewDerivation(op_a, LinearMap(op_a, inv.matrix),

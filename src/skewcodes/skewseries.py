@@ -229,6 +229,8 @@ def kernel_left_x(ctx: SkewDerivation, n: int) -> list[TruncSeries]:
     an honest witness against right reversibility; empty basis means no such
     witness exists at this support size.
     """
+    if n < 0:
+        raise ValueError("kernel_left_x needs n >= 0")
     require_series_ring(ctx)
     if n == 0:
         return []

@@ -276,3 +276,34 @@ def test_algebra_element_refuses_coordinates_it_cannot_hold():
     x = AlgebraElement(a5, coords)
     assert coords.flags.writeable and not x.coords.flags.writeable
     assert str(x) == str(a5.from_coords([3, 0, 0, 0, 1])) == "(a+1) + g^4"
+
+
+def test_element_negation_and_field_scalars_in_gf9():
+    """Over GF(9), where -1 != 1: -x is the additive inverse and differs
+    from x, and x * c, c * x and x.scale(c) agree for a field scalar c
+    given as an element or, on the left, as its index."""
+    fs = field(3, 2)
+    a = group_algebra_cyclic(fs, 3)
+    x = a.element([1, fs.gen.idx, 0])
+    assert x + (-x) == a.zero and -x != x
+    assert -x == x.scale(fs.neg(1)) == fs.neg(1) * x
+    c = fs.gen
+    assert x * c == c.idx * x == x.scale(c) == x.scale(c.idx) != x
+    assert x.scale(c) * a.basis_element(1) == (x * a.basis_element(1)).scale(c)
+    assert x.scale(0) == a.zero
+
+
+def test_algebra_element_takes_its_own_elements_only():
+    fs = field(3, 2)
+    a, other = group_algebra_cyclic(fs, 3), matrix_algebra(fs, 2)
+    x = a.element([1, fs.gen.idx, 2])
+    assert a.element(x) is x
+    with pytest.raises(MixedStructureError):
+        a.element(other.one)
+
+
+def test_linear_map_is_zero_in_gf9():
+    a = group_algebra_cyclic(field(3, 2), 3)
+    ident = LinearMap.identity(a)
+    assert LinearMap.zero(a).is_zero() and (ident - ident).is_zero()
+    assert not ident.is_zero() and not (ident + ident).is_zero()

@@ -453,3 +453,47 @@ def test_digit_list_names_the_same_element_as_its_index(tmp_path):
         assert rc == 0, err
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def _workspace(tmp_path, doc):
+    path = tmp_path / "ws.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_quotient_tn_with_identity_sigma_and_zero_delta(tmp_path):
+    """F3[t]/(t^3 + 1) with sigma = id and delta = 0: the commutative case,
+    with series and Laurent rings at m_delta = m_delta' = 1."""
+    path = _workspace(tmp_path, {
+        "field": {"p": 3}, "algebra": {"kind": "quotient_tn", "poly": [1, 0, 0, 1]},
+        "sigma": {"kind": "identity"}, "delta": {"kind": "zero"},
+        "vectors": {"g": [[1, 1, 0]]}, "generators": ["g"]})
+    rc, out, err = run(["verify", "-w", path])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert "m_delta: 1" in lines and "laurent: yes (m_delta' = 1)" in lines
+    rc, out, err = run(["code", "closure", "-w", path])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "rate: 2/3" and lines[-2:] == ["[1, 0, 2]", "[0, 1, 1]"]
+    rc, out, err = run(["code", "roundtrip", "-w", path])
+    assert rc == 0, err
+    assert sum(line.startswith("ok ") for line in out.splitlines()) == 3
+
+
+def test_non_invertible_sigma_is_reported_and_refuses_laurent(tmp_path):
+    """The YZ quotient with sigma the projection onto 1 and delta = 0:
+    verify reports sigma as not invertible, and a Laurent product exits 1."""
+    path = _workspace(tmp_path, {
+        "field": {"p": 2}, "algebra": {"kind": "quotient_yz"},
+        "sigma": {"kind": "matrix", "matrix": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        "delta": {"kind": "zero"},
+        "laurent": {"one": {"ord": 0, "coeffs": [[1, 0, 0]], "end": 1}}})
+    rc, out, err = run(["verify", "-w", path])
+    assert rc == 0, err
+    lines = out.splitlines()
+    assert "sigma: endomorphism ok (not invertible)" in lines
+    assert "laurent: no (sigma is not invertible)" in lines
+    rc, out, err = run(["mul", "-w", path, "-r", "laurent", "one", "one"])
+    assert rc == 1 and out == ""
+    assert "check failed: laurent ring unavailable: sigma is not invertible" in err

@@ -294,3 +294,25 @@ def test_integer_values_still_reduce():
     assert field(3).element(np.int64(-1)).idx == 2
     assert field(2, 2).element(np.int16(3)).idx == 3
     assert field(3, 2).element([np.int8(2), 4]).idx == 2 + 3 * 1
+
+
+def test_element_inverse_and_negative_powers_in_gf9():
+    """In GF(9), -1 != 1: g^-1 is g.inverse(), and g^-k the inverse of g^k."""
+    fs = field(3, 2)
+    g = fs.gen
+    assert g * g.inverse() == fs.one and g.inverse() != g
+    assert g ** -1 == g.inverse()
+    assert g ** -2 == (g * g).inverse() and g ** -2 * g ** 2 == fs.one
+    assert -fs.one != fs.one
+    with pytest.raises(ZeroDivisionError):
+        fs.zero.inverse()
+
+
+def test_poly_coeff_scale_by_zero_and_monic_zero_in_gf9():
+    fs = field(3, 2)
+    p = Poly(fs, [1, fs.gen.idx, 0, fs.neg(1)])
+    assert [p.coeff(i) for i in (-1, 0, 1, 2, 3, 4)] == [0, 1, fs.gen.idx, 0, fs.neg(1), 0]
+    assert p.scale(0) == Poly.zero(fs) and p.scale(0).is_zero()
+    assert p.monic().lead() == 1 and p.monic() == p.scale(fs.neg(1))
+    z = Poly.zero(fs).monic()
+    assert z.is_zero() and z == Poly.zero(fs)

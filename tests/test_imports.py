@@ -5,6 +5,7 @@ import importlib.util
 from pathlib import Path
 
 import skewcodes
+from skewcodes.modact import _OverModule
 from skewcodes.skewpoly import CoeffRows
 
 
@@ -155,4 +156,14 @@ def test_window_algebra_is_written_once():
             if isinstance(cls, type) and issubclass(cls, CoeffRows):
                 offenders += [f"{name}.{cls.__name__}.{m}" for m in WINDOW_METHODS
                               if getattr(cls, m) is not getattr(CoeffRows, m)]
+    assert not offenders, offenders
+
+
+def test_module_windows_have_one_constructor():
+    """A module window is its ring-layer class's window over (spec, ctx):
+    no subclass of modact._OverModule defines a constructor of its own."""
+    module = importlib.import_module("skewcodes.modact")
+    offenders = [cls.__name__ for cls in vars(module).values()
+                 if isinstance(cls, type) and issubclass(cls, _OverModule)
+                 and cls is not _OverModule and "__init__" in vars(cls)]
     assert not offenders, offenders

@@ -489,6 +489,55 @@ def test_exact_scalar_action_of_nonnegative_order_needs_no_laurent_ring(fyz_quot
         veclaurent_times_scalar(VecLaurent(spec, ctx, -1, rows, None), a)
 
 
+def test_scalar_actions_keep_the_class_of_a_ring_window(laurent_bundles,
+                                                        odd_laurent_bundles):
+    """veclaurent_times_scalar on a TruncLaurent t, windowed and exact, of
+    order -2, 0 and 2, is a TruncLaurent with the window and coefficients of
+    the product on t's module twin over A.regular."""
+    rng = random.Random(83)
+    for b in laurent_bundles + odd_laurent_bundles:
+        ctx = b.ctx
+        for ord_ in (-2, 0, 2):
+            for end in (ord_ + 5, None):
+                rows = rand_coords(rng, ctx.field.q, (4, ctx.algebra.dim))
+                rows[0, 0] = 1
+                t = TruncLaurent(ctx, ord_, rows, end)
+                a = rand_element(rng, ctx.algebra)
+                got = veclaurent_times_scalar(t, a)
+                want = veclaurent_times_scalar(
+                    VecLaurent(ctx.algebra.regular, ctx, t.ord, t.coeffs, t.end), a)
+                assert type(got) is TruncLaurent, (b.name, ord_, end)
+                assert (got.ord, got.end) == (want.ord, want.end), (b.name, ord_, end)
+                assert np.array_equal(got.coeffs, want.coeffs), (b.name, ord_, end)
+
+
+def test_module_windows_take_the_ring_constructors_arguments(f4c5_group, m2f4_inner):
+    """VecPoly, VecSeries and VecLaurent take (spec, ctx) and then their
+    ring-layer class's arguments, by position or by name; end defaults to
+    None (exact) as on CoeffLaurent, and a spec over another algebra is
+    refused."""
+    ctx = f4c5_group.ctx
+    spec = regular_module(ctx.algebra)
+    rows = la.eye(spec.n)[:3]
+    assert VecPoly(spec, ctx, coeffs=rows) == VecPoly(spec, ctx, rows)
+    assert VecSeries(spec, ctx, prec=3, coeffs=rows) == VecSeries(spec, ctx, 3, rows)
+    assert VecLaurent(spec, ctx, -1, rows, end=4) == VecLaurent(spec, ctx, -1, rows, 4)
+    assert VecLaurent(spec, ctx, -1, rows).end is None
+    with pytest.raises(MixedStructureError):
+        VecPoly(natural_module(m2f4_inner.restriction), ctx, rows)
+
+
+def test_vecpoly_times_scalar_on_a_ring_polynomial(all_bundles):
+    """vecpoly_times_scalar(f, a) on a SkewPoly f is the product f a."""
+    rng = random.Random(89)
+    for b in all_bundles:
+        ctx = b.ctx
+        for _ in range(5):
+            f = rand_poly(rng, ctx, 3)
+            a = rand_element(rng, ctx.algebra)
+            assert vecpoly_times_scalar(f, a) == poly_mul(f, SkewPoly.constant(ctx, a)), b.name
+
+
 def _module_operands(b, spec):
     """A vector poly, series and Laurent series of b's context over spec, and
     ring ones of the same windows."""

@@ -1,6 +1,7 @@
 """(sigma, delta) verification, the mirror derivation and the N-operators."""
 
 import random
+import re
 import sys
 import threading
 
@@ -290,18 +291,62 @@ def test_opposite_is_built_on_first_access_only(monkeypatch):
         assert b.ctx.opposite is op and calls == [], b.name
 
 
+def _assert_derived_algebra(a, name):
+    """a passes the algebra check it skipped, and its regular module passes
+    the module check and equals the one that check builds."""
+    assert verify_algebra(a).ok, name
+    assert module_verify(a.regular).ok, name
+    fresh = algebra.Algebra(a.field, a.tensor, a.unit, a.labels, a.meta)
+    assert a.regular == fresh.regular, name
+
+
 def test_derived_structures_pass_the_checks_they_skip(all_bundles, odd_laurent_bundles,
                                                      odd_fyz_bundles):
     """A.regular is built without check_module, and ctx.opposite without
-    verify_skew_derivation; both checks, run here as oracles, accept them,
-    and A^op passes the algebra check."""
+    verify_skew_derivation; A^op and a scalar restriction take their
+    regular modules from their source's check.  The checks, run here as
+    oracles, accept them all."""
     for b in all_bundles + odd_laurent_bundles + odd_fyz_bundles:
         ctx = b.ctx
         assert module_verify(ctx.algebra.regular).ok, b.name
         op = ctx.opposite
         if op is not None:
-            assert verify_algebra(op.algebra).ok, b.name
+            _assert_derived_algebra(op.algebra, b.name)
             assert verify_skew_derivation(op.algebra, op.sigma, op.delta) == op, b.name
+        if b.restriction is not None:
+            _assert_derived_algebra(b.restriction.algebra, b.name)
+
+
+def test_derived_algebras_are_not_reverified(monkeypatch):
+    """The first ring element over ctx.opposite, and restricting a verified
+    parent, run no algebra check: A^op and the restriction take their
+    regular modules from A's and the parent's."""
+    a = matrix_algebra(field(3, 2), 2)
+    ctx = verify_skew_derivation(a, LinearMap.identity(a), LinearMap.zero(a))
+    calls = []
+    real = algebra.verify_algebra
+    monkeypatch.setattr(algebra, "verify_algebra",
+                        lambda x: calls.append(x) or real(x))
+    assert SkewPoly.one(ctx.opposite).space is ctx.opposite.algebra.regular
+    res = algebra.ScalarRestriction(a)
+    assert SkewPoly.one(verify_skew_derivation(
+        res.algebra, res.frobenius(), LinearMap.zero(res.algebra))).degree == 0
+    assert calls == []
+
+
+def test_raw_broken_algebra_is_refused_by_its_derived_algebras():
+    """A raw non-associative algebra is refused at its first ctx.opposite,
+    and as the parent of a scalar restriction, with its first failure."""
+    good = matrix_algebra(field(2, 2), 2)
+    tensor = good.tensor.copy()
+    tensor[1, 2, 0] ^= 1  # corrupt E12 * E21
+    bad = algebra.Algebra(good.field, tensor, good.unit, good.labels, good.meta)
+    msg = re.escape(verify_algebra(bad).failures[0])
+    ctx = verify_skew_derivation(bad, LinearMap.identity(bad), LinearMap.zero(bad))
+    with pytest.raises(AxiomError, match=msg):
+        ctx.opposite
+    with pytest.raises(AxiomError, match=msg):
+        algebra.ScalarRestriction(bad)
 
 
 def test_each_algebra_is_verified_once(monkeypatch):

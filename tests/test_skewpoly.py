@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewcodes import (Poly, SkewPoly, left_from_right, poly_mul,
+from skewcodes import (LinearMap, Poly, SkewPoly, field, group_algebra_cyclic,
+                       left_from_right, poly_mul, verify_skew_derivation,
                        poly_mul_iterative, right_from_left, xn_times)
 from skewcodes.errors import MixedStructureError
 from skewcodes.fields import DTYPE
@@ -284,3 +285,16 @@ def test_negative_exponents_are_refused(m2f4_inner):
             with pytest.raises(ValueError, match=f"exponent n = {n} is negative"):
                 build(n)
         assert build(0).coeffs.shape[0] == 1
+
+
+def test_elements_lists_every_coefficient_in_gf9():
+    """SkewPoly.elements() gives the coefficients f_0 .. f_deg, zeros in
+    between included, and nothing for the zero polynomial."""
+    fs = field(3, 2)
+    a = group_algebra_cyclic(fs, 3)
+    ctx = verify_skew_derivation(a, LinearMap.identity(a), LinearMap.zero(a))
+    x, y = a.element([1, fs.gen.idx, 0]), -a.basis_element(2)
+    f = SkewPoly.from_elements(ctx, [x, a.zero, y])
+    assert f.elements() == [x, a.zero, y]
+    assert (-f).elements() == [-x, a.zero, -y] != f.elements()
+    assert SkewPoly.zero(ctx).elements() == []

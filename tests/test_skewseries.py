@@ -35,6 +35,13 @@ def test_series_ring_availability(series_bundles, m2f4_diag):
         kernel_left_x(m2f4_diag.ctx, 2)
 
 
+def test_kernel_left_x_refuses_a_negative_support(series_bundles):
+    for b in series_bundles:
+        with pytest.raises(ValueError, match="kernel_left_x needs n >= 0"):
+            kernel_left_x(b.ctx, -1)
+        assert kernel_left_x(b.ctx, 0) == []
+
+
 def test_q_bound_is_linear_in_window(series_bundles):
     for b in series_bundles:
         m = b.ctx.m_delta
