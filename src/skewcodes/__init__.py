@@ -22,9 +22,7 @@ from .skewmap import (NOperatorTable, SkewDerivation, n_operator,
                       nilpotency_index, verify_skew_derivation)
 from .skewpoly import (SkewPoly, left_from_right, poly_mul,
                        poly_mul_iterative, right_from_left, xn_times)
-from .skewseries import (OreWitness, TruncSeries, ore_left, q_bound,
-                         series_mul, series_times_scalar, x_times_series,
-                         xn_times_series)
+from .skewseries import OreWitness, TruncSeries, ore_left, q_bound, series_mul
 from .skewlaurent import (LaurentAvailability, TruncLaurent, laurent_mul,
                           laurent_ring_exists, require_laurent_ring,
                           xinv_times, xnegn_direct, xnegn_times)
@@ -58,7 +56,6 @@ __all__ = [
     "SkewPoly", "left_from_right", "poly_mul", "poly_mul_iterative",
     "right_from_left", "xn_times",
     "OreWitness", "TruncSeries", "ore_left", "q_bound", "series_mul",
-    "series_times_scalar", "x_times_series", "xn_times_series",
     "LaurentAvailability", "TruncLaurent", "laurent_mul",
     "laurent_ring_exists", "require_laurent_ring", "xinv_times",
     "xnegn_direct", "xnegn_times",

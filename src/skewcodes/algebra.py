@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import AxiomError, MixedStructureError
-from .fields import DTYPE, FieldSpec, field
+from .fields import DTYPE, FieldSpec, _foreign, field
 from .fxlinalg import Poly
 
 
@@ -161,9 +161,9 @@ class AlgebraElement:
             self._check(other)
             return AlgebraElement(self.algebra, self.algebra.mul_rows(
                 self.coords[None, :], other.coords[None, :])[0, 0])
-        return self.scale(other)
+        return NotImplemented if _foreign(other) else self.scale(other)
 
-    __rmul__ = __mul__  # reached only for a field scalar, which is central
+    __rmul__ = __mul__  # a field scalar is central
 
     def scale(self, c) -> "AlgebraElement":
         c = self.algebra.field.element(c)

@@ -308,6 +308,14 @@ def field(p: int, k: int = 1, modulus: Optional[tuple[int, ...]] = None) -> Fiel
     return FieldSpec(p, k, modulus)
 
 
+def _foreign(value) -> bool:
+    """Whether value is of a library type other than FieldElement: the field
+    and algebra element operators leave it to Python, so that its own type
+    takes the operation or Python refuses it with a TypeError."""
+    return type(value).__module__.startswith(__package__ + ".") \
+        and not isinstance(value, FieldElement)
+
+
 class FieldElement:
     """Immutable element of a FieldSpec, stored as its index."""
 
@@ -322,37 +330,33 @@ class FieldElement:
     def __setattr__(self, *a):
         raise AttributeError("FieldElement is immutable")
 
-    def _check(self, other: "FieldElement") -> None:
-        if self.spec != other.spec:
-            raise MixedStructureError(
-                f"mixed fields: {self.spec!r} and {other.spec!r}")
-
     def __add__(self, other):
-        other = self.spec.element(other)
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.idx, other.idx))
+        if _foreign(other):
+            return NotImplemented
+        return FieldElement(self.spec, self.spec.add(self.idx, self.spec.element(other).idx))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self.spec.element(other)
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.idx, other.idx))
+        if _foreign(other):
+            return NotImplemented
+        return FieldElement(self.spec, self.spec.sub(self.idx, self.spec.element(other).idx))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg(self.idx))
 
     def __mul__(self, other):
-        other = self.spec.element(other)
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.idx, other.idx))
+        if _foreign(other):
+            return NotImplemented
+        return FieldElement(self.spec, self.spec.mul(self.idx, self.spec.element(other).idx))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self.spec.element(other)
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.idx, self.spec.inv(other.idx)))
+        if _foreign(other):
+            return NotImplemented
+        inv = self.spec.inv(self.spec.element(other).idx)
+        return FieldElement(self.spec, self.spec.mul(self.idx, inv))
 
     def __pow__(self, e: int):
         return FieldElement(self.spec, self.spec.pow_(self.idx, e))

@@ -10,8 +10,8 @@ left multiplications replaced by the action:
 
 and, Laurent-side, right multiplication by X^l is a plain coefficient shift
 for every integer l (positive or negative), while the scalar action is the
-Laurent product with the scalar as a constant, windowed nonnegative orders
-apart, which embed into the series layer.
+product with the scalar as a constant: a series product on nonnegative
+orders, a Laurent one below.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from .errors import MixedStructureError
 from .fields import DTYPE
 from .skewlaurent import CoeffLaurent, TruncLaurent, laurent_mul
 from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, SkewPoly, _min_end, _trim, coefficient_maps,
-                       mul_arrays, poly_mul)
-from .skewseries import (CoeffSeries, TruncSeries, require_series_ring,
-                         series_mul, series_times_scalar)
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _min_end, _poly_rows, _trim,
+                       coefficient_maps, mul_arrays, poly_mul)
+from .skewseries import CoeffSeries, TruncSeries, require_series_ring, series_mul
 
 
 # ---- the action spec ----
@@ -231,7 +230,7 @@ class VecSeries(_OverModule, CoeffSeries):
         if isinstance(other, TruncSeries):
             return vecseries_times_ring(self, other)
         if isinstance(other, AlgebraElement):
-            return series_times_scalar(self, other)
+            return veclaurent_times_scalar(self, other)
         return NotImplemented
 
 
@@ -260,16 +259,17 @@ def vec_mul_arrays(spec: RightModuleSpec, ctx: SkewDerivation, v: np.ndarray,
 
 
 def vecpoly_times_scalar(v: CoeffPoly, a: AlgebraElement) -> CoeffPoly:
-    """v a, in v's own class: v over any right A-module."""
+    """v a, in v's own class: v an exact polynomial over any right A-module."""
     if a.algebra != v.ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    return v._new(0, vec_mul_arrays(v.space, v.ctx, v.coeffs, a.coords[None, :]), None)
+    rows = _poly_rows(v, "the operand of vecpoly_times_scalar")
+    return v._new(0, vec_mul_arrays(v.space, v.ctx, rows, a.coords[None, :]), None)
 
 
 def vecpoly_times_basis(v: VecPoly) -> list[VecPoly]:
     """v a_l for every basis element a_l of A, in basis order, from one set
     of coefficient maps: row l of W_i is the X^i coefficient of v a_l."""
-    g = _trim(v.coeffs)
+    g = _trim(_poly_rows(v, "the operand of vecpoly_times_basis"))
     w = coefficient_maps(v.spec, v.ctx, g, g.shape[0])
     w = w.reshape(g.shape[0], v.ctx.algebra.dim, v.spec.n)
     return [v._new(0, w[:, l], None) for l in range(v.ctx.algebra.dim)]
@@ -288,19 +288,21 @@ def veclaurent_times_ring(v: VecLaurent, t: TruncLaurent) -> VecLaurent:
 
 # ---- Laurent-level products ----
 
-def veclaurent_times_scalar(s: CoeffLaurent, a: AlgebraElement) -> CoeffLaurent:
-    """s a, in s's own class: s over any right A-module.
+def veclaurent_times_scalar(s: CoeffRows, a: AlgebraElement) -> CoeffRows:
+    """s a, in s's own class: s any window over any right A-module.
 
-    A windowed s of nonnegative order embeds into the series layer.  Every
-    other s is the Laurent product with the exact constant a, built
-    unchecked: only negative orders need the Laurent ring.
+    On order >= 0 this is the series product with the constant a (s.end //
+    m_delta coefficients, or exact); below, the Laurent product with the
+    unchecked constant a, as only negative orders need the Laurent ring.
     """
     ctx = s.ctx
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
     require_series_ring(ctx)
-    if s.ord >= 0 and s.end is not None:
-        return type(s).from_series(series_times_scalar(s.to_series(), a))
+    if s.ord >= 0:
+        out, end = mul_arrays(s.space, ctx, s._window_arr(0, s.support_end),
+                              a.coords[None, :], s.end)
+        return s._new(0, out, end)
     return laurent_mul(s, CoeffLaurent(ctx, 0, a.coords[None, :]))
 
 

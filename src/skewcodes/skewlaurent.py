@@ -128,10 +128,6 @@ class CoeffLaurent(CoeffRows):
     def from_series(cls, s: CoeffSeries):
         return cls(*s._structure(), 0, s.coeffs, s.prec)
 
-    def _zero(self, end: Optional[int]):
-        """The zero class modulo X^end, in the same space."""
-        return self._new(0, self.coeffs[:0], end)
-
     def to_series(self) -> CoeffSeries:
         """View as a power series mod X^end (X^support_end if exact); needs ord >= 0."""
         if self.ord < 0:

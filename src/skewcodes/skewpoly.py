@@ -211,6 +211,10 @@ class CoeffRows:
         return self._new(self.ord + n, self.coeffs,
                          None if self.end is None else self.end + n)
 
+    def _zero(self, end: Optional[int]):
+        """The zero class modulo X^end, in the same class and space."""
+        return self._new(0, self.coeffs[:0], end)
+
     def _window_arr(self, lo: int, hi: int) -> np.ndarray:
         return _window(self.ord, self.coeffs, lo, hi)
 
@@ -276,7 +280,9 @@ class CoeffPoly(CoeffRows):
         self._set_window(0, _trim(np.array(coeffs)), None)
 
     def _new(self, ord_: int, coeffs: np.ndarray, end: Optional[int]):
-        """end is None: every window algebra result on polynomials is exact."""
+        """A polynomial is exact: a result known only mod X^end is refused."""
+        if end is not None:
+            raise PrecisionError(f"the window [{ord_}, {end}) is not an exact polynomial")
         if ord_ < 0:
             raise ValueError("polynomial shift needs n >= 0")
         return type(self)(*self._structure(),
@@ -372,6 +378,14 @@ def _over_algebra(f: CoeffRows, what: str) -> None:
         raise MixedStructureError(f"{what} is over {f.space!r}, not over the algebra")
 
 
+def _poly_rows(f: CoeffRows, what: str) -> np.ndarray:
+    """f's rows from X^0 on, for an f that is an exact polynomial (an exact
+    window of order >= 0); any other window, named by what, is refused."""
+    if f.end is not None or f.ord < 0:
+        raise PrecisionError(f"{what} is not an exact polynomial: {f!r}")
+    return f._window_arr(0, f.support_end) if f.ord else f.coeffs
+
+
 def _check_product(g: CoeffRows, f: CoeffRows) -> None:
     """The products' shared prologue: g and f over one context, f over A."""
     if g.ctx != f.ctx:
@@ -380,9 +394,12 @@ def _check_product(g: CoeffRows, f: CoeffRows) -> None:
 
 
 def poly_mul(g: CoeffPoly, f: SkewPoly) -> CoeffPoly:
-    """Product via the closed N-operator formula; g over any right A-module."""
+    """Product via the closed N-operator formula; g over any right A-module.
+    Both factors are exact polynomials."""
     _check_product(g, f)
-    return g._new(0, mul_arrays(g.space, g.ctx, g.coeffs, f.coeffs)[0], None)
+    rows = mul_arrays(g.space, g.ctx, _poly_rows(g, "the left factor"),
+                      _poly_rows(f, "the right factor"))[0]
+    return g._new(0, rows, None)
 
 
 def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:
@@ -391,12 +408,14 @@ def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:
     return SkewPoly(g.ctx, mul_iterative_arrays(g.ctx, g.coeffs, f.coeffs))
 
 
-def xn_times(f: SkewPoly, n: int) -> SkewPoly:
-    """X^n * f via the N-operator expansion."""
+def xn_times(f: CoeffRows, n: int) -> CoeffRows:
+    """X^n f for any window f over A, in f's class: X^n (f_hat X^o) =
+    (X^n f_hat) X^o, whose X^l coefficient reads f_hat to l: the end is kept."""
     if n < 0:
         raise ValueError("xn_times needs n >= 0")
     _over_algebra(f, "the operand of xn_times")
-    return SkewPoly(f.ctx, xn_arrays(f.ctx, f.coeffs, n))
+    limit = None if f.end is None else f.end - f.ord
+    return f._new(f.ord, xn_arrays(f.ctx, f.coeffs, n, out_limit=limit), f.end)
 
 
 def _contract(table, coeffs: np.ndarray) -> np.ndarray:
@@ -427,7 +446,8 @@ def right_from_left(f: SkewPoly) -> list[AlgebraElement]:
     sum_{j >= i} N'_i^j(f_j): the same contraction on the opposite's table.
     """
     _over_algebra(f, "the operand of right_from_left")
+    rows = _poly_rows(f, "the operand of right_from_left")
     op = f.ctx.opposite
     if op is None:
         raise ValueError("right coefficients need an invertible sigma")
-    return [AlgebraElement(f.ctx.algebra, v) for v in _contract(op.ntable, f.coeffs)]
+    return [AlgebraElement(f.ctx.algebra, v) for v in _contract(op.ntable, rows)]

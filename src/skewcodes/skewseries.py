@@ -28,11 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import AlgebraElement
-from .errors import MixedStructureError, PrecisionError, RingUnavailableError
+from .errors import PrecisionError, RingUnavailableError
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _over_algebra,
-                       _window, mul_arrays, x_times_arrays, xn_arrays, xn_times)
+                       _poly_rows, _window, mul_arrays, xn_arrays, xn_times)
 
 
 def require_series_ring(ctx: SkewDerivation) -> int:
@@ -109,30 +108,6 @@ def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
     return s._new(0, out, prec)
 
 
-def series_times_scalar(s: CoeffSeries, a: AlgebraElement) -> CoeffSeries:
-    """s * a for a scalar a: the product with the exact constant a, on the
-    s.prec // m_delta coefficients the left factor supports."""
-    require_series_ring(s.ctx)
-    if a.algebra != s.ctx.algebra:
-        raise MixedStructureError("scalar from a different algebra")
-    out, prec = mul_arrays(s.space, s.ctx, s.coeffs, a.coords[None, :], s.prec)
-    return s._new(0, out, prec)
-
-
-def x_times_series(s: TruncSeries) -> TruncSeries:
-    """X * s: coefficient j becomes sigma(s_{j-1}) + delta(s_j); window kept."""
-    _over_algebra(s, "the operand of x_times_series")
-    return s._new(0, x_times_arrays(s.ctx, s.coeffs), s.prec)
-
-
-def xn_times_series(s: TruncSeries, n: int) -> TruncSeries:
-    """X^n * s via the N-operator expansion; window kept."""
-    if n < 0:
-        raise ValueError("xn_times_series needs n >= 0")
-    _over_algebra(s, "the operand of xn_times_series")
-    return s._new(0, xn_arrays(s.ctx, s.coeffs, n, out_limit=s.prec), s.prec)
-
-
 # ---- Ore denominator-set machinery ----
 
 @dataclass(frozen=True)
@@ -169,7 +144,7 @@ def ore_left(f: SkewPoly, k: int = 1) -> OreWitness:
         raise ValueError("ore_left needs k >= 1")
     _over_algebra(f, "the operand of ore_left")
     ctx = f.ctx
-    total_n, cur = 0, f.coeffs
+    total_n, cur = 0, _poly_rows(f, "the operand of ore_left")
     for _ in range(k):
         n = _element_chain_length(ctx, cur[0]) if cur.shape[0] else 0
         cur = xn_arrays(ctx, cur, n)[1:]
@@ -217,7 +192,7 @@ def solve_right_permutable(f: TruncSeries, n_max: int) -> Optional[Permutability
         x = la.zeros(n * r)
         x[pivots] = ub[: len(pivots)]
         s = TruncSeries(ctx, n, x.reshape(n, r))
-        if x_times_series(s).agrees_with(shifted):
+        if xn_times(s, 1).agrees_with(shifted):
             return PermutabilityWitness(m, s)
     return None
 

@@ -1,6 +1,7 @@
 """Structure-constant algebras, linear maps and scalar restriction."""
 
 import itertools
+import operator
 import random
 import re
 
@@ -281,16 +282,27 @@ def test_algebra_element_refuses_coordinates_it_cannot_hold():
 def test_element_negation_and_field_scalars_in_gf9():
     """Over GF(9), where -1 != 1: -x is the additive inverse and differs
     from x, and x * c, c * x and x.scale(c) agree for a field scalar c
-    given as an element or, on the left, as its index."""
+    given as an element or as its index.  A field element leaves an algebra
+    element to it: c * x raised a ValueError, and c + x does not exist.
+    Malformed scalars keep their ValueError on either side."""
     fs = field(3, 2)
     a = group_algebra_cyclic(fs, 3)
     x = a.element([1, fs.gen.idx, 0])
     assert x + (-x) == a.zero and -x != x
     assert -x == x.scale(fs.neg(1)) == fs.neg(1) * x
     c = fs.gen
-    assert x * c == c.idx * x == x.scale(c) == x.scale(c.idx) != x
+    assert x * c == c * x == c.idx * x == x.scale(c) == x.scale(c.idx) != x
     assert x.scale(c) * a.basis_element(1) == (x * a.basis_element(1)).scale(c)
     assert x.scale(0) == a.zero
+    for op in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(c, x)
+    for bad, text in ((1.5, "must be integers: got 1.5"), (True, "must be integers: got True"),
+                      ([1, 2, 0], r"digit list \[1, 2, 0\] is longer than k = 2")):
+        for op in (operator.mul, lambda u, v: operator.mul(v, u)):
+            for y in (x, c):
+                with pytest.raises(ValueError, match=text):
+                    op(y, bad)
 
 
 def test_algebra_element_takes_its_own_elements_only():

@@ -497,3 +497,73 @@ def test_non_invertible_sigma_is_reported_and_refuses_laurent(tmp_path):
     rc, out, err = run(["mul", "-w", path, "-r", "laurent", "one", "one"])
     assert rc == 1 and out == ""
     assert "check failed: laurent ring unavailable: sigma is not invertible" in err
+
+
+def _edited(name, **sections):
+    doc = ws_json(name)
+    doc.update(sections)
+    return doc
+
+
+# (id, workspace: a bundled name or a document, argv with WS for its path,
+#  the message or, where json words it, its start)
+CLI_REFUSALS = [
+    ("workspace-not-an-object", [], ["verify", "-w", "WS"],
+     "workspace must be a JSON object"),
+    ("field-p-not-prime", _edited("f4c5", field={"p": 4}), ["verify", "-w", "WS"],
+     "bad field: p = 4 is not prime"),
+    ("unknown-algebra-kind", _edited("f4c5", algebra={"kind": "lie"}),
+     ["verify", "-w", "WS"], "unknown algebra kind 'lie'"),
+    ("frobenius-sigma-without-restriction", _edited("f4c5", sigma={"kind": "frobenius"}),
+     ["verify", "-w", "WS"], "frobenius sigma needs restrict_scalars"),
+    ("group-power-sigma-on-a-matrix-algebra",
+     _edited("m2f4_e12", sigma={"kind": "group_power", "power": 2}),
+     ["verify", "-w", "WS"], "group_power sigma needs a group_cyclic algebra"),
+    ("unknown-sigma-kind", _edited("f4c5", sigma={"kind": "shift"}),
+     ["verify", "-w", "WS"], "unknown sigma kind 'shift'"),
+    ("unknown-delta-kind", _edited("f4c5", delta={"kind": "outer"}),
+     ["verify", "-w", "WS"], "unknown delta kind 'outer'"),
+    ("natural-module-of-a-group-algebra", _edited("f4c5", module={"kind": "natural"}),
+     ["code", "closure", "-w", "WS"],
+     "natural module needs a scalar-restricted matrix algebra"),
+    ("unknown-module-kind", _edited("f4c5", module={"kind": "free"}),
+     ["code", "closure", "-w", "WS"], "unknown module kind 'free'"),
+    ("field-element-not-an-integer", "f4c5", ["mul", "-w", "WS", "[[1.5, 0, 0, 0, 0]]", "x"],
+     "bad field element 1.5"),
+    ("field-element-index-out-of-range", "f4c5",
+     ["mul", "-w", "WS", "[[7, 0, 0, 0, 0]]", "x"],
+     "bad field element 7: index 7 outside [0, 4)"),
+    ("element-object-without-parent-matrix", "m2f4_e12", ["mul", "-w", "WS", "[{}]", "x"],
+     "element object needs a parent_matrix key"),
+    ("parent-matrix-off-a-matrix-algebra", "f4c5",
+     ["mul", "-w", "WS", '[{"parent_matrix": [[1]]}]', "x"],
+     "parent_matrix needs a scalar-restricted matrix algebra"),
+    ("ring-polynomial-not-a-list", "f4c5", ["mul", "-w", "WS", '{"coeffs": []}', "x"],
+     "ring polynomial must be a list of elements"),
+    ("series-prec-negative", "f4c5",
+     ["mul", "-w", "WS", "-r", "series", '{"coeffs": [], "prec": -1}', "s1"],
+     "series prec must be a nonnegative integer"),
+    ("inline-payload-not-json", "f4c5", ["mul", "-w", "WS", "[1 2", "x"],
+     "bad inline payload: Expecting ',' delimiter: line 1 column "),
+    ("nop-i-above-n", "f4c5", ["nop", "-w", "WS", "-i", "3", "-n", "2"],
+     "need 0 <= i <= n, got i=3, n=2"),
+    ("closure-without-generators", "fyz_quotient", ["code", "closure", "-w", "WS"],
+     "no generators: pass -g or add a 'generators' list to the workspace"),
+    ("encode-without-a-message", "f4c5", ["code", "encode", "-w", "WS"],
+     "encode needs -m MESSAGE"),
+    ("message-not-a-list", "f4c5", ["code", "encode", "-w", "WS", "-m", '{"m0": 1}'],
+     "message must be a list of F[X] polynomials"),
+    ("message-entry-not-a-list", "f4c5", ["code", "encode", "-w", "WS", "-m", "[1]"],
+     "each message entry must be a coefficient list"),
+]
+
+
+@pytest.mark.parametrize("workspace,argv,message", [row[1:] for row in CLI_REFUSALS],
+                         ids=[row[0] for row in CLI_REFUSALS])
+def test_cli_refusals(tmp_path, workspace, argv, message):
+    """Each malformed workspace or argument exits 2 with its one-line
+    message on stderr, prints nothing to stdout and raises no traceback."""
+    path = ws(workspace) if isinstance(workspace, str) else _workspace(tmp_path, workspace)
+    rc, out, err = run([path if a == "WS" else a for a in argv])
+    assert (rc, out) == (2, ""), err
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1, err

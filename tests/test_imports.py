@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import types
 from pathlib import Path
 
 import skewcodes
@@ -167,3 +168,12 @@ def test_module_windows_have_one_constructor():
                  if isinstance(cls, type) and issubclass(cls, _OverModule)
                  and cls is not _OverModule and "__init__" in vars(cls)]
     assert not offenders, offenders
+
+
+def test_all_lists_the_public_names_once():
+    """__all__ is exactly the package's public names that are not its
+    modules, each once: a deleted operation leaves no stale entry."""
+    public = {name for name, value in vars(skewcodes).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(skewcodes.__all__) == len(set(skewcodes.__all__))
+    assert set(skewcodes.__all__) == public, set(skewcodes.__all__) ^ public

@@ -1,5 +1,6 @@
 """Right module actions on vectors of polynomials, series, Laurent series."""
 
+import itertools
 import random
 import re
 
@@ -7,15 +8,14 @@ import numpy as np
 import pytest
 
 from skewcodes import (ScalarRestriction, SkewPoly, TruncLaurent, TruncSeries,
-                       field, matrix_algebra, ore_left, poly_mul, poly_mul_iterative,
-                       right_from_left, x_times_series, xn_times, xn_times_series,
-                       xnegn_times)
+                       field, left_from_right, matrix_algebra, ore_left, poly_mul,
+                       poly_mul_iterative, right_from_left, xn_times, xnegn_times)
 from skewcodes import _gflinalg as la
 from skewcodes import skewpoly
 from skewcodes.errors import MixedStructureError, PrecisionError, RingUnavailableError
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import laurent_mul, xinv_times
-from skewcodes.skewseries import series_mul, series_times_scalar
+from skewcodes.skewseries import series_mul
 from skewcodes.modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                               central_laurent, check_module,
                               flsx_scalar_action, module_verify,
@@ -123,8 +123,8 @@ def test_regular_module_reproduces_ring_products(all_bundles, series_bundles,
             v = VecSeries(spec, ctx, N, s.coeffs)
             assert same_window(vecseries_times_ring(v, t), series_mul(s, t)), b.name
             a = rand_element(rng, b.algebra)
-            assert same_window(series_times_scalar(v, a),
-                               series_times_scalar(s, a)), b.name
+            assert same_window(veclaurent_times_scalar(v, a),
+                               veclaurent_times_scalar(s, a)), b.name
     for b in laurent_bundles:
         spec = regular_module(b.algebra)
         ctx = b.ctx
@@ -191,17 +191,27 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
             t = TruncLaurent(ctx, *t_window)
             a = rand_element(rng, b.algebra)
             f = rand_central_class(rng, q)
+            n = rng.randrange(5)
             windowed = (laurent_mul(s, t), veclaurent_times_ring(v, t),
                         veclaurent_times_scalar(v, a), xinv_times(s),
-                        flsx_scalar_action(v, *f))
+                        flsx_scalar_action(v, *f), xn_times(s, n))
             for _ in range(2):
                 cs, cv, ct = (completion(rng, x, 4) for x in (s, v, t))
                 cf = central_completion(rng, q, f, 4)
                 exact = (laurent_mul(cs, ct), veclaurent_times_ring(cv, ct),
                          veclaurent_times_scalar(cv, a), xinv_times(cs),
-                         flsx_scalar_action(cv, *cf))
+                         flsx_scalar_action(cv, *cf), xn_times(cs, n))
                 for w, e in zip(windowed, exact):
                     assert e.end is None and e.agrees_with(w), (b.name, w, e)
+        # X^n on windows of order -2, 0 and 2, windowed and exact
+        for ord_, end, n in itertools.product((-2, 0, 2), (3, None), (1, 2, 4)):
+            s = TruncLaurent(ctx, ord_, rand_coords(rng, q, (3, r)),
+                             None if end is None else ord_ + end)
+            w = xn_times(s, n)
+            assert type(w) is TruncLaurent and w.end == s.end, (b.name, w)
+            for _ in range(2):
+                e = xn_times(completion(rng, s, 4), n)
+                assert e.end is None and e.agrees_with(w), (b.name, w, e)
         # exact right operands: the window end rests on the left one alone
         for _ in range(20):
             vo, L = rng.randrange(-3, 3), rng.randrange(1, 6)
@@ -223,14 +233,17 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
         for _ in range(4):
             v = VecSeries(spec, ctx, 3 * m, rand_coords(rng, q, (3 * m, spec.n)))
             t = TruncSeries(ctx, 3, rand_coords(rng, q, (3, r)))
-            w = vecseries_times_ring(v, t)
+            a = rand_element(rng, b.algebra)
+            w, wa = vecseries_times_ring(v, t), veclaurent_times_scalar(v, a)
+            assert type(wa) is VecSeries, b.name
             for _ in range(2):
                 cv = VecPoly(spec, ctx, np.concatenate(
                     [v.coeffs, rand_coords(rng, q, (2 * m, spec.n))]))
                 ct = SkewPoly(ctx, np.concatenate(
                     [t.coeffs, rand_coords(rng, q, (2, r))]))
                 assert VecSeries.from_poly(poly_mul(cv, ct), w.prec) == w, b.name
-        # ring side: series_mul and series_times_scalar, zero operands included
+                assert VecSeries.from_poly(vecpoly_times_scalar(cv, a), wa.prec) == wa
+        # ring side: series_mul, the scalar action and X^n, zero operands included
         cases = [(rand_coords(rng, q, (3 * m, r)), rand_coords(rng, q, (3, r)))
                  for _ in range(3)]
         cases += [(np.zeros((3 * m, r), dtype=DTYPE), rand_coords(rng, q, (3, r))),
@@ -238,7 +251,9 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
         for s_rows, t_rows in cases:
             s, t = TruncSeries(ctx, 3 * m, s_rows), TruncSeries(ctx, 3, t_rows)
             a = rand_element(rng, b.algebra)
-            w, wa = series_mul(s, t), series_times_scalar(s, a)
+            n = rng.randrange(1, 5)
+            w, wa, wx = series_mul(s, t), veclaurent_times_scalar(s, a), xn_times(s, n)
+            assert type(wa) is type(wx) is TruncSeries and wx.prec == s.prec, b.name
             for _ in range(2):
                 cs = SkewPoly(ctx, np.concatenate(
                     [s_rows, rand_coords(rng, q, (rng.randrange(1, 2 * m + 1), r))]))
@@ -248,6 +263,8 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
                 assert TruncSeries.from_poly(exact, w.prec) == w, b.name
                 exact = poly_mul_iterative(cs, SkewPoly.constant(ctx, a))
                 assert TruncSeries.from_poly(exact, wa.prec) == wa, b.name
+                exact = poly_mul_iterative(SkewPoly.x_power(ctx, n), cs)
+                assert TruncSeries.from_poly(exact, wx.prec) == wx, b.name
 
 
 def test_natural_module_is_row_action_by_parent_matrices(m2f4_inner,
@@ -324,7 +341,7 @@ def test_vecseries_scalar_matches_constant_series(series_bundles):
         for _ in range(10):
             s = rand_vecseries(rng, spec, ctx, 12)
             a = rand_element(rng, b.algebra)
-            direct = series_times_scalar(s, a)
+            direct = veclaurent_times_scalar(s, a)
             assert direct.prec == 12 // ctx.m_delta
             const = TruncSeries.from_elements(ctx, [a], direct.prec)
             composed = vecseries_times_ring(s, const)
@@ -556,8 +573,7 @@ NEEDS_THE_ALGEBRA = {
     "series_mul": lambda o: series_mul(o["s"], o["vs"]),
     "laurent_mul": lambda o: laurent_mul(o["lv"], o["lv"]),
     "xn_times": lambda o: xn_times(o["v"], 2),
-    "xn_times_series": lambda o: xn_times_series(o["vs"], 2),
-    "x_times_series": lambda o: x_times_series(o["vs"]),
+    "xn_times_on_a_series": lambda o: xn_times(o["vs"], 2),
     "xnegn_times": lambda o: xnegn_times(o["lv"], 2),
     "xinv_times": lambda o: xinv_times(o["lv"]),
     "right_from_left": lambda o: right_from_left(o["v"]),
@@ -574,19 +590,71 @@ def test_module_operand_where_the_algebra_is_needed_is_refused(m2f4_inner, modul
         NEEDS_THE_ALGEBRA[name](_module_operands(m2f4_inner, module_a))
 
 
+def _exactness_grid(b):
+    """P = 1 + E21 X, S = P + O(X^4), L = X + E21 X^2 + O(X^5) and the exact
+    Laurent X^2 + E21 X^3 of order 2, on m2f4-inner."""
+    ctx, a = b.ctx, b.algebra
+    e21 = a.basis_element(4)
+    p = SkewPoly.from_elements(ctx, [a.one, e21])
+    return {"P": p, "S": TruncSeries.from_poly(p, 4),
+            "L": TruncLaurent.from_elements(ctx, 1, [a.one, e21], 5),
+            "E2": TruncLaurent(ctx, 2, p.coeffs, None)}
+
+
+EXACT_ONLY = {"poly_mul": 2, "laurent_mul": 2, "vecpoly_times_scalar": 1,
+              "right_from_left": 1, "ore_left": 1}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ONLY))
+def test_exact_only_operations_refuse_windows(m2f4_inner, name):
+    """Over the grid {P, S, L, E2} (both operands of a product), every cell
+    is right against the rewriting product of its operands' stored rows, or
+    refused with a PrecisionError naming the window; a cell with a windowed
+    operand is never exact.  poly_mul(S, P) died with a TypeError and the
+    others read a window as an exact polynomial."""
+    ctx = m2f4_inner.ctx
+    e21 = m2f4_inner.algebra.basis_element(4)
+    grid = _exactness_grid(m2f4_inner)
+    for cell in itertools.product(grid, repeat=EXACT_ONLY[name]):
+        xs = [grid[k] for k in cell]
+        windowed = any(x.end is not None for x in xs)
+        # the rows stored from X^0: the completion with a zero tail
+        polys = [SkewPoly(ctx, x._window_arr(0, x.support_end)) for x in xs]
+        try:
+            got = {"poly_mul": poly_mul, "laurent_mul": laurent_mul,
+                   "vecpoly_times_scalar": lambda x: vecpoly_times_scalar(x, e21),
+                   "right_from_left": right_from_left, "ore_left": ore_left}[name](*xs)
+        except PrecisionError as e:
+            assert windowed and re.search(r"O\(X\^\d+\)|\[\d+, \d+\)", str(e)), (cell, e)
+            continue
+        if name == "right_from_left":
+            assert not windowed and left_from_right(ctx, got) == polys[0], cell
+        elif name == "ore_left":
+            xn = SkewPoly.x_power(ctx, got.n)
+            assert not windowed and poly_mul_iterative(xn, polys[0]) == got.g.shift(got.k)
+        else:
+            right = polys[1] if len(polys) == 2 else SkewPoly.constant(ctx, e21)
+            assert got.agrees_with(poly_mul_iterative(polys[0], right)), cell
+            assert (got.end is not None) == windowed, (cell, got)
+
+
 def test_ring_classes_do_not_multiply_other_operands(m2f4_inner, module_a):
     """SkewPoly * v gave a SkewPoly and SkewPoly * 3 an AttributeError; the
-    ring classes now leave operands they do not multiply to Python."""
+    ring classes now leave operands they do not multiply to Python.  So does
+    an algebra element: f * a and a * f for a ring window f raised a
+    ValueError from the field coercion."""
     o = _module_operands(m2f4_inner, module_a)
+    o["a"] = m2f4_inner.algebra.basis_element(4)
     for left, right in (("p", "v"), ("s", "vs"), ("l", "lv"), ("p", 3), ("s", 3),
-                        ("l", 3), ("p", "s"), ("l", "p")):
+                        ("l", 3), ("p", "s"), ("l", "p"), ("p", "a"), ("a", "p"),
+                        ("s", "a"), ("a", "s"), ("l", "a"), ("a", "l")):
         with pytest.raises(TypeError, match="unsupported operand"):
             o[left] * o.get(right, right)
     assert o["p"] * o["p"] == SkewPoly.x_power(m2f4_inner.ctx, 2)
 
 
 MODULE_PRODUCTS = [("v", "p", poly_mul), ("v", "a", vecpoly_times_scalar),
-                   ("vs", "s", vecseries_times_ring), ("vs", "a", series_times_scalar),
+                   ("vs", "s", vecseries_times_ring), ("vs", "a", veclaurent_times_scalar),
                    ("lv", "l", veclaurent_times_ring), ("lv", "a", veclaurent_times_scalar)]
 
 
@@ -751,7 +819,7 @@ def test_products_read_only_the_left_rows_that_reach_the_output(monkeypatch, m2f
         a = rand_element(rng, ctx.algebra)
         cases = [
             (lambda: series_mul(s, t), 2),
-            (lambda: series_times_scalar(s, a), 10),
+            (lambda: veclaurent_times_scalar(s, a), 10),
             (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(20, r), None), t_l), 2),
             (lambda: laurent_mul(TruncLaurent(ctx, 0, rows(p, r), p),
                                  TruncLaurent(ctx, 0, rows(30, r), None)), 10),

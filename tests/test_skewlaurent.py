@@ -11,7 +11,7 @@ from skewcodes import _gflinalg as la
 from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent,
                        load_preset, natural_module, regular_module,
                        right_from_left, veclaurent_times_ring,
-                       veclaurent_times_scalar)
+                       veclaurent_times_scalar, xn_times)
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
 from skewcodes.fields import DTYPE
@@ -137,6 +137,28 @@ def test_xnegn_is_one_product_on_a_warm_table(laurent_bundles, odd_laurent_bundl
             counts.append(len(calls))
         monkeypatch.setattr(la, "mat_mul", real)
         assert counts == [2] * 4, (b.name, counts)
+
+
+def test_xn_times_is_the_product_with_x_power(laurent_bundles):
+    """xn_times(f, n) is laurent_mul(X^n, f) on every nonzero Laurent
+    window, windowed or exact, of order -3..3; on a zero class it keeps
+    f's end, which laurent_mul's zero rule exceeds by floor(n / m_delta)."""
+    rng = random.Random(28)
+    for b in laurent_bundles:
+        ctx = b.ctx
+        q, r = ctx.field.q, ctx.algebra.dim
+        for _ in range(150):
+            ord_, length, n = rng.randrange(-3, 4), rng.randrange(7), rng.randrange(5)
+            end = None if rng.random() < 0.5 else ord_ + length + rng.randrange(3)
+            f = TruncLaurent(ctx, ord_, rand_coords(rng, q, (length, r)), end)
+            got = xn_times(f, n)
+            want = laurent_mul(TruncLaurent.from_elements(ctx, n, [ctx.algebra.one], None), f)
+            if f.is_zero():
+                gain = None if f.end is None else f.end + n // ctx.m_delta
+                assert got.is_zero() and got.end == f.end, (b.name, f)
+                assert want.is_zero() and want.end == gain, (b.name, f)
+            else:
+                assert got == want, (b.name, f, n)
 
 
 def test_associativity_on_wide_windows(laurent_bundles):

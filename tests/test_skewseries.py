@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from skewcodes import (SkewPoly, TruncSeries, VecSeries, poly_mul_iterative,
-                       regular_module)
+                       regular_module, xn_times)
 from skewcodes import _gflinalg as la
 from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
+from skewcodes.modact import veclaurent_times_scalar
+from skewcodes.skewpoly import x_times_arrays
 from skewcodes.skewseries import (_chain_system, kernel_left_x, ore_left,
                                   q_bound, require_series_ring, series_mul,
-                                  series_times_scalar, solve_right_permutable,
-                                  x_times_series, xn_times_series)
+                                  solve_right_permutable)
 from conftest import rand_coords, rand_element
 from test_gflinalg import dense_solve
 
@@ -116,7 +117,7 @@ def test_scalar_product_matches_constant_series(series_bundles, odd_fyz_bundles,
             prec = rng.randrange(0, 13)
             longer = rand_coords(rng, q, (prec + 4, r))
             a = rand_element(rng, ctx.algebra)
-            got = series_times_scalar(TruncSeries(ctx, prec, longer[:prec]), a)
+            got = veclaurent_times_scalar(TruncSeries(ctx, prec, longer[:prec]), a)
             exact = poly_mul_iterative(SkewPoly(ctx, longer), SkewPoly.constant(ctx, a))
             n = prec // m
             assert got.prec == n, b.name
@@ -126,7 +127,6 @@ def test_scalar_product_matches_constant_series(series_bundles, odd_fyz_bundles,
 def test_x_times_matches_polynomial_layer(series_bundles):
     """Left multiplication by X agrees with the polynomial commutation rule."""
     rng = random.Random(35)
-    from skewcodes import xn_times
     for b in series_bundles:
         ctx = b.ctx
         for n in range(4):
@@ -135,21 +135,23 @@ def test_x_times_matches_polynomial_layer(series_bundles):
                                           (L, ctx.algebra.dim)))
             prec = L + n + 2
             s = TruncSeries.from_poly(f, prec)
-            via_series = xn_times_series(s, n)
+            via_series = xn_times(s, n)
             via_poly = TruncSeries.from_poly(xn_times(f, n), prec)
             assert via_series.agrees_with(via_poly), b.name
 
 
 def test_xn_times_equals_iterated(series_bundles):
+    """X^n s off the N-table equals n steps X s = sigma(s) X + delta(s),
+    each read off sigma and delta directly; the window is kept."""
     rng = random.Random(36)
     for b in series_bundles:
         s = rand_series(rng, b.ctx, 10)
         step = s
         for n in range(4):
-            direct = xn_times_series(s, n)
+            direct = xn_times(s, n)
             assert direct.prec == step.prec
             assert np.array_equal(direct.coeffs, step.coeffs), b.name
-            step = x_times_series(step)
+            step = TruncSeries(b.ctx, 10, x_times_arrays(b.ctx, step.coeffs)[:10])
 
 
 def test_shift_is_right_x_power(series_bundles):
@@ -219,7 +221,7 @@ def test_right_permutability_witness(series_bundles):
             w = solve_right_permutable(f, 6)
             assert w is not None, b.name
             lhs = f.shift(w.m)
-            rhs = x_times_series(w.s)
+            rhs = xn_times(w.s, 1)
             n = min(lhs.prec, rhs.prec)
             assert n > 0
             assert lhs.agrees_with(rhs), b.name
