@@ -21,11 +21,11 @@ from .algebra import (Algebra, AlgebraElement, LinearMap, ScalarRestriction,
 from .skewmap import (NOperatorTable, SkewDerivation, n_operator,
                       nilpotency_index, verify_skew_derivation)
 from .skewpoly import (SkewPoly, left_from_right, poly_mul,
-                       poly_mul_iterative, right_from_left, xn_times)
+                       poly_mul_iterative, right_from_left)
 from .skewseries import OreWitness, TruncSeries, ore_left, q_bound, series_mul
 from .skewlaurent import (LaurentAvailability, TruncLaurent, laurent_mul,
                           laurent_ring_exists, require_laurent_ring,
-                          xinv_times, xnegn_direct, xnegn_times)
+                          xinv_times, xn_times, xnegn_direct)
 from .modact import (RightModuleSpec, VecLaurent, VecPoly, VecSeries,
                      check_module, flsx_scalar_action, module_verify,
                      natural_module, regular_module, restrict_module,
@@ -54,11 +54,11 @@ __all__ = [
     "NOperatorTable", "SkewDerivation", "n_operator", "nilpotency_index",
     "verify_skew_derivation",
     "SkewPoly", "left_from_right", "poly_mul", "poly_mul_iterative",
-    "right_from_left", "xn_times",
+    "right_from_left",
     "OreWitness", "TruncSeries", "ore_left", "q_bound", "series_mul",
     "LaurentAvailability", "TruncLaurent", "laurent_mul",
-    "laurent_ring_exists", "require_laurent_ring", "xinv_times",
-    "xnegn_direct", "xnegn_times",
+    "laurent_ring_exists", "require_laurent_ring", "xinv_times", "xn_times",
+    "xnegn_direct",
     "RightModuleSpec", "VecLaurent", "VecPoly", "VecSeries", "check_module",
     "flsx_scalar_action", "module_verify", "natural_module", "regular_module",
     "restrict_module", "veclaurent_times_ring", "veclaurent_times_scalar",

@@ -44,7 +44,6 @@ class Algebra:
         """A as a right module over itself, R(a_j): a_i -> a_i a_j, made once A
         passes verify_algebra (AxiomError if not), whose associativity test
         is the module law R(a_i a_j) = R(a_i) R(a_j)."""
-        from .modact import RightModuleSpec  # modact imports this module
         rep = verify_algebra(self)
         if not rep.ok:
             raise AxiomError(rep.failures[0])
@@ -184,6 +183,56 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.algebra!r}>"
+
+
+class RightModuleSpec:
+    """F^n as a right A-module: one n x n matrix per algebra basis element,
+    acting on row vectors as v -> v R(a_j): a representation of the algebra.
+    The one coefficient space of every product (skewpoly.mul_arrays):
+    A.regular, made once per algebra when it is verified, for the ring,
+    series and Laurent classes, and the given module for modact's VecPoly,
+    VecSeries and VecLaurent."""
+
+    __slots__ = ("algebra", "n", "action", "flat")
+
+    def __init__(self, algebra: Algebra, action: np.ndarray):
+        action = algebra.field.indices(action, "action")
+        if action.ndim != 3 or action.shape[0] != algebra.dim \
+                or action.shape[1] != action.shape[2]:
+            raise ValueError(
+                f"need {algebra.dim} square action matrices, got {action.shape}")
+        self.algebra = algebra
+        self.n = int(action.shape[1])
+        self.action = action
+        self.action.setflags(write=False)
+        # the flat block matrix: v @ flat, reshaped (r, n), has rows v R(a_l)
+        self.flat = np.ascontiguousarray(
+            action.transpose(1, 0, 2).reshape(self.n, algebra.dim * self.n))
+
+    @property
+    def field(self):
+        return self.algebra.field
+
+    def action_matrix(self, a) -> np.ndarray:
+        """R(a) = sum_l a_l R(a_l) for an element or coordinate vector a."""
+        coords = a.coords if isinstance(a, AlgebraElement) else np.asarray(a, dtype=DTYPE)
+        flat = self.action.reshape(self.algebra.dim, self.n * self.n)
+        return la.mat_mul(self.field, coords.reshape(1, -1), flat).reshape(self.n, self.n)
+
+    def act_row(self, v: np.ndarray, a) -> np.ndarray:
+        return la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :],
+                          self.action_matrix(a))[0]
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, RightModuleSpec) and (
+            self.algebra == other.algebra and self.n == other.n
+            and np.array_equal(self.action, other.action))
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.n, self.action.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"<right module F^{self.n} over {self.algebra.meta.get('name', '?')}>"
 
 
 class LinearMap:
@@ -389,7 +438,6 @@ class ScalarRestriction:
     """
 
     def __init__(self, parent: Algebra):
-        from .modact import RightModuleSpec  # modact imports this module
         K = parent.field
         if K.k == 1:
             raise ValueError("parent field is already prime")

@@ -84,7 +84,6 @@ class Workspace:
             raise InputError("workspace must be a JSON object")
         self.raw = raw
         self.fs = self._build_field(_get(raw, "field", dict))
-        self.parent: Optional[Algebra] = None
         self.restriction: Optional[ScalarRestriction] = None
         self.algebra = self._build_algebra(_get(raw, "algebra", dict))
         sigma = self._build_sigma(_get(raw, "sigma", dict))
@@ -151,7 +150,6 @@ class Workspace:
         else:
             raise InputError(f"unknown algebra kind {kind!r}")
         if restrict:
-            self.parent = a
             self.restriction = ScalarRestriction(a)
             a = self.restriction.algebra
         return a

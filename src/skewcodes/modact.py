@@ -1,5 +1,5 @@
-"""Right module structures on F^n and the induced module structures on
-F^n[X], F^n[[X]] and F^n((X)).
+"""Right module structures on F^n (algebra.RightModuleSpec) and the induced
+module structures on F^n[X], F^n[[X]] and F^n((X)).
 
 A right action of the algebra A on row vectors is a matrix R(a) per basis
 element, acting as v -> v R(a) (row convention).  Tensoring with the skew
@@ -21,66 +21,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import Algebra, AlgebraElement, AxiomReport
+from .algebra import Algebra, AlgebraElement, AxiomReport, RightModuleSpec
 from .errors import MixedStructureError
 from .fields import DTYPE
 from .skewlaurent import CoeffLaurent, TruncLaurent, laurent_mul
 from .skewmap import SkewDerivation
 from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _min_end, _poly_rows, _trim,
                        coefficient_maps, mul_arrays, poly_mul)
-from .skewseries import CoeffSeries, TruncSeries, require_series_ring, series_mul
+from .skewseries import CoeffSeries, TruncSeries, series_mul
 
 
-# ---- the action spec ----
-
-class RightModuleSpec:
-    """F^n as a right A-module: one n x n matrix per algebra basis element,
-    acting on row vectors as v -> v R(a_j).  The one coefficient space of
-    every product (skewpoly.mul_arrays): A.regular, made once per algebra
-    when it is verified, for the ring, series and Laurent classes, and the
-    given module for VecPoly, VecSeries and VecLaurent."""
-
-    __slots__ = ("algebra", "n", "action", "flat")
-
-    def __init__(self, algebra: Algebra, action: np.ndarray):
-        action = algebra.field.indices(action, "action")
-        if action.ndim != 3 or action.shape[0] != algebra.dim \
-                or action.shape[1] != action.shape[2]:
-            raise ValueError(
-                f"need {algebra.dim} square action matrices, got {action.shape}")
-        self.algebra = algebra
-        self.n = int(action.shape[1])
-        self.action = action
-        self.action.setflags(write=False)
-        # the flat block matrix: v @ flat, reshaped (r, n), has rows v R(a_l)
-        self.flat = np.ascontiguousarray(
-            action.transpose(1, 0, 2).reshape(self.n, algebra.dim * self.n))
-
-    @property
-    def field(self):
-        return self.algebra.field
-
-    def action_matrix(self, a) -> np.ndarray:
-        """R(a) = sum_l a_l R(a_l) for an element or coordinate vector a."""
-        coords = a.coords if isinstance(a, AlgebraElement) else np.asarray(a, dtype=DTYPE)
-        flat = self.action.reshape(self.algebra.dim, self.n * self.n)
-        return la.mat_mul(self.field, coords.reshape(1, -1), flat).reshape(self.n, self.n)
-
-    def act_row(self, v: np.ndarray, a) -> np.ndarray:
-        return la.mat_mul(self.field, np.asarray(v, dtype=DTYPE)[None, :],
-                          self.action_matrix(a))[0]
-
-    def __eq__(self, other) -> bool:
-        return self is other or isinstance(other, RightModuleSpec) and (
-            self.algebra == other.algebra and self.n == other.n
-            and np.array_equal(self.action, other.action))
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.n, self.action.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"<right module F^{self.n} over {self.algebra.meta.get('name', '?')}>"
-
+# ---- module checks ----
 
 def module_verify(spec: RightModuleSpec) -> AxiomReport:
     """Check R(1) = I and R(a_i a_j) = R(a_i) R(a_j) on all basis pairs."""
@@ -240,7 +191,6 @@ class VecLaurent(_OverModule, CoeffLaurent):
 
     __slots__ = ("spec",)
     _tag = "veclaurent"
-    _series = VecSeries
 
     def __mul__(self, other):
         if isinstance(other, TruncLaurent):
@@ -292,13 +242,13 @@ def veclaurent_times_scalar(s: CoeffRows, a: AlgebraElement) -> CoeffRows:
     """s a, in s's own class: s any window over any right A-module.
 
     On order >= 0 this is the series product with the constant a (s.end //
-    m_delta coefficients, or exact); below, the Laurent product with the
-    unchecked constant a, as only negative orders need the Laurent ring.
+    m_delta coefficients, or exact, which needs no series ring); below, the
+    Laurent product with the unchecked constant a, as only negative orders
+    need the Laurent ring.
     """
     ctx = s.ctx
     if a.algebra != ctx.algebra:
         raise MixedStructureError("scalar from a different algebra")
-    require_series_ring(ctx)
     if s.ord >= 0:
         out, end = mul_arrays(s.space, ctx, s._window_arr(0, s.support_end),
                               a.coords[None, :], s.end)

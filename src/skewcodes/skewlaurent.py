@@ -28,10 +28,9 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import RingUnavailableError
-from .skewmap import SkewDerivation
-from .skewpoly import (CoeffRows, SkewPoly, _check_product, _over_algebra, _trim,
+from .skewmap import SkewDerivation, require_series_ring
+from .skewpoly import (CoeffRows, SkewPoly, _check_product, _lead, _over_algebra, _trim,
                        mul_arrays, xn_arrays)
-from .skewseries import CoeffSeries, TruncSeries
 
 
 # ---- availability report ----
@@ -101,7 +100,6 @@ class CoeffLaurent(CoeffRows):
 
     __slots__ = ()
     _tag = "trunc laurent"
-    _series = TruncSeries
 
     def __init__(self, ctx: SkewDerivation, ord_: int, coeffs: np.ndarray,
                  end: Optional[int] = None):
@@ -110,9 +108,7 @@ class CoeffLaurent(CoeffRows):
         if coeffs.ndim != 2:
             raise ValueError(f"coefficient block must be L x {self.space.n}")
         # strip leading zeros (raising ord) and trailing zeros (end unchanged)
-        lead = 0
-        while lead < coeffs.shape[0] and not coeffs[lead].any():
-            lead += 1
+        lead = _lead(coeffs)
         ord_ += lead
         coeffs = _trim(coeffs[lead:])
         if coeffs.shape[0] == 0:
@@ -125,15 +121,9 @@ class CoeffLaurent(CoeffRows):
         return type(self)(*self._structure(), ord_, coeffs, end)
 
     @classmethod
-    def from_series(cls, s: CoeffSeries):
-        return cls(*s._structure(), 0, s.coeffs, s.prec)
-
-    def to_series(self) -> CoeffSeries:
-        """View as a power series mod X^end (X^support_end if exact); needs ord >= 0."""
-        if self.ord < 0:
-            raise ValueError(f"order {self.ord} < 0: not a power series")
-        prec = self.end if self.end is not None else self.support_end
-        return self._series(*self._structure(), prec, self._window_arr(0, prec))
+    def from_series(cls, s: CoeffRows):
+        """A power series as the Laurent window [0, prec) it is."""
+        return cls(*s._structure(), 0, s.coeffs, s.end)
 
 
 class TruncLaurent(CoeffLaurent):
@@ -162,40 +152,9 @@ class TruncLaurent(CoeffLaurent):
 
 # ---- core operations ----
 
-def xnegn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
-                 out_limit: Optional[int] = None) -> np.ndarray:
-    """X^{-n} f for n >= 1 on coefficient rows, row 0 at exponent -n m'.
-    The X^{-n-k} map sums the words sigma' delta'^{k_1} ... sigma' delta'^{k_n}
-    with k_1 + .. + k_n = k, that is sigma' N'_{n-1}^{n-1+k}: one Toeplitz
-    product with row block n - 1 of the opposite's table, one sigma' product."""
-    mp, op = require_laurent_ring(ctx), ctx.opposite
-    r, width = ctx.algebra.dim, n * (mp - 1)
-    full = width + f.shape[0]
-    out_len = full if out_limit is None else min(out_limit, full)
-    if f.shape[0] == 0 or out_len <= 0:
-        return la.zeros((0, r))
-    # tap i = (N'_{n-1}^{n m'-1-i})^T: column blocks n - 1 .. n m' - 1, reversed
-    row = op.ntable.stacked(n * mp - 1)[(n - 1) * r:n * r, (n - 1) * r:]
-    w = row.reshape(r, width + 1, r)[:, ::-1].transpose(1, 0, 2).reshape(-1, r)
-    out = la.toeplitz_mul(ctx.field, f, w, out_len)
-    return la.mat_mul(ctx.field, out, op.sigma.matrix.T)
-
-
-def xnegn_times(s: TruncLaurent, n: int) -> TruncLaurent:
-    """X^{-n} s; the window [o, e) drops to [o - n m', e - n m')."""
-    if n < 0:
-        raise ValueError("xnegn_times needs n >= 0")
-    _over_algebra(s, "the operand of xnegn_times")
-    if n == 0:
-        return s
-    drop = xn_floor(s.ctx, -n)
-    arr = xnegn_arrays(s.ctx, s.coeffs, n, None if s.end is None else s.end - s.ord)
-    return s._new(s.ord + drop, arr, None if s.end is None else s.end + drop)
-
-
-def xinv_times(s: TruncLaurent) -> TruncLaurent:
+def xinv_times(s: CoeffRows) -> CoeffRows:
     """X^{-1} s = sum_{k<m'} sigma' delta'^k(s) X^{-1-k}; window drops by m'."""
-    return xnegn_times(s, 1)
+    return xn_times(s, -1)
 
 
 def _composition_maps(ctx: SkewDerivation, n: int) -> list[np.ndarray]:
@@ -216,7 +175,7 @@ def xnegn_direct(s: TruncLaurent, n: int) -> TruncLaurent:
     """X^{-n} s via the closed multinomial expansion (test oracle).
 
     X^{-n} s = sum_{k=0}^{n(m'-1)} C_{n,k}(s) X^{-n-k}, the composed maps
-    built from xinv_maps(); windows match xnegn_times exactly.
+    built from xinv_maps(); windows match xn_times(s, -n) exactly.
     """
     if n < 0:
         raise ValueError("xnegn_direct needs n >= 0")
@@ -248,42 +207,69 @@ def xn_floor(ctx: SkewDerivation, n: int) -> int:
     n >= 0 (N_k^n vanishes once n >= (k + 1) m_delta), and n * m_delta'
     below zero (each X^{-1} reaches m_delta' further down)."""
     if n >= 0:
-        return n // ctx.m_delta
+        return n // require_series_ring(ctx)
     return n * require_laurent_ring(ctx)
 
 
-def laurent_mul(s: CoeffLaurent, t: CoeffLaurent) -> CoeffLaurent:
-    """s t on the largest window the operands support; s over any right
-    A-module, t over A.
+def _xn_window(f: CoeffRows, n: int) -> tuple:
+    """X^n f as a window (ord, rows, end), f untouched for n = 0: X^n (f_hat
+    X^o) = (X^n f_hat) X^o reads f_hat to X^l at X^l, so [o, e) stays put
+    for n > 0 (skewpoly.xn_arrays) and drops to [o - k m', e - k m') for
+    n = -k < 0.  The X^{-k-i} map sums the words sigma' delta'^{i_1} ...
+    sigma' delta'^{i_k} with i_1 + .. + i_k = i, that is sigma'
+    N'_{k-1}^{k-1+i}: one Toeplitz product with row block k - 1 of the
+    opposite's table, one sigma' product."""
+    if n == 0:
+        return f.ord, f.coeffs, f.end
+    ctx, limit = f.ctx, None if f.end is None else f.end - f.ord
+    if n > 0:
+        return f.ord, xn_arrays(ctx, f.coeffs, n, out_limit=limit), f.end
+    k, mp, op, r = -n, require_laurent_ring(ctx), ctx.opposite, ctx.algebra.dim
+    o, e, width = f.ord - k * mp, None if f.end is None else f.end - k * mp, k * (mp - 1)
+    full = width + f.coeffs.shape[0]
+    out_len = full if limit is None else min(limit, full)
+    if f.coeffs.shape[0] == 0 or out_len <= 0:
+        return o, la.zeros((0, r)), e
+    # tap i = (N'_{k-1}^{k m'-1-i})^T: column blocks k - 1 .. k m' - 1, reversed
+    row = op.ntable.stacked(k * mp - 1)[(k - 1) * r:k * r, (k - 1) * r:]
+    w = row.reshape(r, width + 1, r)[:, ::-1].transpose(1, 0, 2).reshape(-1, r)
+    out = la.toeplitz_mul(ctx.field, f.coeffs, w, out_len)
+    return o, la.mat_mul(ctx.field, out, op.sigma.matrix.T), e
 
-    Decomposes s = s_hat X^{o_s}, t = t_hat X^{o_t}; moves X^{o_s} across
-    t_hat to w (xn_arrays for o_s >= 0, xnegn_arrays otherwise), multiplies
-    the series parts on the window skewpoly.mul_arrays gives them, and
-    shifts.
+
+def xn_times(f: CoeffRows, n: int) -> CoeffRows:
+    """X^n f for any window f over A and any integer n, in f's class: n < 0
+    needs the Laurent ring, and refuses a polynomial or series of order < 0."""
+    _over_algebra(f, "the operand of xn_times")
+    return f._new(*_xn_window(f, n))
+
+
+def laurent_mul(s: CoeffRows, t: CoeffRows) -> CoeffRows:
+    """s t on the largest window the operands support; s over any right
+    A-module, t over A, each a polynomial, series or Laurent window.
+
+    Decomposes s = s_hat X^{o_s}, moves X^{o_s} across t to w = X^{o_s} t
+    (_xn_window), multiplies s_hat by w from its first nonzero row (from its
+    window end if none, as its rows then fill the window) on the window
+    skewpoly.mul_arrays gives them, and shifts.
     """
     _check_product(s, t)
-    ctx = s.ctx
+    # a zero class s, with no stored rows, moves nothing across t
+    o_w, w, e_w = _xn_window(t, s.ord if s.coeffs.shape[0] else 0)
+    lead = _lead(w)
+    o_w += lead
+    n_s = None if s.end is None else s.end - s.ord
+    prod, n_out = mul_arrays(s.space, s.ctx, s.coeffs, w[lead:], n_s,
+                             None if e_w is None else e_w - o_w)
     # zero operands: (a X^j)(b X^i) reaches down to X^{xn_floor(j) + i}, so an
     # unknown tail from X^end on taints the product from there up
-    if s.is_zero() or t.is_zero():
+    if not prod.shape[0] and (s.is_zero() or t.is_zero()):
         if (s.is_zero() and s.end is None) or (t.is_zero() and t.end is None):
             return s._zero(None)
         cand = []
         if s.is_zero():
-            cand.append(xn_floor(ctx, s.end) + t.ord)
+            cand.append(xn_floor(s.ctx, s.end) + t.ord)
         if t.is_zero():
-            cand.append(xn_floor(ctx, s.ord) + t.end)
+            cand.append(xn_floor(s.ctx, s.ord) + t.end)
         return s._zero(min(cand))
-    # s = s_hat X^{o_s}, t = t_hat X^{o_t}; move X^{o_s} across t_hat
-    o_s, o_t = s.ord, t.ord
-    n_t = None if t.end is None else t.end - o_t
-    if o_s >= 0:
-        lo, arr = 0, xn_arrays(ctx, t.coeffs, o_s, out_limit=n_t)
-    else:
-        lo, arr = xn_floor(ctx, o_s), xnegn_arrays(ctx, t.coeffs, -o_s, out_limit=n_t)
-    w = CoeffLaurent(ctx, lo, arr, None if n_t is None else lo + n_t)
-    shift = w.ord + o_t
-    n_s = None if s.end is None else s.end - o_s
-    n_w = None if w.end is None else w.end - w.ord
-    prod, n_out = mul_arrays(s.space, ctx, s.coeffs, w.coeffs, n_s, n_w)
-    return s._new(shift, prod, None if n_out is None else shift + n_out)
+    return s._new(o_w, prod, None if n_out is None else o_w + n_out)

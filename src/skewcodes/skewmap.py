@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import _gflinalg as la
-from .algebra import Algebra, LinearMap, check_algebra
-from .errors import AxiomError, MixedStructureError
+from .algebra import Algebra, LinearMap, RightModuleSpec, check_algebra
+from .errors import AxiomError, MixedStructureError, RingUnavailableError
 
 
 def nilpotency_index(m: LinearMap) -> Optional[int]:
@@ -36,6 +36,15 @@ def nilpotency_index(m: LinearMap) -> Optional[int]:
         if not cur.any():
             return e
     return None
+
+
+def require_series_ring(ctx: SkewDerivation) -> int:
+    """Return m_delta, or raise if the series ring does not exist: every
+    window read modulo X^end needs delta nilpotent."""
+    if ctx.m_delta is None:
+        raise RingUnavailableError(
+            "series ring unavailable: delta is not nilpotent")
+    return ctx.m_delta
 
 
 class SkewDerivation:
@@ -61,7 +70,6 @@ class SkewDerivation:
         right ones here, or None if sigma is not invertible; derived on first
         access.  A^op is not re-verified: its right regular module, a_i -> a_j a_i,
         is A's own tensor, taken once A passes its check (a.regular)."""
-        from .modact import RightModuleSpec  # modact imports this module
         a, inv = self.algebra, self.sigma.inverse()
         if inv is None:
             return None

@@ -7,7 +7,7 @@ formula collects N operators:
     (sum_i g_i X^i) f = sum_i (sum_{k=i}^{n} g_k N_i^k(f)) X^i
 
 where N_i^k acts on f coefficientwise and X^i shifts.  The left factor's
-coefficients lie in a right A-module, the space (modact.RightModuleSpec):
+coefficients lie in a right A-module, the space (algebra.RightModuleSpec):
 A itself, its regular module A.regular, for the ring and another module
 for the module layer, so this one product serves both.  An independent rewriting
 path (iterate X f = sigma(f) X + delta(f)) is kept as an oracle.
@@ -22,7 +22,7 @@ import numpy as np
 from . import _gflinalg as la
 from .algebra import AlgebraElement
 from .errors import MixedStructureError, PrecisionError
-from .skewmap import SkewDerivation
+from .skewmap import SkewDerivation, require_series_ring
 
 
 def _trim(arr: np.ndarray) -> np.ndarray:
@@ -30,6 +30,14 @@ def _trim(arr: np.ndarray) -> np.ndarray:
     while n > 0 and not arr[n - 1].any():
         n -= 1
     return arr[:n]
+
+
+def _lead(arr: np.ndarray) -> int:
+    """The number of leading zero rows."""
+    n = 0
+    while n < arr.shape[0] and not np.count_nonzero(arr[n]):  # a third of .any()
+        n += 1
+    return n
 
 
 def _min_end(*ends):
@@ -47,6 +55,19 @@ def _window(ord_: int, coeffs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     if a1 > a0:
         out[a0 - lo: a1 - lo] = coeffs[a0 - ord_: a1 - ord_]
     return out
+
+
+def _rows_from_zero(ord_: int, coeffs: np.ndarray, hi: int, end: Optional[int],
+                    what: str) -> np.ndarray:
+    """The rows of the window (ord_, coeffs, end) read on exponents [0, hi);
+    a window of negative order (its first nonzero row, or the end of a zero
+    class, 0 if exact) is not a `what` and is refused."""
+    if ord_ < 0:
+        lead = _lead(coeffs)
+        order = ord_ + lead if lead < coeffs.shape[0] else end or 0
+        if order < 0:
+            raise ValueError(f"order {order} < 0: not a {what}")
+    return _window(ord_, coeffs, 0, hi)
 
 
 # ---- raw-array engines (shared with the series, Laurent and module layers) ----
@@ -86,12 +107,14 @@ def mul_arrays(space, ctx: SkewDerivation, g: np.ndarray, f: np.ndarray,
     1 + max{k < n_out m_delta : N_i^k != 0 for some i < n_out}.  Where
     sigma delta = delta sigma that is at most n_out + m_delta - 1 (n_out
     rounded up to a multiple of m_delta on m2f4-inner and f4c5-group).
-    At most three kernel calls whatever the degrees: the coefficient maps
-    W_i of g, and out_l = sum_i f_{l-i} W_i as one Toeplitz product.
+    A window needs the series ring (require_series_ring).  At most three
+    kernel calls whatever the degrees: the coefficient maps W_i of g, and
+    out_l = sum_i f_{l-i} W_i as one Toeplitz product.
     """
-    n_out = _min_end(n_f, None if n_g is None else n_g // ctx.m_delta)
+    m = None if n_g is None and n_f is None else require_series_ring(ctx)
+    n_out = _min_end(n_f, None if n_g is None else n_g // m)
     if n_out is not None:
-        g = _trim(g[:n_out * ctx.m_delta])
+        g = _trim(g[:n_out * m])
         g, f = g[:ctx.ntable.reach(n_out, g.shape[0])], f[:n_out]
     g, f = _trim(g), _trim(f)
     full = g.shape[0] + f.shape[0] - 1
@@ -148,7 +171,7 @@ def xn_arrays(ctx: SkewDerivation, f: np.ndarray, n: int,
 
 class CoeffRows:
     """A window (ord, coeffs, end) of coefficient rows over a context, in a
-    right A-module (modact.RightModuleSpec): the class of an element modulo
+    right A-module (algebra.RightModuleSpec): the class of an element modulo
     X^end (end = None: exact).  Row j holds the X^(ord + j) coefficient;
     every exponent below ord, and every one from the last row up to end, is
     a known zero.
@@ -280,13 +303,12 @@ class CoeffPoly(CoeffRows):
         self._set_window(0, _trim(np.array(coeffs)), None)
 
     def _new(self, ord_: int, coeffs: np.ndarray, end: Optional[int]):
-        """A polynomial is exact: a result known only mod X^end is refused."""
+        """A polynomial is exact and of order >= 0: a result known only mod
+        X^end, or of negative order, is refused."""
         if end is not None:
             raise PrecisionError(f"the window [{ord_}, {end}) is not an exact polynomial")
-        if ord_ < 0:
-            raise ValueError("polynomial shift needs n >= 0")
-        return type(self)(*self._structure(),
-                          _window(ord_, coeffs, 0, ord_ + coeffs.shape[0]))
+        return type(self)(*self._structure(), _rows_from_zero(
+            ord_, coeffs, ord_ + coeffs.shape[0], None, "polynomial"))
 
     @property
     def degree(self) -> int:
@@ -406,16 +428,6 @@ def poly_mul_iterative(g: SkewPoly, f: SkewPoly) -> SkewPoly:
     """Oracle product via repeated X-rewriting; same contract as poly_mul."""
     g._check(f)
     return SkewPoly(g.ctx, mul_iterative_arrays(g.ctx, g.coeffs, f.coeffs))
-
-
-def xn_times(f: CoeffRows, n: int) -> CoeffRows:
-    """X^n f for any window f over A, in f's class: X^n (f_hat X^o) =
-    (X^n f_hat) X^o, whose X^l coefficient reads f_hat to l: the end is kept."""
-    if n < 0:
-        raise ValueError("xn_times needs n >= 0")
-    _over_algebra(f, "the operand of xn_times")
-    limit = None if f.end is None else f.end - f.ord
-    return f._new(f.ord, xn_arrays(f.ctx, f.coeffs, n, out_limit=limit), f.end)
 
 
 def _contract(table, coeffs: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Truncated skew power series and the Ore denominator-set diagnostics.
 
-A TruncSeries holds the class of a series modulo X^N (N = prec).  The ring
-exists iff delta is nilpotent; products then reduce to truncated polynomial
-products in skewpoly.mul_arrays, as the left factor only needs q + 1 = N m_delta
-coefficients: N_i^q vanishes once q >= (i + 1) * m_delta (i applications of
-sigma split the delta-runs into at most i + 1 blocks, each shorter than m_delta).
+A TruncSeries holds the class of a series modulo X^N (N = prec), the
+Laurent window [0, N) stored densely: skewlaurent's product and X^n serve
+it.  The ring exists iff delta is nilpotent; products then reduce to
+truncated polynomial products in skewpoly.mul_arrays, as the left factor only
+needs q + 1 = N m_delta coefficients: N_i^q vanishes once q >= (i + 1) *
+m_delta (i applications of sigma split the delta-runs into at most i + 1
+blocks, each shorter than m_delta).
 That bound sets the windows; the product reads fewer where the N-table
 certifies it (NOperatorTable.reach).  Where sigma delta = delta sigma,
 N_i^q = C(q, i) sigma^i delta^(q-i) vanishes once q - i >= m_delta, so N
@@ -29,17 +31,10 @@ import numpy as np
 
 from . import _gflinalg as la
 from .errors import PrecisionError, RingUnavailableError
-from .skewmap import SkewDerivation
-from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _check_product, _over_algebra,
-                       _poly_rows, _window, mul_arrays, xn_arrays, xn_times)
-
-
-def require_series_ring(ctx: SkewDerivation) -> int:
-    """Return m_delta, or raise if the series ring does not exist."""
-    if ctx.m_delta is None:
-        raise RingUnavailableError(
-            "series ring unavailable: delta is not nilpotent")
-    return ctx.m_delta
+from .skewlaurent import laurent_mul, xn_times
+from .skewmap import SkewDerivation, require_series_ring
+from .skewpoly import (CoeffPoly, CoeffRows, SkewPoly, _over_algebra, _poly_rows,
+                       _rows_from_zero, xn_arrays)
 
 
 def q_bound(ctx: SkewDerivation, n: int) -> int:
@@ -50,7 +45,7 @@ def q_bound(ctx: SkewDerivation, n: int) -> int:
 
 class CoeffSeries(CoeffRows):
     """Class of a power series modulo X^prec, coefficient rows in a right
-    A-module: the window [0, prec), stored densely."""
+    A-module: a Laurent window [0, prec) of order >= 0, stored densely."""
 
     __slots__ = ()
     _tag = "trunc series"
@@ -69,13 +64,19 @@ class CoeffSeries(CoeffRows):
         return self.end
 
     def _new(self, ord_: int, coeffs: np.ndarray, end: int):
-        if ord_ < 0:
-            raise ValueError("series shift needs n >= 0")
-        return type(self)(*self._structure(), end, _window(ord_, coeffs, 0, end))
+        return type(self)(*self._structure(), end,
+                          _rows_from_zero(ord_, coeffs, end, end, "power series"))
 
     @classmethod
     def from_poly(cls, f: CoeffPoly, prec: int):
         return cls(*f._structure(), prec, f._window_arr(0, prec))
+
+    @classmethod
+    def from_laurent(cls, f: CoeffRows):
+        """A window of order >= 0 mod X^end (X^support_end if exact)."""
+        prec = f.support_end if f.end is None else f.end
+        return cls(*f._structure(), prec,
+                   _rows_from_zero(f.ord, f.coeffs, prec, f.end, "power series"))
 
     def truncate(self, prec: int):
         if prec > self.prec:
@@ -101,11 +102,9 @@ class TruncSeries(CoeffSeries):
 
 
 def series_mul(s: CoeffSeries, t: TruncSeries) -> CoeffSeries:
-    """Product on the largest window the operands support (skewpoly.mul_arrays:
-    min(t.prec, s.prec // m_delta) coefficients); s over any right A-module."""
-    _check_product(s, t)
-    out, prec = mul_arrays(s.space, s.ctx, s.coeffs, t.coeffs, s.prec, t.prec)
-    return s._new(0, out, prec)
+    """s t, the windowed product laurent_mul on the series windows: at least
+    min(t.prec, s.prec // m_delta) coefficients; s over any right A-module."""
+    return laurent_mul(s, t)
 
 
 # ---- Ore denominator-set machinery ----

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from skewcodes import (ScalarRestriction, SkewPoly, TruncLaurent, TruncSeries,
-                       field, left_from_right, matrix_algebra, ore_left, poly_mul,
-                       poly_mul_iterative, right_from_left, xn_times, xnegn_times)
+                       field, laurent_ring_exists, left_from_right, load_preset,
+                       matrix_algebra, ore_left, poly_mul,
+                       poly_mul_iterative, right_from_left, xn_times)
 from skewcodes import _gflinalg as la
 from skewcodes import skewpoly
 from skewcodes.errors import MixedStructureError, PrecisionError, RingUnavailableError
@@ -243,17 +244,34 @@ def test_windows_hold_for_every_completion(laurent_bundles, odd_laurent_bundles,
                     [t.coeffs, rand_coords(rng, q, (2, r))]))
                 assert VecSeries.from_poly(poly_mul(cv, ct), w.prec) == w, b.name
                 assert VecSeries.from_poly(vecpoly_times_scalar(cv, a), wa.prec) == wa
-        # ring side: series_mul, the scalar action and X^n, zero operands included
+        # ring side: series_mul, the scalar action and X^n, zero operands
+        # included, and right factors with leading zero rows against left
+        # windows short enough to bind (s.prec // m_delta < t.prec)
         cases = [(rand_coords(rng, q, (3 * m, r)), rand_coords(rng, q, (3, r)))
                  for _ in range(3)]
         cases += [(np.zeros((3 * m, r), dtype=DTYPE), rand_coords(rng, q, (3, r))),
                   (rand_coords(rng, q, (3 * m, r)), np.zeros((3, r), dtype=DTYPE))]
+        for lead in (1, 2, 1, 2):
+            t_rows = rand_coords(rng, q, (4, r))
+            t_rows[:lead] = 0
+            t_rows[lead, rng.randrange(r)] = rng.randrange(1, q)
+            cases.append((rand_coords(rng, q, (rng.randrange(m, 3 * m), r)), t_rows))
+        cases += [(np.zeros((5 * m, r), dtype=DTYPE), rand_coords(rng, q, (2, r))),
+                  (cases[-1][0], np.zeros((4, r), dtype=DTYPE))]
         for s_rows, t_rows in cases:
-            s, t = TruncSeries(ctx, 3 * m, s_rows), TruncSeries(ctx, 3, t_rows)
+            s = TruncSeries(ctx, s_rows.shape[0], s_rows)
+            t = TruncSeries(ctx, t_rows.shape[0], t_rows)
             a = rand_element(rng, b.algebra)
             n = rng.randrange(1, 5)
             w, wa, wx = series_mul(s, t), veclaurent_times_scalar(s, a), xn_times(s, n)
-            assert type(wa) is type(wx) is TruncSeries and wx.prec == s.prec, b.name
+            assert type(w) is type(wa) is type(wx) is TruncSeries, b.name
+            assert wx.prec == s.prec, b.name
+            # never below the dense rule, and t's leading zeros are read as such
+            assert w.prec >= skewpoly.mul_arrays(ctx.algebra.regular, ctx, s_rows, t_rows,
+                                                 s.prec, t.prec)[1], b.name
+            if not (s.is_zero() or t.is_zero()):
+                lead = int(np.flatnonzero(t_rows.any(axis=1))[0])
+                assert w.prec == min(t.prec, lead + s.prec // m), (b.name, lead)
             for _ in range(2):
                 cs = SkewPoly(ctx, np.concatenate(
                     [s_rows, rand_coords(rng, q, (rng.randrange(1, 2 * m + 1), r))]))
@@ -574,7 +592,7 @@ NEEDS_THE_ALGEBRA = {
     "laurent_mul": lambda o: laurent_mul(o["lv"], o["lv"]),
     "xn_times": lambda o: xn_times(o["v"], 2),
     "xn_times_on_a_series": lambda o: xn_times(o["vs"], 2),
-    "xnegn_times": lambda o: xnegn_times(o["lv"], 2),
+    "xnegn_times": lambda o: xn_times(o["lv"], -2),
     "xinv_times": lambda o: xinv_times(o["lv"]),
     "right_from_left": lambda o: right_from_left(o["v"]),
     "ore_left": lambda o: ore_left(o["v"]),
@@ -693,6 +711,84 @@ def _coords(c) -> np.ndarray:
     return getattr(c, "coords", c)
 
 
+# (kind, order): each ring and module window class, the Laurent ones on
+# both sides of X^0
+TABLE_WINDOWS = [(kind, ord_) for kind in WINDOW_KINDS
+                 for ord_ in ((-1, 1) if kind.endswith("Laurent") else (0,))]
+TABLE_OPS = {"poly_mul": poly_mul, "series_mul": series_mul, "laurent_mul": laurent_mul,
+             "xn_times(-1)": lambda f: xn_times(f, -1), "xn_times(2)": lambda f: xn_times(f, 2)}
+# every refusal a cell may give, with the text that names its cause
+TABLE_REFUSALS = {
+    PrecisionError: r"is not an exact polynomial",
+    RingUnavailableError: r"^(series ring unavailable: delta is not nilpotent"
+                          r"|laurent ring unavailable: .+)$",
+    MixedStructureError: r"^the (right factor|operand of xn_times) is over "
+                         r"<right module F\^\d+ over .+>, not over the algebra$",
+    ValueError: r"^order -\d+ < 0: not a (polynomial|power series)$",
+}
+
+
+def _exact_rows(x) -> np.ndarray:
+    """x's stored rows from X^0 on: its completion with a zero tail."""
+    return x._window_arr(0, x.support_end)
+
+
+@pytest.mark.parametrize("name", ["m2f4-inner", "m2f4-diag", "fyz-quotient"])
+def test_windowed_operations_give_a_result_or_a_named_refusal(name):
+    """{poly_mul, series_mul, laurent_mul, X^-1, X^2} over every ring and
+    module window class, on a context with both rings, one with neither and
+    one with series only: each cell is a result that agrees with the exact
+    product of zero-tail completions, or a refusal naming its cause.  On
+    m2f4-diag a windowed module product died with a TypeError (m_delta =
+    None), and series_mul on a polynomial with an AttributeError."""
+    b = load_preset(name)
+    ctx = b.ctx
+    spec, r = ctx.algebra.regular, ctx.algebra.dim
+    rows = la.zeros((2, r))
+    rows[:, 0] = 1
+    operands = {}
+    for kind, ord_ in TABLE_WINDOWS:
+        try:
+            operands[kind, ord_] = _window(kind, ctx, spec, ord_, rows, ord_ + 4)
+        except RingUnavailableError:  # the class needs a ring ctx lacks
+            assert kind.startswith("Trunc") and not laurent_ring_exists(ctx).laurent
+    seen = set()
+    for op, call in TABLE_OPS.items():
+        arity = 1 if op.startswith("xn") else 2
+        for cell in itertools.product(operands, repeat=arity):
+            xs = [operands[k] for k in cell]
+            try:
+                got = call(*xs)
+            except tuple(TABLE_REFUSALS) as e:
+                assert re.search(TABLE_REFUSALS[type(e)], str(e)), (op, cell, e)
+                seen.add(type(e).__name__)
+                continue
+            seen.add("result")
+            if any(x.ord < 0 for x in xs) or op == "xn_times(-1)":
+                continue  # the exact products below are polynomial ones
+            if arity == 1:
+                want = poly_mul_iterative(SkewPoly.x_power(ctx, 2),
+                                          SkewPoly(ctx, _exact_rows(xs[0])))
+            else:
+                left = (VecPoly(spec, ctx, _exact_rows(xs[0])) if cell[0][0].startswith("Vec")
+                        else SkewPoly(ctx, _exact_rows(xs[0])))
+                want = poly_mul(left, SkewPoly(ctx, _exact_rows(xs[1])))
+            assert got.agrees_with(want), (op, cell, got, want)
+    assert {"result", "MixedStructureError", "PrecisionError"} <= seen, seen
+    assert ("RingUnavailableError" in seen) == (not laurent_ring_exists(ctx).laurent), seen
+    if name == "m2f4-diag":
+        # a window meets m_delta only through the series verdict, while an
+        # exact scalar action of order >= 0 needs no series ring
+        with pytest.raises(RingUnavailableError, match="^series ring unavailable"):
+            laurent_mul(VecLaurent(spec, ctx, 1, rows, 5), SkewPoly(ctx, rows))
+        with pytest.raises(RingUnavailableError, match="^series ring unavailable"):
+            series_mul(VecSeries(spec, ctx, 2, rows), SkewPoly(ctx, rows))
+        a = ctx.algebra.basis_element(1)
+        got = veclaurent_times_scalar(VecLaurent(spec, ctx, 1, rows), a)
+        assert got == VecLaurent(spec, ctx, 0, vecpoly_times_scalar(
+            VecPoly(spec, ctx, rows).shift(1), a).coeffs)
+
+
 @pytest.mark.parametrize("kind", WINDOW_KINDS)
 def test_raw_coefficients_outside_the_field_are_refused(m2f4_inner, f4c5_group, kind):
     """Over GF(2) a stored 3 multiplied as 1 but compared unequal to it and a
@@ -739,9 +835,15 @@ def test_window_algebra_identities_in_odd_characteristic(odd_fyz_bundles,
             if kind.endswith("Laurent"):
                 assert moved.shift(-k) == a == a.shift(-k).shift(k), b.name
             else:
-                noun = "polynomial" if kind.endswith("Poly") else "series"
-                with pytest.raises(ValueError, match=f"^{noun} shift needs n >= 0$"):
-                    moved.shift(-1)
+                # down to its order (the first nonzero row, or the end of a
+                # zero class) a shift stays in the class; one more names it
+                noun = "polynomial" if kind.endswith("Poly") else "power series"
+                nz = np.flatnonzero(moved.coeffs.any(axis=1))
+                order = int(nz[0]) if nz.size else moved.end
+                if order is not None:  # the exact zero polynomial has none
+                    assert moved.shift(-order).shift(order) == moved, b.name
+                    with pytest.raises(ValueError, match=f"^order -1 < 0: not a {noun}$"):
+                        moved.shift(-order - 1)
 
 
 @pytest.mark.parametrize("kind", WINDOW_KINDS)

@@ -16,9 +16,9 @@ from skewcodes import (Algebra, EchelonSolver, FieldElement, FieldSpec, LinearMa
                        polyrow_to_vecpoly, quotient_algebra_tn, quotient_algebra_yz,
                        restrict_module, right_from_left, veclaurent_times_scalar,
                        vecpolys_to_matrix, verify_skew_derivation, xn_times,
-                       xnegn_direct, xnegn_times)
+                       xnegn_direct)
 from skewcodes import _gflinalg as la
-from skewcodes.errors import AxiomError, MixedStructureError
+from skewcodes.errors import AxiomError, MixedStructureError, RingUnavailableError
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +134,12 @@ REFUSALS = [
     ("n-table-i-above-n", lambda o: o.ctx.ntable.matrix(3, 2), IndexError,
      r"^N_3\^2 undefined: need 0 <= i <= n$"),
     ("xn-times-negative", lambda o: xn_times(o.one, -1), ValueError,
-     r"^xn_times needs n >= 0$"),
-    ("xnegn-times-negative", lambda o: xnegn_times(o.laurent, -1), ValueError,
-     r"^xnegn_times needs n >= 0$"),
+     r"^order -1 < 0: not a polynomial$"),
+    ("xn-times-negative-on-a-series", lambda o: xn_times(TruncSeries.from_poly(o.one, 4), -1),
+     ValueError, r"^order -1 < 0: not a power series$"),
+    ("xn-times-negative-without-laurent-ring",
+     lambda o: xn_times(SkewPoly.one(o.singular), -1), RingUnavailableError,
+     r"^laurent ring unavailable: sigma is not invertible$"),
     ("xnegn-direct-negative", lambda o: xnegn_direct(o.laurent, -1), ValueError,
      r"^xnegn_direct needs n >= 0$"),
     ("right-from-left-sigma-not-invertible", lambda o: right_from_left(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from skewcodes import _gflinalg as la
-from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent,
+from skewcodes import (SkewPoly, TruncLaurent, TruncSeries, VecLaurent, VecSeries,
                        load_preset, natural_module, regular_module,
                        right_from_left, veclaurent_times_ring,
                        veclaurent_times_scalar, xn_times)
@@ -16,8 +16,7 @@ from skewcodes.errors import (MixedStructureError, PrecisionError,
                               RingUnavailableError)
 from skewcodes.fields import DTYPE
 from skewcodes.skewlaurent import (laurent_mul, laurent_ring_exists,
-                                   require_laurent_ring, xinv_times,
-                                   xnegn_direct, xnegn_times)
+                                   require_laurent_ring, xinv_times, xnegn_direct)
 from conftest import m2_inner_over, rand_coords, rand_element
 
 
@@ -108,7 +107,7 @@ def test_xnegn_direct_equals_iterated(laurent_bundles, odd_laurent_bundles):
                 chained = s
                 for _ in range(n):
                     chained = xinv_times(chained)
-                for got in (xnegn_times(s, n), chained):
+                for got in (xn_times(s, -n), chained):
                     assert (got.ord, got.end) == (d.ord, d.end), (b.name, n)
                     assert np.array_equal(got.coeffs, d.coeffs), (b.name, n)
 
@@ -133,34 +132,61 @@ def test_xnegn_is_one_product_on_a_warm_table(laurent_bundles, odd_laurent_bundl
         counts = []
         for n in range(1, 5):
             calls.clear()
-            xnegn_times(s, n)
+            xn_times(s, -n)
             counts.append(len(calls))
         monkeypatch.setattr(la, "mat_mul", real)
         assert counts == [2] * 4, (b.name, counts)
 
 
-def test_xn_times_is_the_product_with_x_power(laurent_bundles):
-    """xn_times(f, n) is laurent_mul(X^n, f) on every nonzero Laurent
-    window, windowed or exact, of order -3..3; on a zero class it keeps
-    f's end, which laurent_mul's zero rule exceeds by floor(n / m_delta)."""
+def test_xn_times_is_the_product_with_x_power(laurent_bundles, odd_laurent_bundles):
+    """xn_times(f, n) is laurent_mul(X^n, f) for n = -4..4 on every nonzero
+    Laurent window, windowed or exact, of order -3..3; on a zero class it
+    drops f's end by n m' below zero and keeps it above, where laurent_mul's
+    zero rule exceeds it by floor(n / m_delta)."""
     rng = random.Random(28)
-    for b in laurent_bundles:
+    for b in laurent_bundles + odd_laurent_bundles:
         ctx = b.ctx
-        q, r = ctx.field.q, ctx.algebra.dim
+        q, r, mp = ctx.field.q, ctx.algebra.dim, ctx.opposite.m_delta
         for _ in range(150):
-            ord_, length, n = rng.randrange(-3, 4), rng.randrange(7), rng.randrange(5)
+            ord_, length, n = rng.randrange(-3, 4), rng.randrange(7), rng.randrange(-4, 5)
             end = None if rng.random() < 0.5 else ord_ + length + rng.randrange(3)
             f = TruncLaurent(ctx, ord_, rand_coords(rng, q, (length, r)), end)
             got = xn_times(f, n)
             want = laurent_mul(TruncLaurent.from_elements(ctx, n, [ctx.algebra.one], None), f)
             if f.is_zero():
-                gain = None if f.end is None else f.end + n // ctx.m_delta
-                assert got.is_zero() and got.end == f.end, (b.name, f)
-                assert want.is_zero() and want.end == gain, (b.name, f)
+                drop = n * mp if n < 0 else 0
+                gain = n * mp if n < 0 else n // ctx.m_delta
+                assert got.is_zero() and got.end == (None if f.end is None
+                                                     else f.end + drop), (b.name, f, n)
+                assert want.is_zero() and want.end == (None if f.end is None
+                                                       else f.end + gain), (b.name, f, n)
             else:
                 assert got == want, (b.name, f, n)
 
 
+def test_xn_times_round_trip_on_exact_windows(laurent_bundles, odd_laurent_bundles):
+    """X^{-n} X^n f = f for exact f: on Laurent polynomials of order -3..3
+    for n = -4..4, and on polynomials for n = 1..4, which come back in their
+    own class.  X^{-k} of a polynomial is its Laurent value where that has
+    order >= 0, and is refused naming that value's order below."""
+    rng = random.Random(29)
+    for b in laurent_bundles + odd_laurent_bundles:
+        ctx = b.ctx
+        q, r = ctx.field.q, ctx.algebra.dim
+        for _ in range(40):
+            n = rng.randrange(-4, 5)
+            f = TruncLaurent(ctx, rng.randrange(-3, 4),
+                             rand_coords(rng, q, (rng.randrange(1, 6), r)), None)
+            assert xn_times(xn_times(f, n), -n) == f, (b.name, f, n)
+            p = SkewPoly(ctx, rand_coords(rng, q, (rng.randrange(1, 5), r)))
+            k = rng.randrange(1, 5)
+            assert xn_times(xn_times(p, k), -k) == p, (b.name, p, k)
+            lp = xn_times(TruncLaurent(ctx, 0, p.coeffs, None), -k)
+            if lp.ord < 0:
+                with pytest.raises(ValueError, match=f"^order {lp.ord} < 0: not a polynomial$"):
+                    xn_times(p, -k)
+            else:
+                assert xn_times(p, -k) == SkewPoly(ctx, lp._window_arr(0, lp.support_end))
 def test_associativity_on_wide_windows(laurent_bundles):
     sizes = {"m2f4-inner": (24, (-3, -2, -1), 10),
              "f4c5-group": (40, (-1, 0, 1), 4)}
@@ -263,23 +289,25 @@ def test_reading_past_the_window_raises_precision_error(m2f4_inner):
     ctx = m2f4_inner.ctx
     spec = regular_module(m2f4_inner.algebra)
     arr = rand_coords(random.Random(47), ctx.field.q, (3, ctx.algebra.dim))
-    for x in (TruncLaurent(ctx, 0, arr, 3), VecLaurent(spec, ctx, 0, arr, 3)):
+    for x, series in ((TruncLaurent(ctx, 0, arr, 3), TruncSeries),
+                      (VecLaurent(spec, ctx, 0, arr, 3), VecSeries)):
         x.coeff(2)
         with pytest.raises(PrecisionError):
             x.coeff(3)
-        assert x.to_series().prec == 3
+        assert series.from_laurent(x).prec == 3
         with pytest.raises(PrecisionError):
-            x.to_series().coeff(3)
+            series.from_laurent(x).coeff(3)
 
 
 def test_zero_class_below_zero_is_not_a_power_series(m2f4_inner):
     ctx = m2f4_inner.ctx
     spec = regular_module(m2f4_inner.algebra)
     empty = np.zeros((0, ctx.algebra.dim), dtype=DTYPE)
-    for x in (TruncLaurent(ctx, 0, empty, -2), VecLaurent(spec, ctx, 0, empty, -2)):
+    for x, series in ((TruncLaurent(ctx, 0, empty, -2), TruncSeries),
+                      (VecLaurent(spec, ctx, 0, empty, -2), VecSeries)):
         assert x.is_zero() and x.end == -2
         with pytest.raises(ValueError, match="not a power series"):
-            x.to_series()
+            series.from_laurent(x)
 
 
 # ---- golden digest of the Laurent windows ----
@@ -341,7 +369,7 @@ def laurent_golden_lines(reps: int = 32):
                 ("veclaurent_times_ring", veclaurent_times_ring(vec(), ring())),
                 ("veclaurent_times_scalar", veclaurent_times_scalar(vec(), scalar)),
                 ("xinv_times", xinv_times(ring())),
-                ("xnegn_times", xnegn_times(ring(), rng.randrange(4))),
+                ("xnegn_times", xn_times(ring(), -rng.randrange(4))),
                 ("right_from_left", right_from_left(poly)),
             ]
             out += [_laurent_line(name, op, t, x) for op, x in results]
